@@ -52,9 +52,7 @@ from .wavelet import (
     BasisTable,
     WaveletFamily,
     basis_diagnostics,
-    besov_seminorm,
     cascade_table,
-    coeffs_1d,
     eval_periodized,
     evaluate_series,
     level_coeffs,

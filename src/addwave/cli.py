@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,12 +29,13 @@ import numpy as np
 
 from .estimator import (EstimatorConfig, eval_estimate, fit_component,
                         identity_rho, ise, max_detail_level, threshold_scale)
-from .oracle import (BudgetError, DEFAULT_BUDGET, calibrate_threshold,
-                     rate_fit)
+from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
+                     calibrate_threshold, rate_fit)
 from .simulate import (dataset_meta, process_from_config, read_dataset_json,
                        scenario_from_config, simulate_dataset,
                        test_function, write_dataset_csv, write_dataset_json)
-from .wavelet import basis_diagnostics, cascade_table, make_family
+from .wavelet import (_check_depth, basis_diagnostics, cascade_table,
+                      make_family)
 
 REPORT_FORMAT_VERSION = "1"
 WORKERS_ENV = "ADDWAVE_WORKERS"
@@ -65,6 +66,18 @@ class ExperimentConfig:
     budget: int = DEFAULT_BUDGET
     allow_over_budget: bool = False
     self_test_exponent: float | None = None
+
+    def __post_init__(self):
+        # Reuses the bounds of the family, table and scenario; runs before
+        # any cell, and again for command-line overrides via ``replace``.
+        scenario = scenario_from_config(self.scenario)
+        for name, check in (("family_r", make_family),
+                            ("depth", _check_depth),
+                            ("coord", scenario.component)):
+            try:
+                check(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"experiment field {name!r}: {exc}") from None
 
     def echo(self) -> dict:
         out = {
@@ -131,14 +144,6 @@ def parse_experiment_config(payload: dict) -> ExperimentConfig:
         budget=int(payload.get("budget", DEFAULT_BUDGET)),
         allow_over_budget=bool(payload.get("allow_over_budget", False)),
         self_test_exponent=None if exponent is None else float(exponent))
-
-
-def _check_budget(config: ExperimentConfig) -> None:
-    cost = config.reps * sum(config.n_grid)
-    if cost > config.budget and not config.allow_over_budget:
-        raise BudgetError(
-            f"sweep costs {cost} observation-replications, budget is "
-            f"{config.budget}; set allow_over_budget to proceed anyway")
 
 
 @lru_cache(maxsize=8)
@@ -212,7 +217,8 @@ def _aggregate_report(config: ExperimentConfig, cells: list,
 
 def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
     """Full sweep; returns the report and whether it was interrupted."""
-    _check_budget(config)
+    _charge_budget(config.reps, sum(config.n_grid), config.budget,
+                   config.allow_over_budget)
     if config.self_test_exponent is not None:
         report = _aggregate_report(config, _synthetic_cells(config),
                                    kappa=config.kappa_value,
@@ -274,16 +280,11 @@ def _apply_overrides(config: ExperimentConfig, ns) -> ExperimentConfig:
         updates["family_r"] = ns.family_r
     if ns.depth is not None:
         updates["depth"] = ns.depth
-    if updates:
-        fields = {name: getattr(config, name)
-                  for name in config.__dataclass_fields__}
-        fields.update(updates)
-        config = ExperimentConfig(**fields)
-    return config
+    return replace(config, **updates)
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -303,7 +304,8 @@ def cmd_basis_check(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     config = _apply_overrides(_load_config(ns.config), ns)
-    _check_budget(config)
+    _charge_budget(config.reps, sum(config.n_grid), config.budget,
+                   config.allow_over_budget)
     out_dir = ns.output or config.output_dir
     if not out_dir:
         raise ValueError("simulate needs --output or config 'output_dir'")
@@ -341,10 +343,7 @@ def cmd_estimate(ns) -> int:
     table = _cached_table(family_r, depth)
     scenario = scenario_from_config(meta["scenario"]) \
         if "scenario" in meta else None
-    sup = (scenario.response_bound() if scenario is not None
-           else float(np.max(np.abs(data.y))))
-    rho = identity_rho(sup)
-    est = fit_component(data, rho, table,
+    est = fit_component(data, identity_rho(), table,
                         EstimatorConfig(coord=ns.coord,
                                         threshold_const=kappa))
     out_dir = Path(ns.output) if ns.output else Path(".")

@@ -62,20 +62,18 @@ class DesignDensity:
 
 @dataclass(frozen=True, eq=False)
 class RhoSpec:
-    """Response transform with its recorded bounds."""
+    """Response transform applied before weighting."""
 
     transform: object
-    sup_bound: float
-    l1_bound: float = math.inf
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.transform(np.asarray(y, dtype=float)),
                           dtype=float)
 
 
-def identity_rho(sup_bound: float) -> RhoSpec:
-    return RhoSpec(transform=lambda y: np.asarray(y, dtype=float),
-                   sup_bound=sup_bound)
+def identity_rho() -> RhoSpec:
+    """The transform that leaves responses as they are."""
+    return RhoSpec(transform=lambda y: np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +93,12 @@ class Dataset:
         if x.shape[1] != self.density.dim:
             raise ValueError(
                 f"design has {x.shape[1]} coordinates, density expects {self.density.dim}")
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
-            raise ValueError("design points must lie in the unit cube")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("responses must be finite")
+        # Written so that a NaN fails it: min and max propagate NaN.
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+            raise ValueError(
+                "design points must be finite and lie in the unit cube")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
@@ -111,17 +113,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Fit controls: target coordinate, threshold constant, level override."""
+    """Fit controls: target coordinate and threshold constant."""
 
     coord: int = 1
     threshold_const: float = 1.0
-    max_level_override: int | None = None
 
     def __post_init__(self):
         if self.coord < 1:
             raise ValueError("coord must be >= 1")
-        if self.threshold_const < 0:
-            raise ValueError("threshold_const must be >= 0")
+        if not 0.0 <= self.threshold_const < math.inf:
+            raise ValueError("threshold_const must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,11 +269,7 @@ def fit_component(data: Dataset, rho: RhoSpec, table: BasisTable,
         raise ValueError(
             f"coord {config.coord} exceeds design dimension {data.dim}")
     tau = table.family.coarsest_level
-    j1 = (config.max_level_override
-          if config.max_level_override is not None
-          else max_detail_level(data.n, tau))
-    if j1 < tau:
-        raise ValueError(f"finest level {j1} is below the coarsest {tau}")
+    j1 = max_detail_level(data.n, tau)
     lam = threshold_scale(data.n)
     mu_hat = estimate_mean(data, rho)
     a_hat = level_estimates(data, rho, table, "scaling", tau, config.coord)

@@ -34,7 +34,8 @@ def _charge_budget(reps: int, n: int, budget: int, allow_over: bool) -> None:
     if cost > budget and not allow_over:
         raise BudgetError(
             f"request costs {cost} observation-replications, "
-            f"budget is {budget}; pass allow_over to proceed anyway")
+            f"budget is {budget}; pass allow_over (allow_over_budget in a "
+            "sweep config) to proceed anyway")
 
 
 def reference_shape(name: str):
@@ -164,14 +165,6 @@ class MomentReport:
     def z_score(self) -> float:
         return (self.mean_hat - self.true_value) / self.std_error()
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind, "level": self.level, "shift": self.shift,
-            "coord": self.coord, "n": self.n, "reps": self.reps,
-            "true_value": self.true_value, "mean_hat": self.mean_hat,
-            "var_hat": self.var_hat, "m4_hat": self.m4_hat,
-        }, sort_keys=True)
-
 
 def mc_moments(process: MixingProcessSpec, scenario: ScenarioSpec,
                table: BasisTable, kind: str, level: int, shift: int,
@@ -243,12 +236,6 @@ class RateFit:
             "r_squared": self.r_squared,
         }, sort_keys=True)
 
-    def points_csv(self) -> str:
-        lines = ["n,mean_ise"]
-        lines += [f"{n},{v!r}" for n, v in
-                  zip(self.sample_sizes, self.mean_ise)]
-        return "\n".join(lines) + "\n"
-
 
 def rate_fit(points) -> RateFit:
     """Regress log mean ISE on log(log(n)/n).
@@ -266,8 +253,8 @@ def rate_fit(points) -> RateFit:
     if ns[-1] < 4 * ns[0]:
         raise ValueError(
             f"sample sizes span less than two octaves: {ns[0]:.0f}..{ns[-1]:.0f}")
-    if np.any(vs <= 0):
-        raise ValueError("mean ISE values must be positive")
+    if not np.all((vs > 0) & np.isfinite(vs)):
+        raise ValueError("mean ISE values must be finite and positive")
     xs = np.log(np.log(ns) / ns)
     ys = np.log(vs)
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -298,21 +285,15 @@ def calibrate_threshold(process: MixingProcessSpec, scenario: ScenarioSpec,
     """
     if not 0.5 < quantile < 1.0:
         raise ValueError("quantile must be in (0.5, 1)")
-    _charge_budget(reps, n, budget, allow_over)
     pilot = ScenarioSpec(
         components=("zero",) * scenario.dim,
         offset=0.0,
         noise_halfwidth=math.sqrt(3.0) * scenario.response_bound())
-    rho = pilot.rho_spec()
     tau = table.family.coarsest_level
-    top = max_detail_level(n, tau)
-    pooled = []
-    for r in range(reps):
-        data = simulate_dataset(process, pilot, n, rep=rep_start + r)
-        w = rho(data.y) / data.density(data.x)
-        for j in range(tau, top + 1):
-            sums = weighted_level_sums(
-                table, "wavelet", j, data.x[:, coord - 1], w) / n
-            pooled.append(np.abs(sums))
-    ratio = np.concatenate(pooled) / threshold_scale(n)
-    return float(np.quantile(ratio, quantile))
+    targets = [("wavelet", j, k, coord)
+               for j in range(tau, max_detail_level(n, tau) + 1)
+               for k in range(2 ** j)]
+    vals = replicate_coeffs(process, pilot, table, targets, n, reps,
+                            rep_start=rep_start, budget=budget,
+                            allow_over=allow_over)
+    return float(np.quantile(np.abs(vals) / threshold_scale(n), quantile))

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.special import erf, ndtr
 
-from .estimator import Dataset, DesignDensity, RhoSpec
+from .estimator import Dataset, DesignDensity, RhoSpec, identity_rho
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -142,14 +142,13 @@ class ScenarioSpec:
         return test_function(self.components[coord - 1])
 
     def response_bound(self) -> float:
-        """Sup bound on the response magnitude, recorded for weighting."""
+        """Sup bound on the response magnitude."""
         return (abs(self.offset)
                 + sum(test_function(c).sup_bound for c in self.components)
                 + self.noise_halfwidth)
 
     def rho_spec(self) -> RhoSpec:
-        return RhoSpec(transform=lambda y: np.asarray(y, dtype=float),
-                       sup_bound=self.response_bound())
+        return identity_rho()
 
 
 @lru_cache(maxsize=16)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, comb, log2
-import json
 
 import numpy as np
 
@@ -43,12 +42,6 @@ class WaveletFamily:
     def coarsest_level(self) -> int:
         """Smallest level whose period covers one support length."""
         return max(1, ceil(log2(len(self.low_pass))))
-
-    def taps_json(self) -> str:
-        return json.dumps({
-            "vanishing_moments": self.vanishing_moments,
-            "low_pass": [float(c) for c in self.low_pass],
-        })
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +114,17 @@ def _daubechies_taps(r: int) -> np.ndarray:
 
 def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
     """Tabulate the scaling function and wavelet at grid step ``2**-depth``."""
-    if not _MIN_DEPTH <= depth <= _MAX_DEPTH:
-        raise ValueError(f"depth must be in {_MIN_DEPTH}..{_MAX_DEPTH}, got {depth}")
+    _check_depth(depth)
     phi = _scaling_samples(family.low_pass, depth)
     psi = _wavelet_samples(family.low_pass, phi, depth)
     table = BasisTable(family=family, depth=depth, phi_samples=phi, psi_samples=psi)
     _validate_table(table)
     return table
+
+
+def _check_depth(depth: int) -> None:
+    if not _MIN_DEPTH <= depth <= _MAX_DEPTH:
+        raise ValueError(f"depth must be in {_MIN_DEPTH}..{_MAX_DEPTH}, got {depth}")
 
 
 def _scaling_samples(taps: np.ndarray, depth: int) -> np.ndarray:
@@ -235,6 +232,18 @@ def _sample(table: BasisTable, kind: str, t: np.ndarray) -> np.ndarray:
     return np.where(inside, vals, 0.0)
 
 
+def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
+    """Each point's cell ``floor(2**level * x)`` and, per support offset,
+    the unscaled values of the element of shift ``cell - offset`` (mod
+    ``2**level``) there.  Callers build that index inside the expression
+    that uses it, so no index array outlives its use."""
+    pos = 2.0 ** level * x
+    base = np.floor(pos).astype(np.int64)
+    frac = pos - base
+    return base, (_sample(table, kind, frac + offset)
+                  for offset in range(table.family.support_length))
+
+
 def eval_periodized(table: BasisTable, kind: str, level: int, shift: int, x):
     """Evaluate the periodized basis element ``(kind, level, shift)`` at x.
 
@@ -283,12 +292,9 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
     xa = np.asarray(x, dtype=float).ravel()
     w = np.asarray(weights, dtype=float).ravel()
     n_shifts = 2 ** level
-    pos = 2.0 ** level * xa
-    base = np.floor(pos).astype(np.int64)
-    frac = pos - base
+    base, taps = _stencil(table, kind, level, xa)
     acc = np.zeros(n_shifts)
-    for offset in range(table.family.support_length):
-        vals = _sample(table, kind, frac + offset)
+    for offset, vals in enumerate(taps):
         acc += np.bincount((base - offset) % n_shifts, weights=w * vals,
                            minlength=n_shifts)
     return acc * 2.0 ** (level / 2.0)
@@ -308,23 +314,6 @@ def level_coeffs(table: BasisTable, kind: str, level: int,
     return weighted_level_sums(table, kind, level, mids, v) / m
 
 
-def coeffs_1d(table: BasisTable, values: np.ndarray, start_level: int,
-              max_level: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Scaling coefficients at ``start_level`` and detail coefficients up
-    to ``max_level`` of a midpoint-sampled function on [0, 1]."""
-    v = np.asarray(values, dtype=float)
-    if start_level < 0 or max_level < start_level:
-        raise ValueError(f"bad level range {start_level}..{max_level}")
-    if v.size < 2 ** (max_level + 4):
-        raise ValueError(
-            f"grid of {v.size} points is too coarse for max_level={max_level}; "
-            f"need at least {2 ** (max_level + 4)}")
-    smooth = level_coeffs(table, "scaling", start_level, v)
-    details = [level_coeffs(table, "wavelet", j, v)
-               for j in range(start_level, max_level + 1)]
-    return smooth, details
-
-
 def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
                     details, x, offset: float = 0.0) -> np.ndarray:
     """Evaluate a periodized wavelet series at points ``x``.
@@ -338,48 +327,17 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
     terms = [(start_level, "scaling", np.asarray(smooth, dtype=float))]
     for level, coeffs in details:
         terms.append((level, "wavelet", np.asarray(coeffs, dtype=float)))
-    sup = table.family.support_length
     for level, kind, coeffs in terms:
         n_shifts = 2 ** level
         if coeffs.size != n_shifts:
             raise ValueError(f"level {level} expects {n_shifts} coefficients")
         if not np.any(coeffs):
             continue
-        pos = 2.0 ** level * xa
-        base = np.floor(pos).astype(np.int64)
-        frac = pos - base
+        base, taps = _stencil(table, kind, level, xa)
         scale = 2.0 ** (level / 2.0)
-        for off in range(sup):
-            w = _sample(table, kind, frac + off)
-            out += scale * coeffs[(base - off) % n_shifts] * w
+        for off, vals in enumerate(taps):
+            out += scale * coeffs[(base - off) % n_shifts] * vals
     return out if np.ndim(x) else float(out[0])
-
-
-def besov_seminorm(details, smoothness: float, p: float, q: float,
-                   start_level: int) -> float:
-    """Sequence-space Besov seminorm of detail coefficients.
-
-    ``details`` lists one coefficient array per level, consecutive from
-    ``start_level``.  Either integrability index may be ``inf``.
-    """
-    if smoothness <= 0:
-        raise ValueError("smoothness must be positive")
-    if p < 1 or q < 1:
-        raise ValueError("integrability indices must be >= 1")
-    level_terms = []
-    for pos, coeffs in enumerate(details):
-        j = start_level + pos
-        c = np.abs(np.asarray(coeffs, dtype=float))
-        if np.isinf(p):
-            inner = c.max() if c.size else 0.0
-        else:
-            inner = float(np.sum(c ** p)) ** (1.0 / p)
-        weight = 2.0 ** (j * (smoothness + 0.5 - (0.0 if np.isinf(p) else 1.0 / p)))
-        level_terms.append(weight * inner)
-    terms = np.asarray(level_terms)
-    if np.isinf(q):
-        return float(terms.max()) if terms.size else 0.0
-    return float(np.sum(terms ** q) ** (1.0 / q))
 
 
 def basis_diagnostics(family: WaveletFamily, depth: int,
@@ -406,9 +364,7 @@ def basis_diagnostics(family: WaveletFamily, depth: int,
 
     # Sum of integer translates is one everywhere.
     xs = np.arange(2 ** depth) * 2.0 ** (-depth)
-    pou = np.zeros_like(xs)
-    for k in range(sup + 1):
-        pou += _sample(table, "scaling", xs + k)
+    pou = eval_periodized(table, "scaling", 0, 0, xs)
     checks.append(_check("partition_of_unity", float(np.max(np.abs(pou - 1.0))), 1e-6))
 
     # Vanishing moments of the wavelet.

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from addwave import ComponentEstimate
+from addwave import cli
 from addwave.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -73,6 +74,38 @@ def test_parse_config_rejects_bad_values():
         parse_experiment_config(_base_config(kappa_mode="adaptive"))
     with pytest.raises(ValueError, match="aggregate"):
         parse_experiment_config(_base_config(aggregate="max"))
+
+
+def test_mc_rate_names_out_of_range_fields(tmp_path, capsys):
+    two = {"components": ["sine", "bump"]}
+    for field, value in (("depth", 40), ("family_r", 0), ("coord", 5)):
+        cfg = _write_config(tmp_path, scenario=two, **{field: value})
+        assert main(["mc-rate", "--config", cfg]) == EXIT_USAGE
+        assert f"'{field}'" in capsys.readouterr().err
+    cfg = _write_config(tmp_path)
+    assert main(["mc-rate", "--config", cfg, "--depth", "40"]) == EXIT_USAGE
+    assert "'depth'" in capsys.readouterr().err
+
+
+def test_nan_ise_gives_fit_error_and_no_json(tmp_path, monkeypatch, capsys):
+    run_cell = cli._run_cell
+
+    def spoiled(job):
+        n_index, rep, cell = run_cell(job)
+        if n_index == 0 and rep == 0:
+            cell = dict(cell, ise=float("nan"))
+        return n_index, rep, cell
+
+    monkeypatch.setattr(cli, "_run_cell", spoiled)
+    report, _ = run_experiment(parse_experiment_config(_base_config()))
+    assert report["fit"] is None
+    assert "finite" in report["fit_error"]
+    out = tmp_path / "report.json"
+    cfg = _write_config(tmp_path)
+    assert main(["mc-rate", "--config", cfg, "--output", str(out)]) \
+        == EXIT_USAGE
+    assert "JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_config_echo_round_trip():

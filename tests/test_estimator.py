@@ -30,7 +30,7 @@ from addwave import (
 from addwave import test_function as catalog_fn
 
 DB2 = cascade_table(make_family(2), depth=12)
-RHO = identity_rho(10.0)
+RHO = identity_rho()
 
 
 def _uniform_data(n, dim=1, seed=5, y=None):
@@ -125,11 +125,28 @@ def test_fit_levels_and_threshold_flags():
         assert np.array_equal(kept, np.abs(values) >= cut)
 
 
-def test_fit_rejects_override_below_coarsest():
-    data = _uniform_data(256)
-    with pytest.raises(ValueError, match="below the coarsest"):
-        fit_component(data, RHO, DB2,
-                      EstimatorConfig(max_level_override=1))
+def test_dataset_rejects_non_finite_design():
+    data = _uniform_data(16, dim=2)
+    for bad in (math.nan, math.inf, -math.inf):
+        x = data.x.copy()
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="design points must be finite"):
+            Dataset(y=data.y, x=x, density=data.density)
+
+
+def test_dataset_rejects_non_finite_responses():
+    data = _uniform_data(16)
+    for bad in (math.nan, math.inf):
+        y = data.y.copy()
+        y[5] = bad
+        with pytest.raises(ValueError, match="responses must be finite"):
+            Dataset(y=y, x=data.x, density=data.density)
+
+
+def test_config_rejects_non_finite_threshold():
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="threshold_const"):
+            EstimatorConfig(threshold_const=bad)
 
 
 def test_fit_rejects_coord_beyond_dim():

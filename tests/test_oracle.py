@@ -1,5 +1,6 @@
 """Reference oracles: closed forms, replication moments, rate fits."""
 
+import json
 import math
 
 import numpy as np
@@ -194,14 +195,17 @@ def test_rate_fit_input_guards():
         rate_fit([(256, 0.1), (300, 0.05), (400, 0.03), (500, 0.02)])
     with pytest.raises(ValueError, match="positive"):
         rate_fit([(256, 0.1), (512, -0.05), (1024, 0.03), (2048, 0.02)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            rate_fit([(256, 0.1), (512, bad), (1024, 0.03), (2048, 0.02)])
 
 
 def test_rate_fit_serialization():
     pts = [(256, 0.1), (512, 0.05), (1024, 0.03), (2048, 0.02)]
-    fit = rate_fit(pts)
-    csv_text = fit.points_csv()
-    assert csv_text.startswith("n,mean_ise\n256,0.1\n")
-    assert '"slope"' in fit.to_json()
+    payload = json.loads(rate_fit(pts).to_json())
+    assert payload["sample_sizes"] == [256, 512, 1024, 2048]
+    assert payload["mean_ise"] == [0.1, 0.05, 0.03, 0.02]
+    assert "slope" in payload
 
 
 def test_calibrated_threshold_lands_in_expected_band():
