@@ -12,7 +12,6 @@ from .estimator import (
     fit_component,
     identity_rho,
     ise,
-    level_estimates,
     max_detail_level,
     threshold_scale,
 )

@@ -270,16 +270,16 @@ def _load_config(path: str) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, ns) -> ExperimentConfig:
-    updates = {}
-    if ns.seed is not None:
-        updates["master_seed"] = ns.seed
-    if getattr(ns, "kappa", None) is not None:
+    """Command-line options over config fields; a subcommand without an
+    option leaves its field alone."""
+    updates = {field: getattr(ns, option)
+               for option, field in (("seed", "master_seed"),
+                                     ("kappa", "kappa_value"),
+                                     ("family_r", "family_r"),
+                                     ("depth", "depth"))
+               if getattr(ns, option, None) is not None}
+    if "kappa_value" in updates:
         updates["kappa_mode"] = "fixed"
-        updates["kappa_value"] = ns.kappa
-    if ns.family_r is not None:
-        updates["family_r"] = ns.family_r
-    if ns.depth is not None:
-        updates["depth"] = ns.depth
     return replace(config, **updates)
 
 
@@ -333,10 +333,6 @@ def cmd_estimate(ns) -> int:
     if ns.dataset is None:
         raise ValueError("--dataset is required for estimate")
     data, meta = read_dataset_json(ns.dataset)
-    if not 1 <= ns.coord <= data.dim:
-        raise ValueError(
-            f"coordinate {ns.coord} is out of range for a "
-            f"{data.dim}-dimensional dataset")
     family_r = 2 if ns.family_r is None else ns.family_r
     depth = 12 if ns.depth is None else ns.depth
     kappa = 1.0 if ns.kappa is None else ns.kappa
@@ -370,7 +366,7 @@ def cmd_estimate(ns) -> int:
                "kept": est.kept_count(), "j1": est.j1,
                "lambda_n": est.lambda_n, "kappa": kappa}
     if truth is not None:
-        summary["ise"] = float(np.mean((fitted - truth) ** 2))
+        summary["ise"] = ise(est, table, truth)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -387,33 +383,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="addwave",
         description="additive-component wavelet estimation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, dataset=False):
-        p.add_argument("--config", help="path to a JSON experiment config")
-        p.add_argument("--output", help="output file or directory")
-        p.add_argument("--seed", type=int, help="override master seed")
-        p.add_argument("--kappa", type=float,
-                       help="fixed threshold constant override")
-        p.add_argument("--family-r", type=int, dest="family_r",
-                       help="vanishing moments of the wavelet family")
-        p.add_argument("--depth", type=int,
-                       help="dyadic tabulation depth")
-        if dataset:
-            p.add_argument("--dataset", help="path to a dataset JSON file")
-            p.add_argument("--coord", type=int, default=1,
-                           help="target coordinate (1-based)")
-
-    common(sub.add_parser("basis-check",
-                          help="run wavelet construction diagnostics"))
-    common(sub.add_parser("simulate", help="write replicated datasets"))
-    common(sub.add_parser("estimate", help="fit one component from a file"),
-           dataset=True)
-    common(sub.add_parser("mc-rate", help="sweep n and fit the error rate"))
+    options = {
+        "config": dict(help="path to a JSON experiment config"),
+        "seed": dict(type=int, help="override master seed"),
+        "dataset": dict(help="path to a dataset JSON file"),
+        "coord": dict(type=int, default=1, help="target coordinate (1-based)"),
+        "kappa": dict(type=float, help="fixed threshold constant override"),
+        "family-r": dict(type=int, dest="family_r",
+                         help="vanishing moments of the wavelet family"),
+        "depth": dict(type=int, help="dyadic tabulation depth"),
+        "output": dict(help="output file or directory"),
+    }
+    # Each subcommand takes only the options its handler reads.
+    for name, help_text, names in (
+            ("basis-check", "run wavelet construction diagnostics",
+             ("family-r", "depth", "output")),
+            ("simulate", "write replicated datasets",
+             ("config", "seed", "output")),
+            ("estimate", "fit one component from a file",
+             ("dataset", "coord", "kappa", "family-r", "depth", "output")),
+            ("mc-rate", "sweep n and fit the error rate",
+             ("config", "seed", "kappa", "family-r", "depth", "output"))):
+        p = sub.add_parser(name, help=help_text)
+        for option in names:
+            p.add_argument(f"--{option}", **options[option])
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help.
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     handlers = {"basis-check": cmd_basis_check, "simulate": cmd_simulate,
                 "estimate": cmd_estimate, "mc-rate": cmd_mc_rate}
     try:

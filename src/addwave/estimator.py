@@ -37,7 +37,6 @@ class DesignDensity:
     dim: int
     evaluator: object
     floor: float
-    description: str = ""
 
     def __post_init__(self):
         if self.floor <= 0:
@@ -110,6 +109,13 @@ class Dataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
+    def column(self, coord: int) -> np.ndarray:
+        """Design values of the 1-based coordinate ``coord``."""
+        if not 1 <= coord <= self.dim:
+            raise ValueError(f"coord {coord} is out of range for a "
+                             f"{self.dim}-dimensional design")
+        return self.x[:, coord - 1]
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -119,8 +125,6 @@ class EstimatorConfig:
     threshold_const: float = 1.0
 
     def __post_init__(self):
-        if self.coord < 1:
-            raise ValueError("coord must be >= 1")
         if not 0.0 <= self.threshold_const < math.inf:
             raise ValueError("threshold_const must be finite and >= 0")
 
@@ -236,22 +240,10 @@ def empirical_coeff(data: Dataset, rho: RhoSpec, table: BasisTable, kind: str,
     average against the one-dimensional element at the target coordinate;
     ``literal=True`` runs the explicit tensor sum instead.
     """
-    if not 1 <= coord <= data.dim:
-        raise ValueError(f"coord must be in 1..{data.dim}, got {coord}")
     w = _weights(data, rho)
     from .tensor import collapsed_sum
     h = collapsed_sum(table, kind, level, shift, coord, data.x, literal=literal)
     return float(np.mean(w * h) * 2.0 ** (-level * (data.dim - 1) / 2.0))
-
-
-def level_estimates(data: Dataset, rho: RhoSpec, table: BasisTable, kind: str,
-                    level: int, coord: int) -> np.ndarray:
-    """All empirical coefficients of one level at once."""
-    if not 1 <= coord <= data.dim:
-        raise ValueError(f"coord must be in 1..{data.dim}, got {coord}")
-    w = _weights(data, rho)
-    sums = weighted_level_sums(table, kind, level, data.x[:, coord - 1], w)
-    return sums / data.n
 
 
 def fit_component(data: Dataset, rho: RhoSpec, table: BasisTable,
@@ -261,22 +253,23 @@ def fit_component(data: Dataset, rho: RhoSpec, table: BasisTable,
     Scaling coefficients at the family's coarsest level are kept as they
     are; detail coefficients up to the sample-size-driven finest level are
     zeroed unless their magnitude reaches ``threshold_const`` times
-    sqrt(log(n)/n).  Ties at the threshold are kept.
+    sqrt(log(n)/n).  Ties at the threshold are kept.  The weights and the
+    coordinate's column are computed once and shared by every level.
     """
     if data.n < 2:
         raise ValueError("need at least two observations")
-    if config.coord > data.dim:
-        raise ValueError(
-            f"coord {config.coord} exceeds design dimension {data.dim}")
+    x = data.column(config.coord)
+    n = data.n
     tau = table.family.coarsest_level
-    j1 = max_detail_level(data.n, tau)
-    lam = threshold_scale(data.n)
+    j1 = max_detail_level(n, tau)
+    lam = threshold_scale(n)
     mu_hat = estimate_mean(data, rho)
-    a_hat = level_estimates(data, rho, table, "scaling", tau, config.coord)
+    w = _weights(data, rho)
+    a_hat = weighted_level_sums(table, "scaling", tau, x, w) / n
     values, kept = [], []
     cut = config.threshold_const * lam
     for j in range(tau, j1 + 1):
-        b = level_estimates(data, rho, table, "wavelet", j, config.coord)
+        b = weighted_level_sums(table, "wavelet", j, x, w) / n
         values.append(b)
         kept.append(np.abs(b) >= cut)
     return ComponentEstimate(mu_hat=mu_hat, tau=tau, j1=j1, lambda_n=lam,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import max_detail_level, threshold_scale
+from .estimator import _weights, max_detail_level, threshold_scale
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_dataset
 from .wavelet import BasisTable, level_coeffs, weighted_level_sums
 
@@ -123,10 +123,10 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
     out = np.empty((reps, len(targets)))
     for r in range(reps):
         data = simulate_dataset(process, scenario, n, rep=rep_start + r)
-        w = rho(data.y) / data.density(data.x)
+        w = _weights(data, rho)
         for (kind, level, coord), members in groups.items():
             sums = weighted_level_sums(
-                table, kind, level, data.x[:, coord - 1], w) / n
+                table, kind, level, data.column(coord), w) / n
             for col, shift in members:
                 out[r, col] = sums[shift]
     return out

@@ -63,7 +63,6 @@ class TestFunction:
     name: str
     fn: object
     sup_bound: float
-    smoothness_note: str
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -85,24 +84,20 @@ _STEP_AT = 0.45
 
 _CATALOG = {
     "sine": lambda: TestFunction(
-        "sine", lambda x: np.sin(2.0 * np.pi * x), 1.0,
-        "analytic and periodic"),
+        "sine", lambda x: np.sin(2.0 * np.pi * x), 1.0),
     "bump": lambda: TestFunction(
         "bump",
         lambda x: np.exp(-(x - 0.5) ** 2 / 0.02) - _bump_center(),
-        1.0 - _bump_center(),
-        "analytic, near-zero at the endpoints"),
+        1.0 - _bump_center()),
     "step": lambda: TestFunction(
         "step",
         lambda x: np.where(x < _STEP_AT, _STEP_DOWN, _STEP_UP),
-        abs(_STEP_DOWN),
-        "jump discontinuity, low effective smoothness"),
+        abs(_STEP_DOWN)),
     "sawtooth": lambda: TestFunction(
         "sawtooth",
-        lambda x: 2.0 * (2.0 * x - np.floor(2.0 * x)) - 1.0, 1.0,
-        "piecewise linear with dyadic jumps"),
+        lambda x: 2.0 * (2.0 * x - np.floor(2.0 * x)) - 1.0, 1.0),
     "zero": lambda: TestFunction(
-        "zero", lambda x: np.zeros_like(x), 0.0, "identically zero"),
+        "zero", lambda x: np.zeros_like(x), 0.0),
 }
 _ALIASES = {"sawtooth-centered": "sawtooth"}
 
@@ -156,8 +151,7 @@ def uniform_density(dim: int) -> DesignDensity:
     return DesignDensity(
         dim=dim,
         evaluator=lambda pts: np.ones(np.asarray(pts).shape[0]),
-        floor=1.0,
-        description=f"uniform on [0,1]^{dim}")
+        floor=1.0)
 
 
 @lru_cache(maxsize=32)
@@ -173,8 +167,7 @@ def fgm_density(theta: float) -> DesignDensity:
     return DesignDensity(
         dim=2,
         evaluator=evaluator,
-        floor=1.0 - abs(theta),
-        description=f"FGM copula, theta={theta}")
+        floor=1.0 - abs(theta))
 
 
 def _latent_chains(rng, dim: int, n: int, ar_coeff: float) -> np.ndarray:

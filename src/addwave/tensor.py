@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .wavelet import BasisTable, eval_periodized, weighted_level_sums
+from .wavelet import BasisTable, eval_periodized
 
 _MAX_DIM = 4
 _MAX_LITERAL_TERMS = 2 ** 20

@@ -115,8 +115,10 @@ def _daubechies_taps(r: int) -> np.ndarray:
 def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
     """Tabulate the scaling function and wavelet at grid step ``2**-depth``."""
     _check_depth(depth)
-    phi = _scaling_samples(family.low_pass, depth)
-    psi = _wavelet_samples(family.low_pass, phi, depth)
+    taps = family.low_pass
+    phi = _scaling_samples(taps, depth)
+    # Quadrature-mirror filter g[l] = (-1)**l h[L - 1 - l].
+    psi = _two_scale(taps[::-1] * (-1.0) ** np.arange(taps.size), phi, depth)
     table = BasisTable(family=family, depth=depth, phi_samples=phi, psi_samples=psi)
     _validate_table(table)
     return table
@@ -167,18 +169,15 @@ def _scaling_samples(taps: np.ndarray, depth: int) -> np.ndarray:
     return v
 
 
-def _wavelet_samples(taps: np.ndarray, phi: np.ndarray, depth: int) -> np.ndarray:
-    n_taps = len(taps)
-    sup = n_taps - 1
-    top = sup * 2 ** depth
-    psi = np.zeros(top + 1)
-    idx = np.arange(top + 1)
-    for l in range(n_taps):
-        g = (-1) ** l * taps[n_taps - 1 - l]
+def _two_scale(filt: np.ndarray, phi: np.ndarray, depth: int) -> np.ndarray:
+    """``sqrt(2) * sum_l filt[l] * phi(2t - l)`` on the grid of ``phi``."""
+    idx = np.arange(phi.size)
+    acc = np.zeros(phi.size)
+    for l, c in enumerate(filt):
         src = 2 * idx - l * 2 ** depth
-        ok = (src >= 0) & (src <= top)
-        psi[ok] += g * phi[src[ok]]
-    return SQRT2 * psi
+        ok = (src >= 0) & (src < phi.size)
+        acc[ok] += c * phi[src[ok]]
+    return SQRT2 * acc
 
 
 def _validate_table(table: BasisTable) -> None:
@@ -353,13 +352,8 @@ def basis_diagnostics(family: WaveletFamily, depth: int,
 
     # Two-scale relation residual on the grid.
     phi = table.phi_samples
-    idx = np.arange(phi.size)
-    rhs = np.zeros_like(phi)
-    for l, c in enumerate(family.low_pass):
-        src = 2 * idx - l * 2 ** depth
-        ok = (src >= 0) & (src < phi.size)
-        rhs[ok] += c * phi[src[ok]]
-    refinement = float(np.max(np.abs(phi - SQRT2 * rhs)))
+    refinement = float(np.max(np.abs(
+        phi - _two_scale(family.low_pass, phi, depth))))
     checks.append(_check("refinement_residual", refinement, 10 * 2.0 ** (-depth)))
 
     # Sum of integer translates is one everywhere.

@@ -132,6 +132,16 @@ def test_basis_check_rejects_bad_depth(capsys):
     assert "depth" in capsys.readouterr().err
 
 
+def test_subcommands_reject_options_they_do_not_read(capsys):
+    for argv in (["basis-check", "--seed", "5"],
+                 ["simulate", "--kappa", "2"],
+                 ["estimate", "--config", "x"]):
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["mc-rate", "--help"]) == EXIT_OK
+    assert "--kappa" in capsys.readouterr().out
+
+
 def test_missing_or_invalid_config_files(tmp_path, capsys):
     assert main(["mc-rate", "--config", str(tmp_path / "nope.json")]) \
         == EXIT_USAGE

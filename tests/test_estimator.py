@@ -20,7 +20,6 @@ from addwave import (
     fit_component,
     identity_rho,
     ise,
-    level_estimates,
     make_family,
     max_detail_level,
     simulate_dataset,
@@ -73,16 +72,14 @@ def test_density_floor_checked_at_construction():
         return 1.0 + 0.6 * np.cos(2.0 * np.pi * np.asarray(p)[:, 0])
 
     with pytest.raises(ValueError, match="declared floor"):
-        DesignDensity(dim=1, evaluator=wavy, floor=0.5,
-                      description="floor declared above the true minimum")
+        DesignDensity(dim=1, evaluator=wavy, floor=0.5)
 
 
 def test_density_unit_mass_checked_at_construction():
     with pytest.raises(ValueError, match="integrate"):
         DesignDensity(dim=1,
                       evaluator=lambda p: np.full(np.asarray(p).shape[0], 2.0),
-                      floor=0.5,
-                      description="mass two")
+                      floor=0.5)
 
 
 def test_empirical_coeff_literal_matches_collapsed():
@@ -96,13 +93,35 @@ def test_empirical_coeff_literal_matches_collapsed():
         assert fast == pytest.approx(slow, abs=1e-12)
 
 
-def test_level_estimates_match_single_coeffs():
-    data = _uniform_data(300, seed=9)
-    got = level_estimates(data, RHO, DB2, "wavelet", 3, 1)
-    assert got.shape == (8,)
-    for k in range(8):
-        one = empirical_coeff(data, RHO, DB2, "wavelet", 3, k, 1)
-        assert got[k] == pytest.approx(one, abs=1e-12)
+def test_fit_coeffs_match_single_coeffs():
+    data = _uniform_data(300, dim=2, seed=9)
+    fit = fit_component(data, RHO, DB2, EstimatorConfig(coord=2))
+    assert fit.a_hat.shape == (2 ** fit.tau,)
+    for k, got in enumerate(fit.a_hat):
+        one = empirical_coeff(data, RHO, DB2, "scaling", fit.tau, k, 2)
+        assert got == pytest.approx(one, abs=1e-12)
+    for j, values in zip(fit.levels(), fit.detail_values):
+        assert values.shape == (2 ** j,)
+        for k, got in enumerate(values):
+            one = empirical_coeff(data, RHO, DB2, "wavelet", j, k, 2)
+            assert got == pytest.approx(one, abs=1e-12)
+
+
+def test_fit_evaluates_density_once():
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return np.ones(len(pts))
+
+    density = DesignDensity(dim=2, evaluator=counted, floor=1.0)
+    rng = np.random.default_rng(4)
+    n = 2 ** 14
+    data = Dataset(y=rng.random(n), x=rng.random((n, 2)), density=density)
+    calls.clear()
+    fit = fit_component(data, RHO, DB2, EstimatorConfig(coord=2))
+    assert fit.j1 > fit.tau
+    assert calls == [n]
 
 
 def test_fit_zero_responses_is_exactly_zero():
@@ -151,8 +170,12 @@ def test_config_rejects_non_finite_threshold():
 
 def test_fit_rejects_coord_beyond_dim():
     data = _uniform_data(128, dim=2)
-    with pytest.raises(ValueError, match="exceeds design dimension"):
-        fit_component(data, RHO, DB2, EstimatorConfig(coord=3))
+    for coord in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            fit_component(data, RHO, DB2, EstimatorConfig(coord=coord))
+        with pytest.raises(ValueError, match="out of range"):
+            data.column(coord)
+    assert np.array_equal(data.column(2), data.x[:, 1])
 
 
 def test_response_scaling_equivariance():

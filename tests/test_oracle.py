@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addwave import (
     BudgetError,
@@ -92,6 +94,27 @@ def test_replicate_coeffs_shape_and_grouping():
     with pytest.raises(ValueError, match="shift"):
         replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 4, 1)],
                          n=256, reps=3)
+    for coord in (0, IID.dim + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 1, coord)],
+                             n=256, reps=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=0, max_value=2 ** 40),
+       st.integers(min_value=1, max_value=3))
+def test_replication_rows_depend_only_on_their_rep_property(seed, start,
+                                                            reps):
+    proc = MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5,
+                             seed=seed)
+    targets = [("wavelet", 2, 1, 1), ("scaling", 2, 3, 2)]
+    block = replicate_coeffs(proc, NOISY, DB2, targets, n=64, reps=reps,
+                             rep_start=start)
+    for i in range(reps):
+        row = replicate_coeffs(proc, NOISY, DB2, targets, n=64, reps=1,
+                               rep_start=start + i)
+        assert np.array_equal(block[i], row[0])
 
 
 def test_budget_guard():
@@ -215,6 +238,8 @@ def test_calibrated_threshold_lands_in_expected_band():
     assert 2.0 < kappa < 3.0
     with pytest.raises(ValueError, match="quantile"):
         calibrate_threshold(proc, NOISY, DB2, n=4096, reps=500, quantile=0.4)
+    with pytest.raises(ValueError, match="out of range"):
+        calibrate_threshold(proc, NOISY, DB2, n=4096, coord=0, reps=500)
 
 
 def test_tail_frequency_small_at_calibrated_threshold():
