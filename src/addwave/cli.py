@@ -366,7 +366,8 @@ def cmd_estimate(ns) -> int:
                "kept": est.kept_count(), "j1": est.j1,
                "lambda_n": est.lambda_n, "kappa": kappa}
     if truth is not None:
-        summary["ise"] = ise(est, table, truth)
+        # The grid and formula of ``estimator.ise``, on values already made.
+        summary["ise"] = float(np.mean((fitted - truth) ** 2))
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelet import BasisTable, evaluate_series, weighted_level_sums
+from .wavelet import (BasisTable, _analysis_step, _synthesis_step,
+                      evaluate_series, weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
 
@@ -253,8 +254,10 @@ def fit_component(data: Dataset, rho: RhoSpec, table: BasisTable,
     Scaling coefficients at the family's coarsest level are kept as they
     are; detail coefficients up to the sample-size-driven finest level are
     zeroed unless their magnitude reaches ``threshold_const`` times
-    sqrt(log(n)/n).  Ties at the threshold are kept.  The weights and the
-    coordinate's column are computed once and shared by every level.
+    sqrt(log(n)/n).  Ties at the threshold are kept.  The points are
+    scattered once, into the scaling sums of level ``j1 + 1``; every
+    coefficient of levels ``tau..j1`` follows from those by the periodic
+    filter bank.
     """
     if data.n < 2:
         raise ValueError("need at least two observations")
@@ -265,23 +268,30 @@ def fit_component(data: Dataset, rho: RhoSpec, table: BasisTable,
     lam = threshold_scale(n)
     mu_hat = estimate_mean(data, rho)
     w = _weights(data, rho)
-    a_hat = weighted_level_sums(table, "scaling", tau, x, w) / n
-    values, kept = [], []
+    smooth = weighted_level_sums(table, "scaling", j1 + 1, x, w) / n
+    values = []
+    for _ in range(tau, j1 + 1):
+        smooth, detail = _analysis_step(table.family, smooth)
+        values.append(detail)
+    values.reverse()
     cut = config.threshold_const * lam
-    for j in range(tau, j1 + 1):
-        b = weighted_level_sums(table, "wavelet", j, x, w) / n
-        values.append(b)
-        kept.append(np.abs(b) >= cut)
     return ComponentEstimate(mu_hat=mu_hat, tau=tau, j1=j1, lambda_n=lam,
-                             kappa=config.threshold_const, a_hat=a_hat,
-                             detail_values=values, detail_kept=kept)
+                             kappa=config.threshold_const, a_hat=smooth,
+                             detail_values=values,
+                             detail_kept=[np.abs(b) >= cut for b in values])
 
 
 def eval_estimate(est: ComponentEstimate, table: BasisTable, x):
-    """Evaluate the fitted component at points of [0, 1]."""
-    details = [(j, est.detail_values[pos] * est.detail_kept[pos])
-               for pos, j in enumerate(est.levels())]
-    return evaluate_series(table, est.tau, est.a_hat, details, x,
+    """Evaluate the fitted component at points of [0, 1].
+
+    The inverse filter bank carries the scaling and kept detail
+    coefficients up to scaling coefficients of level ``j1 + 1``, which are
+    gathered once at the points.
+    """
+    smooth = est.a_hat
+    for b, kept in zip(est.detail_values, est.detail_kept):
+        smooth = _synthesis_step(table.family, smooth, b * kept)
+    return evaluate_series(table, est.j1 + 1, smooth, [], x,
                            offset=-est.mu_hat)
 
 

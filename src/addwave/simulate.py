@@ -24,7 +24,6 @@ from functools import lru_cache
 from math import sqrt
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import erf, ndtr
 
 from .estimator import Dataset, DesignDensity, RhoSpec, identity_rho
@@ -174,6 +173,10 @@ def _latent_chains(rng, dim: int, n: int, ar_coeff: float) -> np.ndarray:
     eps = rng.standard_normal((dim, n))
     if ar_coeff == 0.0 or n == 1:
         return eps
+    # Imported here: scipy.signal costs about a second to import, and only
+    # simulation needs it.
+    from scipy.signal import lfilter
+
     scale = sqrt(1.0 - ar_coeff * ar_coeff)
     start = eps[:, :1]
     rest, _ = lfilter([scale], [1.0, -ar_coeff], eps[:, 1:], axis=1,

@@ -8,6 +8,13 @@ quadrature-mirror filter.  Basis elements on [0, 1] wrap integer translates
 around the circle, which keeps every level ``j >= 0`` available and makes the
 translates at each level an orthonormal set.
 
+The same two-scale relation links coefficients across levels (Mallat's
+pyramid): ``phi_{j,k} = sum_l h[l] phi_{j+1,2k+l}`` and ``psi_{j,k} = sum_l
+g[l] phi_{j+1,2k+l}``, shifts taken mod ``2**(j+1)``.  ``_analysis_step``
+maps the scaling coefficients of level ``j+1`` to the scaling and detail
+coefficients of level ``j``; ``_synthesis_step`` is its transpose and, the
+periodic filter bank being orthogonal, its inverse.
+
 Evaluation between grid nodes interpolates linearly, except for the two-tap
 family whose samples form a step function and are looked up piecewise
 constantly so that its jumps stay exact.
@@ -37,6 +44,12 @@ class WaveletFamily:
     def support_length(self) -> int:
         """Length of the support of the scaling function and wavelet."""
         return len(self.low_pass) - 1
+
+    @property
+    def high_pass(self) -> np.ndarray:
+        """Quadrature-mirror filter ``g[l] = (-1)**l h[L - 1 - l]``."""
+        taps = self.low_pass
+        return taps[::-1] * (-1.0) ** np.arange(taps.size)
 
     @property
     def coarsest_level(self) -> int:
@@ -115,10 +128,8 @@ def _daubechies_taps(r: int) -> np.ndarray:
 def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
     """Tabulate the scaling function and wavelet at grid step ``2**-depth``."""
     _check_depth(depth)
-    taps = family.low_pass
-    phi = _scaling_samples(taps, depth)
-    # Quadrature-mirror filter g[l] = (-1)**l h[L - 1 - l].
-    psi = _two_scale(taps[::-1] * (-1.0) ** np.arange(taps.size), phi, depth)
+    phi = _scaling_samples(family.low_pass, depth)
+    psi = _two_scale(family.high_pass, phi, depth)
     table = BasisTable(family=family, depth=depth, phi_samples=phi, psi_samples=psi)
     _validate_table(table)
     return table
@@ -297,6 +308,38 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
         acc += np.bincount((base - offset) % n_shifts, weights=w * vals,
                            minlength=n_shifts)
     return acc * 2.0 ** (level / 2.0)
+
+
+def _analysis_step(family: WaveletFamily, fine: np.ndarray):
+    """Level ``j`` scaling and detail coefficients from the scaling
+    coefficients ``fine`` of level ``j+1``: ``c[k] = sum_l h[l] fine[(2k+l)
+    mod 2**(j+1)]`` and ``b[k]`` the same with ``g``."""
+    period = fine.size
+    even = 2 * np.arange(period // 2)
+    smooth = np.zeros(period // 2)
+    detail = np.zeros(period // 2)
+    for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
+        src = fine[(even + l) % period]
+        smooth += h * src
+        detail += g * src
+    return smooth, detail
+
+
+def _synthesis_step(family: WaveletFamily, smooth: np.ndarray,
+                    detail: np.ndarray) -> np.ndarray:
+    """Scaling coefficients of level ``j+1`` that give the same series as
+    level ``j``'s ``smooth`` and ``detail``; inverts ``_analysis_step``."""
+    if detail.shape != smooth.shape:
+        raise ValueError(f"level with {smooth.size} scaling coefficients "
+                         f"expects as many detail coefficients, got {detail.size}")
+    period = 2 * smooth.size
+    even = 2 * np.arange(smooth.size)
+    fine = np.zeros(period)
+    # For each l the targets (2k+l) mod period are distinct, so no two
+    # terms of one update land on the same entry.
+    for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
+        fine[(even + l) % period] += h * smooth + g * detail
+    return fine
 
 
 def level_coeffs(table: BasisTable, kind: str, level: int,

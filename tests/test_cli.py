@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import addwave
 from addwave import ComponentEstimate
 from addwave import cli
 from addwave.cli import (
@@ -262,8 +265,13 @@ def test_estimate_huge_threshold_keeps_nothing(tmp_path, capsys):
 
 
 def test_module_entry_point_smoke():
+    # The subprocess imports the same package the tests do, whether or not
+    # PYTHONPATH names its directory.
+    src = str(Path(addwave.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "addwave", "basis-check"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
     assert result.returncode == 0
     assert json.loads(result.stdout)["passed"] is True

@@ -17,6 +17,8 @@ from addwave import (
     empirical_coeff,
     estimate_mean,
     eval_estimate,
+    eval_periodized,
+    evaluate_series,
     fit_component,
     identity_rho,
     ise,
@@ -25,9 +27,11 @@ from addwave import (
     simulate_dataset,
     threshold_scale,
     uniform_density,
+    weighted_level_sums,
 )
 from addwave import test_function as catalog_fn
 
+HAAR = cascade_table(make_family(1), depth=12)
 DB2 = cascade_table(make_family(2), depth=12)
 RHO = identity_rho()
 
@@ -94,17 +98,175 @@ def test_empirical_coeff_literal_matches_collapsed():
 
 
 def test_fit_coeffs_match_single_coeffs():
-    data = _uniform_data(300, dim=2, seed=9)
-    fit = fit_component(data, RHO, DB2, EstimatorConfig(coord=2))
+    # For Haar the pyramid is exact: the lookup is piecewise constant, so
+    # phi_{j,k} = (phi_{j+1,2k} + phi_{j+1,2k+1}) / sqrt(2) point by point.
+    data = _uniform_data(2 ** 14, dim=2, seed=9)
+    fit = fit_component(data, RHO, HAAR, EstimatorConfig(coord=2))
+    assert fit.j1 > fit.tau + 1
     assert fit.a_hat.shape == (2 ** fit.tau,)
     for k, got in enumerate(fit.a_hat):
-        one = empirical_coeff(data, RHO, DB2, "scaling", fit.tau, k, 2)
+        one = empirical_coeff(data, RHO, HAAR, "scaling", fit.tau, k, 2)
         assert got == pytest.approx(one, abs=1e-12)
     for j, values in zip(fit.levels(), fit.detail_values):
         assert values.shape == (2 ** j,)
         for k, got in enumerate(values):
-            one = empirical_coeff(data, RHO, DB2, "wavelet", j, k, 2)
+            one = empirical_coeff(data, RHO, HAAR, "wavelet", j, k, 2)
             assert got == pytest.approx(one, abs=1e-12)
+
+
+def _filters(family):
+    """``low_pass`` and its quadrature-mirror filter (-1)**l h[L - 1 - l]."""
+    h = np.asarray(family.low_pass)
+    return h, np.array([(-1) ** l * h[h.size - 1 - l] for l in range(h.size)])
+
+
+def _bank_matrices(family, fine_size):
+    """Dense periodic filter-bank matrices built from ``low_pass`` alone:
+    row k of H holds h[l] at column (2k + l) mod fine_size, G the same
+    with g."""
+    h, g = _filters(family)
+    lo = np.zeros((fine_size // 2, fine_size))
+    hi = np.zeros_like(lo)
+    for k in range(fine_size // 2):
+        for l in range(h.size):
+            lo[k, (2 * k + l) % fine_size] += h[l]
+            hi[k, (2 * k + l) % fine_size] += g[l]
+    return lo, hi
+
+
+def _pyramid_gap_bounds(table, fit, x, w):
+    """Bounds on |pyramid - direct| for every coefficient of ``fit``.
+
+    Write f~ for the tabulated function interpolated linearly between the
+    nodes of step 2**-d, and F(t) = sqrt(2) sum_l h[l] f~(2t - l) for what
+    one analysis step puts in its place (g for the wavelet).  F is linear
+    between the nodes of step 2**-(d+1), so e = F - f~ is too, and on the
+    table cell c it is at most the largest |e| of the fine nodes 2c, 2c+1
+    and 2c+2.  At level j the element (j, k) then differs from what the
+    step gives by 2**(j/2) e(2**j x - k) (one translate only, as 2**j
+    exceeds the support), so with S_{j+1} the bound one level up,
+
+        |c_j[k] - direct| <= sum_l |h[l]| S_{j+1}[(2k+l) mod 2**(j+1)]
+                             + 2**(j/2) mean_i |w_i| gap(2**j x_i - k),
+
+    and the same with |g| for b_j.  S_{j1+1} = 0: that level is summed
+    directly.  Returns the bound for ``a_hat`` and one per detail level.
+    """
+    d = table.depth
+    h, g = _filters(table.family)
+    phi = table.phi_samples
+    fine = np.arange(2 * phi.size - 1)
+
+    def cell_gap(samples, filt):
+        two_scale = np.zeros(fine.size)
+        for l, c in enumerate(filt):
+            src = fine - l * 2 ** d
+            ok = (src >= 0) & (src < phi.size)
+            two_scale[ok] += np.sqrt(2.0) * c * phi[src[ok]]
+        interp = np.empty(fine.size)
+        interp[0::2] = samples
+        interp[1::2] = 0.5 * (samples[:-1] + samples[1:])
+        e = np.abs(two_scale - interp)
+        return np.maximum(np.maximum(e[0:-2:2], e[1::2]), e[2::2])
+
+    gaps = {"scaling": cell_gap(phi, h), "wavelet": cell_gap(table.psi_samples, g)}
+
+    def envelope(kind, j):
+        pos = 2.0 ** j * x
+        base = np.floor(pos).astype(np.int64)
+        out = np.zeros(2 ** j)
+        for off in range(table.family.support_length):
+            cell = np.floor((pos - base + off) * 2.0 ** d).astype(np.int64)
+            out += np.bincount((base - off) % 2 ** j,
+                               weights=np.abs(w) * gaps[kind][cell],
+                               minlength=2 ** j)
+        return out * 2.0 ** (j / 2.0) / x.size
+
+    smooth = np.zeros(2 ** (fit.j1 + 1))
+    details = []
+    for j in range(fit.j1, fit.tau - 1, -1):
+        lo, hi = _bank_matrices(table.family, 2 ** (j + 1))
+        details.append(np.abs(hi) @ smooth + envelope("wavelet", j))
+        smooth = np.abs(lo) @ smooth + envelope("scaling", j)
+    return smooth, details[::-1]
+
+
+def test_db2_fit_is_the_filter_bank_of_finest_sums():
+    data = _uniform_data(2 ** 14, dim=2, seed=9)
+    fit = fit_component(data, RHO, DB2, EstimatorConfig(coord=2))
+    assert fit.j1 > fit.tau + 1
+    x, w = data.x[:, 1], data.y
+    # Reference: level-(j1+1) sums element by element, then dense matrices.
+    top = fit.j1 + 1
+    smooth = np.array([np.mean(w * eval_periodized(DB2, "scaling", top, k, x))
+                       for k in range(2 ** top)])
+    details = []
+    for j in range(fit.j1, fit.tau - 1, -1):
+        lo, hi = _bank_matrices(DB2.family, 2 ** (j + 1))
+        details.append(hi @ smooth)
+        smooth = lo @ smooth
+    np.testing.assert_allclose(fit.a_hat, smooth, rtol=0, atol=1e-12)
+    for got, want in zip(fit.detail_values, details[::-1]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # Against the direct per-level sums the fit differs by the table's
+    # interpolation gap, within the bound derived in _pyramid_gap_bounds.
+    a_bound, b_bounds = _pyramid_gap_bounds(DB2, fit, x, w)
+    direct = weighted_level_sums(DB2, "scaling", fit.tau, x, w) / x.size
+    assert np.all(np.abs(fit.a_hat - direct) <= a_bound + 1e-12)
+    worst = 0.0
+    for j, got, bound in zip(fit.levels(), fit.detail_values, b_bounds):
+        direct = weighted_level_sums(DB2, "wavelet", j, x, w) / x.size
+        assert np.all(np.abs(got - direct) <= bound + 1e-12)
+        worst = max(worst, float(np.max(np.abs(got - direct))))
+    # The two paths do differ, by less than the benchmark's 1e-5 check.
+    assert 0.0 < worst <= 1e-5
+
+
+def test_eval_estimate_matches_per_level_series():
+    noise = _uniform_data(2 ** 14, seed=17)
+    data = Dataset(y=np.sin(2.0 * np.pi * noise.x[:, 0]) + noise.y,
+                   x=noise.x, density=noise.density)
+    fit = fit_component(data, RHO, DB2)
+    assert 0 < fit.kept_count() < sum(k.size for k in fit.detail_kept)
+    mids = (np.arange(1024) + 0.5) / 1024
+    per_level = evaluate_series(
+        DB2, fit.tau, fit.a_hat,
+        [(j, b * k) for j, b, k in zip(fit.levels(), fit.detail_values,
+                                       fit.detail_kept)],
+        mids, offset=-fit.mu_hat)
+    np.testing.assert_allclose(eval_estimate(fit, DB2, mids), per_level,
+                               rtol=0, atol=1e-12)
+
+
+def test_threshold_flips_lie_within_the_pyramid_gap(capsys):
+    # A detail coefficient whose direct sum sits closer to the cut than the
+    # derived pyramid-to-direct bound may change its keep decision; count
+    # those and the flips, and require every flip to be one of them.
+    scen = ScenarioSpec(components=("sine", "bump"), offset=0.3,
+                        noise_halfwidth=0.5)
+    rho = scen.rho_spec()
+    tested = near = flips = 0
+    for seed in range(6):
+        proc = MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5,
+                                 seed=seed)
+        data = simulate_dataset(proc, scen, 2 ** 14, rep=0)
+        fit = fit_component(data, rho, DB2)
+        x, w = data.x[:, 0], rho(data.y) / data.density(data.x)
+        _, bounds = _pyramid_gap_bounds(DB2, fit, x, w)
+        cut = fit.kappa * fit.lambda_n
+        for j, kept, bound in zip(fit.levels(), fit.detail_kept, bounds):
+            direct = weighted_level_sums(DB2, "wavelet", j, x, w) / x.size
+            close = np.abs(np.abs(direct) - cut) <= bound + 1e-12
+            flipped = kept != (np.abs(direct) >= cut)
+            assert not np.any(flipped & ~close)
+            tested += kept.size
+            near += int(close.sum())
+            flips += int(flipped.sum())
+    with capsys.disabled():
+        print(f"\npyramid threshold decisions at n = 2^14 over 6 seeds: "
+              f"{tested} tested, {near} within the gap of the cut, "
+              f"{flips} flipped")
+    assert tested == 6 * (4 + 8 + 16)
 
 
 def test_fit_evaluates_density_once():
@@ -201,6 +363,12 @@ def test_serialization_round_trip_is_bit_exact():
         assert np.array_equal(a, b)
     for a, b in zip(fit.detail_kept, back.detail_kept):
         assert np.array_equal(a, b)
+    # A level whose arrays do not match the scaling level is refused by name.
+    short = dataclasses.replace(
+        back, detail_values=[v[:1] for v in back.detail_values],
+        detail_kept=[k[:1] for k in back.detail_kept])
+    with pytest.raises(ValueError, match="detail coefficients"):
+        eval_estimate(short, DB2, 0.5)
 
 
 def test_ise_zero_against_own_evaluation_and_offset_shift():
