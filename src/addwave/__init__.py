@@ -5,7 +5,6 @@ from .estimator import (
     Dataset,
     DesignDensity,
     EstimatorConfig,
-    RhoSpec,
     empirical_coeff,
     estimate_mean,
     eval_estimate,
@@ -18,7 +17,6 @@ from .estimator import (
 from .oracle import (
     BudgetError,
     MomentReport,
-    RateFit,
     calibrate_threshold,
     expected_coeff,
     haar_closed_form,
@@ -30,10 +28,6 @@ from .oracle import (
 from .simulate import (
     MixingProcessSpec,
     ScenarioSpec,
-    TestFunction,
-    fgm_density,
-    gen_design,
-    gen_responses,
     simulate_dataset,
     test_function,
     uniform_density,
@@ -44,12 +38,9 @@ from .tensor import (
     collapsed_sum,
     direction_coords,
     eval_tensor,
-    marginal_project,
     tensor_coeff,
 )
 from .wavelet import (
-    BasisTable,
-    WaveletFamily,
     basis_diagnostics,
     cascade_table,
     eval_periodized,

@@ -161,24 +161,6 @@ def collapsed_sum(table: BasisTable, kind: str, level: int, shift: int,
     return float(vals[0]) if scalar else vals
 
 
-def marginal_project(values: np.ndarray, coord: int,
-                     offset: float | None = None) -> np.ndarray:
-    """Integrate a gridded function over all axes but ``coord`` and center it.
-
-    ``values`` holds midpoint samples on a product grid.  When ``offset``
-    is omitted the grand mean is removed, so the result averages to zero.
-    """
-    g = np.asarray(values, dtype=float)
-    dim = g.ndim
-    if not 1 <= coord <= dim:
-        raise ValueError(f"coord must be in 1..{dim}, got {coord}")
-    other = tuple(a for a in range(dim) if a != coord - 1)
-    line = g.mean(axis=other) if other else g.copy()
-    if offset is None:
-        offset = float(g.mean())
-    return line - offset
-
-
 def tensor_coeff(table: BasisTable, values: np.ndarray, kind: str, level: int,
                  shift: int, coord: int) -> float:
     """Population coefficient of a gridded function for one collapsed element.

@@ -18,6 +18,15 @@ periodic filter bank being orthogonal, its inverse.
 Evaluation between grid nodes interpolates linearly, except for the two-tap
 family whose samples form a step function and are looked up piecewise
 constantly so that its jumps stay exact.
+
+Analysis (``weighted_level_sums``, a scatter onto the shifts) and synthesis
+(``evaluate_series``, a gather at the points) share one stencil,
+``_stencil``.  It walks the points in chunks of ``_CHUNK`` through six
+buffers allocated once per call and refilled with ufunc ``out=``, so the
+cost per point does not grow once the points outrun the L2 cache.  The
+scatter keeps one row per support offset and adds each chunk into it point
+by point, so every shift sums its points in the order one ``bincount`` over
+all of them would, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -31,6 +40,10 @@ SQRT2 = float(np.sqrt(2.0))
 
 _MIN_DEPTH = 6
 _MAX_DEPTH = 16
+# Points per pass of the stencil: its six 8-byte buffers of this length,
+# and the one more that synthesis gathers into, fill at most 1.75 MiB,
+# inside a 2 MiB L2.
+_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,15 +256,53 @@ def _sample(table: BasisTable, kind: str, t: np.ndarray) -> np.ndarray:
 
 
 def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
-    """Each point's cell ``floor(2**level * x)`` and, per support offset,
-    the unscaled values of the element of shift ``cell - offset`` (mod
-    ``2**level``) there.  Callers build that index inside the expression
-    that uses it, so no index array outlives its use."""
-    pos = 2.0 ** level * x
-    base = np.floor(pos).astype(np.int64)
-    frac = pos - base
-    return base, (_sample(table, kind, frac + offset)
-                  for offset in range(table.family.support_length))
+    """Walk the 1-D points ``x`` in chunks of ``_CHUNK``; per chunk and per
+    support offset yield ``(start, cell, offset, vals)``.
+
+    ``cell`` is each point's ``floor(2**level * x) & (2**level - 1)`` and
+    ``vals`` the unscaled values there of the element of shift ``cell -
+    offset`` (mod ``2**level``).  Both are views of six buffers allocated
+    once per call and refilled in place, so a chunk's working set stays in
+    L2 however many points there are; the caller may overwrite ``vals``.
+    Each value is ``_sample``'s arithmetic, bit for bit, without its
+    ``clip`` and ``where``: ``frac + offset`` lies in ``[0, support]``, so
+    no position leaves the table.  The ``minimum`` is kept, because
+    ``frac + offset`` can round up to the next integer.
+    """
+    samples = table.phi_samples if kind == "scaling" else table.psi_samples
+    upper = samples[1:]
+    last = samples.size - 2
+    step = 2.0 ** table.depth
+    linear = table.family.vanishing_moments > 1
+    size = min(x.size, _CHUNK)
+    frac, pos, low, vals = (np.empty(size) for _ in range(4))
+    cell, node = np.empty(size, np.int64), np.empty(size, np.int64)
+    for start in range(0, x.size, _CHUNK):
+        m = min(x.size - start, _CHUNK)
+        f, p, lo, v, c, k = (a[:m] for a in (frac, pos, low, vals, cell, node))
+        np.multiply(x[start:start + m], 2.0 ** level, out=f)
+        np.floor(f, out=p)
+        np.subtract(f, p, out=f)
+        c[...] = p
+        np.bitwise_and(c, 2 ** level - 1, out=c)
+        for offset in range(table.family.support_length):
+            np.add(f, offset, out=p)
+            np.multiply(p, step, out=p)
+            np.floor(p, out=lo)
+            if linear:
+                np.minimum(lo, last, out=lo)
+                k[...] = lo
+                np.subtract(p, lo, out=p)
+                np.take(samples, k, out=v)
+                np.take(upper, k, out=lo)
+                np.multiply(p, lo, out=lo)
+                np.subtract(1.0, p, out=p)
+                np.multiply(p, v, out=v)
+                np.add(v, lo, out=v)
+            else:
+                k[...] = lo
+                np.take(samples, k, out=v)
+            yield start, c, offset, v
 
 
 def eval_periodized(table: BasisTable, kind: str, level: int, shift: int, x):
@@ -299,14 +350,22 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
     """
     _check_kind(kind)
     _check_index(level, 0)
-    xa = np.asarray(x, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
+    xa = np.asarray(x, dtype=float).reshape(-1)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.size != xa.size:
+        raise ValueError(f"need one weight per point, got {w.size} weights "
+                         f"for {xa.size} points")
     n_shifts = 2 ** level
-    base, taps = _stencil(table, kind, level, xa)
+    # Row ``offset`` sums each cell's points in point order, as one
+    # ``bincount`` over all points would; rolled by the offset it is that
+    # offset's ``bincount((floor - offset) % n_shifts)``.
+    rows = np.zeros((table.family.support_length, n_shifts))
+    for start, cell, offset, vals in _stencil(table, kind, level, xa):
+        np.multiply(w[start:start + vals.size], vals, out=vals)
+        np.add.at(rows[offset], cell, vals)
     acc = np.zeros(n_shifts)
-    for offset, vals in enumerate(taps):
-        acc += np.bincount((base - offset) % n_shifts, weights=w * vals,
-                           minlength=n_shifts)
+    for offset, row in enumerate(rows):
+        acc += np.roll(row, -offset)
     return acc * 2.0 ** (level / 2.0)
 
 
@@ -366,6 +425,8 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, float(offset))
+    flat_x, flat_out = xa.reshape(-1), out.reshape(-1)
+    gathered = np.empty(min(flat_x.size, _CHUNK))
     terms = [(start_level, "scaling", np.asarray(smooth, dtype=float))]
     for level, coeffs in details:
         terms.append((level, "wavelet", np.asarray(coeffs, dtype=float)))
@@ -375,10 +436,15 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
             raise ValueError(f"level {level} expects {n_shifts} coefficients")
         if not np.any(coeffs):
             continue
-        base, taps = _stencil(table, kind, level, xa)
-        scale = 2.0 ** (level / 2.0)
-        for off, vals in enumerate(taps):
-            out += scale * coeffs[(base - off) % n_shifts] * vals
+        # rolled[off][cell] is scale * coeffs[(cell - off) % n_shifts].
+        scaled = 2.0 ** (level / 2.0) * coeffs
+        rolled = [np.roll(scaled, off)
+                  for off in range(table.family.support_length)]
+        for start, cell, off, vals in _stencil(table, kind, level, flat_x):
+            g = gathered[:vals.size]
+            np.take(rolled[off], cell, out=g)
+            np.multiply(g, vals, out=g)
+            flat_out[start:start + g.size] += g
     return out if np.ndim(x) else float(out[0])
 
 

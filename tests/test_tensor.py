@@ -12,7 +12,6 @@ from addwave import (
     eval_periodized,
     eval_tensor,
     make_family,
-    marginal_project,
     tensor_coeff,
 )
 from addwave import test_function as catalog_fn
@@ -95,18 +94,6 @@ def test_tensor_coeff_recovers_component():
     got2 = tensor_coeff(DB2, grid, "wavelet", 3, 5, 2)
     ref2 = np.mean(g2 * eval_periodized(DB2, "wavelet", 3, 5, mids))
     assert got2 == pytest.approx(float(ref2), abs=1e-10)
-
-
-def test_marginal_project_exact_on_additive_grid():
-    m = 512
-    mids = (np.arange(m) + 0.5) / m
-    g1 = catalog_fn("sine")(mids)
-    g2 = catalog_fn("sawtooth")(mids)
-    grid = 0.25 + g1[:, None] + g2[None, :]
-    got1 = marginal_project(grid, 1, offset=0.25)
-    got2 = marginal_project(grid, 2, offset=0.25)
-    assert float(np.max(np.abs(got1 - g1))) < 1e-12
-    assert float(np.max(np.abs(got2 - g2))) < 1e-12
 
 
 def test_additive_function_centering_guard():

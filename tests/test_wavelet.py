@@ -14,11 +14,12 @@ from addwave import (
     make_family,
     weighted_level_sums,
 )
-from addwave.wavelet import _analysis_step, _synthesis_step
+from addwave.wavelet import _CHUNK, _analysis_step, _synthesis_step
 
 HAAR = cascade_table(make_family(1), 12)
 DB2 = cascade_table(make_family(2), 12)
 TABLES = {1: HAAR, 2: DB2, 4: cascade_table(make_family(4), 12)}
+DB10 = cascade_table(make_family(10), 12)
 
 
 def test_family_validation():
@@ -98,6 +99,13 @@ def test_weighted_level_sums_matches_brute_force():
         assert float(np.max(np.abs(fast - brute))) < 1e-12
 
 
+def test_weighted_level_sums_needs_one_weight_per_point():
+    x = np.linspace(0.0, 1.0, 10, endpoint=False)
+    for w in (np.ones(9), np.ones(11), np.ones(1)):
+        with pytest.raises(ValueError, match="one weight per point"):
+            weighted_level_sums(DB2, "scaling", 2, x, w)
+
+
 def test_level_coeffs_against_direct_dot():
     m = 2 ** 14
     mids = (np.arange(m) + 0.5) / m
@@ -121,6 +129,69 @@ def test_evaluate_series_matches_term_sum():
         for k in range(2 ** j):
             slow += c[k] * eval_periodized(DB2, "wavelet", j, k, grid)
     assert float(np.max(np.abs(fast - slow))) < 1e-10
+
+
+def _brute_sums(table, kind, level, x, w):
+    return np.array([math.fsum(w * eval_periodized(table, kind, level, k, x))
+                     for k in range(2 ** level)])
+
+
+@pytest.mark.parametrize("table", [HAAR, DB2, DB10], ids=["R1", "R2", "R10"])
+def test_stencil_across_chunk_boundaries(table):
+    # Three chunks, the last of three points: sums match the brute force
+    # on the coefficient scale, and synthesis is pointwise, so two halves
+    # cut inside a chunk give the whole input's values bit for bit.
+    n = 2 * _CHUNK + 3
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.0, 1.0, n)
+    w = rng.normal(size=n)
+    for kind in ("scaling", "wavelet"):
+        fast = weighted_level_sums(table, kind, 3, x, w)
+        brute = _brute_sums(table, kind, 3, x, w)
+        assert float(np.max(np.abs(fast - brute))) / n < 1e-12
+    details = [(3, rng.normal(size=8)), (4, rng.normal(size=16))]
+    smooth = rng.normal(size=8)
+    whole = evaluate_series(table, 3, smooth, details, x, offset=0.25)
+    half = n // 2
+    parts = [evaluate_series(table, 3, smooth, details, part, offset=0.25)
+             for part in (x[:half], x[half:])]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("level", [0, 5])
+def test_stencil_edge_points(level):
+    # At x = 1 - 2**-53 and level 0, frac + 2 rounds up to 3.0: the position
+    # is the table's last node, and only the clamp to the last interval
+    # keeps the interpolation's right neighbour inside the table.
+    x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60])
+    w = np.array([1.0, -2.0, 3.0, 0.5])
+    for table in (HAAR, DB2, DB10):
+        for kind in ("scaling", "wavelet"):
+            fast = weighted_level_sums(table, kind, level, x, w)
+            brute = _brute_sums(table, kind, level, x, w)
+            assert float(np.max(np.abs(fast - brute))) < 1e-12
+        coeffs = np.linspace(-1.0, 1.0, 2 ** level)
+        fast = evaluate_series(table, level, coeffs, [(level, coeffs[::-1])], x)
+        slow = sum(c * eval_periodized(table, "scaling", level, k, x)
+                   + d * eval_periodized(table, "wavelet", level, k, x)
+                   for k, (c, d) in enumerate(zip(coeffs, coeffs[::-1])))
+        assert float(np.max(np.abs(fast - slow))) < 1e-12
+
+
+def test_evaluate_series_point_shapes():
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0.0, 1.0, (6, 5))
+    smooth = rng.normal(size=4)
+    details = [(2, rng.normal(size=4)), (3, rng.normal(size=8))]
+    flat = evaluate_series(DB2, 2, smooth, details, x.ravel(), offset=0.5)
+    grid = evaluate_series(DB2, 2, smooth, details, x, offset=0.5)
+    assert grid.shape == (6, 5)
+    assert np.array_equal(grid, flat.reshape(6, 5))
+    transposed = evaluate_series(DB2, 2, smooth, details, x.T, offset=0.5)
+    assert np.array_equal(transposed, flat.reshape(6, 5).T)
+    point = evaluate_series(DB2, 2, smooth, details, float(x[1, 2]), offset=0.5)
+    assert isinstance(point, float)
+    assert point == flat[7]
 
 
 def test_smooth_reconstruction_error():
