@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelet import (BasisTable, _analysis_step, _synthesis_step,
+from .wavelet import (_CHUNK, BasisTable, _analysis_step, _synthesis_step,
                       evaluate_series, weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
@@ -224,10 +224,18 @@ def estimate_mean(data: Dataset, rho: RhoSpec) -> float:
 
 
 def _weights(data: Dataset, rho: RhoSpec) -> np.ndarray:
-    dens = data.density(data.x)
-    if float(np.min(dens)) < data.density.floor - 1e-12:
-        raise ValueError("design density evaluates below its declared floor")
-    return rho(data.y) / dens
+    """``rho(y) / density(x)``, with the density evaluated ``_CHUNK``
+    points at a time so that the result is the one array of length n."""
+    vals = rho(data.y)
+    w = np.empty(data.n)
+    for start in range(0, data.n, _CHUNK):
+        stop = start + _CHUNK
+        dens = data.density(data.x[start:stop])
+        if float(np.min(dens)) < data.density.floor - 1e-12:
+            raise ValueError(
+                "design density evaluates below its declared floor")
+        np.divide(vals[start:stop], dens, out=w[start:stop])
+    return w
 
 
 def empirical_coeff(data: Dataset, rho: RhoSpec, table: BasisTable, kind: str,

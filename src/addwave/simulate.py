@@ -12,6 +12,14 @@ optional constant, and bounded uniform noise.
 Randomness is drawn from streams keyed as (seed, replication, channel), so
 any replication can be regenerated independently, in any order, with
 bit-identical output.
+
+Design and responses are made in chunks of ``_CHUNK`` points and
+written straight into the returned arrays; the design's working buffers
+are allocated once per call, so no temporary spans all n points.  Each
+coordinate's normals are still drawn in order, all of the first
+coordinate's before the second's, and the AR(1) filter carries its state
+from chunk to chunk, so every value is bit for bit the one a whole-array
+draw gives.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import numpy as np
 from scipy.special import erf, ndtr
 
 from .estimator import Dataset, DesignDensity, RhoSpec, identity_rho
+from .wavelet import _CHUNK
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -169,58 +178,99 @@ def fgm_density(theta: float) -> DesignDensity:
         floor=1.0 - abs(theta))
 
 
-def _latent_chains(rng, dim: int, n: int, ar_coeff: float) -> np.ndarray:
-    eps = rng.standard_normal((dim, n))
-    if ar_coeff == 0.0 or n == 1:
-        return eps
-    # Imported here: scipy.signal costs about a second to import, and only
-    # simulation needs it.
-    from scipy.signal import lfilter
-
-    scale = sqrt(1.0 - ar_coeff * ar_coeff)
-    start = eps[:, :1]
-    rest, _ = lfilter([scale], [1.0, -ar_coeff], eps[:, 1:], axis=1,
-                      zi=ar_coeff * start)
-    return np.concatenate([start, rest], axis=1)
-
-
-def _fgm_conditional(u1: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
-    # Inverse of the conditional CDF v = u2 (1 + A (1 - u2)), A = theta (1 - 2 u1),
-    # written in the subtraction-free form.
-    a = theta * (1.0 - 2.0 * u1)
-    return 2.0 * v / (1.0 + a + np.sqrt((1.0 + a) ** 2 - 4.0 * a * v))
-
-
 def gen_design(spec: MixingProcessSpec, n: int,
                rep: int = 0) -> tuple[np.ndarray, DesignDensity]:
-    """Draw n design points; returns the points and their exact density."""
+    """Draw n design points; returns the points and their exact density.
+
+    Coordinate by coordinate, the points are made in chunks of ``_CHUNK``
+    through buffers allocated once per call and written straight into
+    the returned ``(n, d)`` array: normals, the AR(1) recurrence carried
+    from chunk to chunk in ``lfilter``'s state, the normal CDF and, for
+    the second coordinate, the FGM step against the finished first.
+    Every value equals the one a single ``(d, n)`` draw and one filter
+    over whole rows would give, bit for bit.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng((spec.seed, rep, _DESIGN_CHANNEL))
-    z = _latent_chains(rng, spec.dim, n, spec.ar_coeff)
-    u = ndtr(z)
-    if spec.copula_theta != 0.0:
-        u[1] = _fgm_conditional(u[0], u[1], spec.copula_theta)
-        density = fgm_density(spec.copula_theta)
-    else:
-        density = uniform_density(spec.dim)
-    return u.T.copy(), density
+    ar = spec.ar_coeff if n > 1 else 0.0
+    theta = spec.copula_theta
+    if ar:
+        # Imported here: scipy.signal costs about a second to import, and
+        # only the AR chain needs it.
+        from scipy.signal import lfilter
+        taps, poles = [sqrt(1.0 - ar * ar)], [1.0, -ar]
+    x = np.empty((n, spec.dim))
+    size = min(n, _CHUNK)
+    chain = np.empty(size)
+    fgm = [np.empty(size) for _ in range(3)] if theta else None
+    for coord in range(spec.dim):
+        state = None
+        for start in range(0, n, _CHUNK):
+            stop = min(n, start + _CHUNK)
+            z, out = chain[:stop - start], x[start:stop, coord]
+            rng.standard_normal(out=z)
+            if ar:
+                # The chain starts at its first normal, which the filter
+                # state then carries: zi = ar * z_0 for the second value.
+                first = int(state is None)
+                if first:
+                    state = ar * z[:1]
+                z[first:], state = lfilter(taps, poles, z[first:], zi=state)
+            if coord == 1 and theta:
+                ndtr(z, out=z)
+                _fgm_conditional(x[start:stop, 0], z, theta, fgm, out)
+            else:
+                ndtr(z, out=out)
+    density = fgm_density(theta) if theta else uniform_density(spec.dim)
+    return x, density
+
+
+def _fgm_conditional(u1, v, theta, buffers, out) -> None:
+    """Inverse of the conditional CDF v = u2 (1 + A (1 - u2)), A = theta
+    (1 - 2 u1), in the subtraction-free form ``2 v / (1 + A + sqrt((1 +
+    A)**2 - 4 A v))``, evaluated in that order into ``out``; overwrites
+    ``v`` and the heads of the three ``buffers``."""
+    a, one_a, root = (b[:v.size] for b in buffers)
+    np.multiply(u1, 2.0, out=a)
+    np.subtract(1.0, a, out=a)
+    np.multiply(a, theta, out=a)
+    np.add(a, 1.0, out=one_a)
+    np.square(one_a, out=root)
+    np.multiply(a, 4.0, out=a)
+    np.multiply(a, v, out=a)
+    np.subtract(root, a, out=root)
+    np.sqrt(root, out=root)
+    np.add(one_a, root, out=root)
+    np.multiply(v, 2.0, out=v)
+    np.divide(v, root, out=out)
 
 
 def gen_responses(x: np.ndarray, scenario: ScenarioSpec, seed: int,
                   rep: int = 0) -> np.ndarray:
-    """Responses for given design points under a scenario."""
+    """Responses for given design points under a scenario.
+
+    Each point's response is the offset plus each coordinate's component
+    plus its noise draw, added in that order; the points are taken in
+    chunks of ``_CHUNK`` so that no temporary spans all of them.
+    """
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != scenario.dim:
         raise ValueError(
             f"design must be (n, {scenario.dim}), got {pts.shape}")
-    y = np.full(pts.shape[0], float(scenario.offset))
-    for coord in range(1, scenario.dim + 1):
-        y += scenario.component(coord)(pts[:, coord - 1])
-    if scenario.noise_halfwidth > 0:
-        rng = np.random.default_rng((seed, rep, _NOISE_CHANNEL))
-        y += rng.uniform(-scenario.noise_halfwidth, scenario.noise_halfwidth,
-                         pts.shape[0])
+    n = pts.shape[0]
+    components = [scenario.component(c) for c in range(1, scenario.dim + 1)]
+    half = scenario.noise_halfwidth
+    rng = np.random.default_rng((seed, rep, _NOISE_CHANNEL)) if half > 0 \
+        else None
+    y = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        block, chunk = y[start:start + _CHUNK], pts[start:start + _CHUNK]
+        block.fill(scenario.offset)
+        for coord, fn in enumerate(components):
+            block += fn(chunk[:, coord])
+        if rng is not None:
+            block += rng.uniform(-half, half, block.size)
     return y
 
 
@@ -309,6 +359,8 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
         if field not in payload:
             raise ValueError(f"dataset file is missing field {field!r}")
     proc = payload["process"]
+    if "dim" not in proc:
+        raise ValueError("dataset field 'process' is missing 'dim'")
     theta = float(proc.get("copula_theta", 0.0))
     dim = int(proc["dim"])
     density = fgm_density(theta) if theta != 0.0 else uniform_density(dim)

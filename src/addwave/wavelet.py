@@ -40,10 +40,13 @@ SQRT2 = float(np.sqrt(2.0))
 
 _MIN_DEPTH = 6
 _MAX_DEPTH = 16
-# Points per pass of the stencil: its six 8-byte buffers of this length,
-# and the one more that synthesis gathers into, fill at most 1.75 MiB,
-# inside a 2 MiB L2.
-_CHUNK = 2 ** 15
+# Points per pass of the stencil, the simulator and the density weights.
+# Their buffers of this length (six 8-byte ones for the stencil plus one
+# that synthesis gathers into, 896 KiB; four for the simulated design,
+# 512 KiB) stay well inside a 2 MiB L2.  On one core with a 2 MiB L2,
+# 2**14 beat 2**13 and 2**15 for analysis plus synthesis at n = 2**20 and
+# for simulation at n = 2**16.
+_CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +270,9 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     Each value is ``_sample``'s arithmetic, bit for bit, without its
     ``clip`` and ``where``: ``frac + offset`` lies in ``[0, support]``, so
     no position leaves the table.  The ``minimum`` is kept, because
-    ``frac + offset`` can round up to the next integer.
+    ``frac + offset`` can round up to the next integer.  A chunk holding a
+    point that is not finite, or whose cell overflows int64, raises
+    ``ValueError`` before anything of it is yielded.
     """
     samples = table.phi_samples if kind == "scaling" else table.psi_samples
     upper = samples[1:]
@@ -282,6 +287,7 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
         f, p, lo, v, c, k = (a[:m] for a in (frac, pos, low, vals, cell, node))
         np.multiply(x[start:start + m], 2.0 ** level, out=f)
         np.floor(f, out=p)
+        _check_cells(p, level)
         np.subtract(f, p, out=f)
         c[...] = p
         np.bitwise_and(c, 2 ** level - 1, out=c)
@@ -340,13 +346,26 @@ def _check_index(level: int, shift: int) -> None:
         raise ValueError(f"shift must be in 0..{2 ** level - 1}, got {shift}")
 
 
+def _check_cells(floors: np.ndarray, level: int) -> None:
+    """Refuse points whose cell ``floor(2**level * x)``, given as
+    ``floors``, is not an int64: a non-finite point, or one at or past
+    ``2**(63 - level)`` in magnitude.  ``min`` and ``max`` propagate NaN,
+    so the one comparison catches it without a boolean array."""
+    if floors.size and not (-2.0 ** 63 <= floors.min()
+                            and floors.max() < 2.0 ** 63):
+        raise ValueError(f"points must be finite and below "
+                         f"{2.0 ** (63 - level):.3g} in magnitude at level "
+                         f"{level}")
+
+
 def weighted_level_sums(table: BasisTable, kind: str, level: int,
                         x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Sums of ``weights[i] * element(level, shift)(x[i])`` over all shifts.
 
     Returns one entry per shift.  Work is linear in the number of points
     regardless of the level; each point touches only the shifts whose
-    support contains it, with periodic wrapping folded in.
+    support contains it, with periodic wrapping folded in.  A point that
+    is not finite, or whose cell overflows int64, raises ``ValueError``.
     """
     _check_kind(kind)
     _check_index(level, 0)
@@ -421,7 +440,8 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
 
     ``details`` is an iterable of (level, coefficient array) pairs; a
     coefficient array may contain zeros for dropped terms.  ``offset`` is
-    added to the result.
+    added to the result.  A point that is not finite, or whose cell at a
+    level overflows int64, raises ``ValueError``.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, float(offset))
@@ -430,12 +450,14 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
     terms = [(start_level, "scaling", np.asarray(smooth, dtype=float))]
     for level, coeffs in details:
         terms.append((level, "wavelet", np.asarray(coeffs, dtype=float)))
+    evaluated = False
     for level, kind, coeffs in terms:
         n_shifts = 2 ** level
         if coeffs.size != n_shifts:
             raise ValueError(f"level {level} expects {n_shifts} coefficients")
         if not np.any(coeffs):
             continue
+        evaluated = True
         # rolled[off][cell] is scale * coeffs[(cell - off) % n_shifts].
         scaled = 2.0 ** (level / 2.0) * coeffs
         rolled = [np.roll(scaled, off)
@@ -445,6 +467,10 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
             np.take(rolled[off], cell, out=g)
             np.multiply(g, vals, out=g)
             flat_out[start:start + g.size] += g
+    if not evaluated:
+        # No term read the points; check them as the stencil would.
+        top = max(level for level, _, _ in terms)
+        _check_cells(np.floor(flat_x * 2.0 ** top), top)
     return out if np.ndim(x) else float(out[0])
 
 

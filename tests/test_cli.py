@@ -264,6 +264,21 @@ def test_estimate_huge_threshold_keeps_nothing(tmp_path, capsys):
     assert est.kept_count() == 0
 
 
+def test_estimate_names_dataset_without_dim(tmp_path, capsys):
+    proc = MixingProcessSpec(dim=1, seed=3)
+    scen = ScenarioSpec(components=("sine",))
+    ds_path = tmp_path / "d.json"
+    write_dataset_json(ds_path, simulate_dataset(proc, scen, 64),
+                       dataset_meta(proc, scen, 64, 0))
+    payload = json.loads(ds_path.read_text())
+    del payload["process"]["dim"]
+    ds_path.write_text(json.dumps(payload))
+    assert main(["estimate", "--dataset", str(ds_path),
+                 "--output", str(tmp_path / "fit")]) == EXIT_USAGE
+    assert ("dataset field 'process' is missing 'dim'"
+            in capsys.readouterr().err)
+
+
 def test_module_entry_point_smoke():
     # The subprocess imports the same package the tests do, whether or not
     # PYTHONPATH names its directory.

@@ -30,6 +30,9 @@ from addwave import (
     weighted_level_sums,
 )
 from addwave import test_function as catalog_fn
+from addwave.estimator import _weights
+from addwave.simulate import fgm_density
+from addwave.wavelet import _CHUNK
 
 HAAR = cascade_table(make_family(1), depth=12)
 DB2 = cascade_table(make_family(2), depth=12)
@@ -286,6 +289,23 @@ def test_fit_evaluates_density_once():
     assert calls == [n]
 
 
+def test_weights_by_chunk_match_whole_array():
+    n = 2 * _CHUNK + 3
+    rng = np.random.default_rng(8)
+    density = fgm_density(0.45)
+    data = Dataset(y=rng.random(n), x=rng.random((n, 2)), density=density)
+    assert np.array_equal(_weights(data, RHO), data.y / density(data.x))
+    # A density under its floor at the last point, past the first chunks,
+    # is still refused.
+    dips = DesignDensity(
+        dim=1, floor=0.5,
+        evaluator=lambda pts: np.where(pts[:, 0] == 1.0, 0.25, 1.0))
+    x = rng.random((n, 1))
+    x[-1] = 1.0
+    with pytest.raises(ValueError, match="below its declared floor"):
+        _weights(Dataset(y=rng.random(n), x=x, density=dips), RHO)
+
+
 def test_fit_zero_responses_is_exactly_zero():
     data = _uniform_data(1024, y=np.zeros(1024))
     fit = fit_component(data, RHO, DB2)
@@ -322,6 +342,28 @@ def test_dataset_rejects_non_finite_responses():
         y[5] = bad
         with pytest.raises(ValueError, match="responses must be finite"):
             Dataset(y=y, x=data.x, density=data.density)
+
+
+def test_analysis_and_synthesis_reject_bad_points():
+    # Unchecked, NaN dies with an IndexError from the stencil's int64 cast
+    # and 1e300 at level 2 lands silently in a wrapped-around cell.
+    est = fit_component(_uniform_data(1024), RHO, DB2, EstimatorConfig())
+    for bad in (math.nan, math.inf, -math.inf, 1e300, -1e300):
+        x = np.array([0.5, bad, 0.25])
+        with pytest.raises(ValueError, match="points must be finite"):
+            weighted_level_sums(DB2, "scaling", 2, x, np.ones(3))
+        with pytest.raises(ValueError, match="points must be finite"):
+            evaluate_series(DB2, 2, np.ones(4), [(2, np.ones(4))], x)
+        with pytest.raises(ValueError, match="points must be finite"):
+            eval_estimate(est, DB2, x)
+        with pytest.raises(ValueError, match="points must be finite"):
+            evaluate_series(DB2, 2, np.zeros(4), [], x)
+    # The bound is the int64 cell: 2**level * |x| must stay below 2**63.
+    big = np.array([2.0 ** 60, -(2.0 ** 60)])
+    assert np.all(np.isfinite(weighted_level_sums(HAAR, "scaling", 2, big,
+                                                  np.ones(2))))
+    with pytest.raises(ValueError, match="points must be finite"):
+        weighted_level_sums(HAAR, "scaling", 3, big, np.ones(2))
 
 
 def test_config_rejects_non_finite_threshold():

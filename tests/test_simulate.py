@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.signal import lfilter
+from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
 from addwave import MixingProcessSpec, ScenarioSpec, simulate_dataset
 from addwave import test_function as catalog_fn
 from addwave.simulate import (
+    _CHUNK,
     dataset_meta,
     fgm_density,
     gen_design,
@@ -76,6 +78,51 @@ def test_latent_memory_decays_geometrically():
     acf = [float(np.corrcoef(z[:-lag], z[lag:])[0, 1]) for lag in range(1, 6)]
     slope = float(np.polyfit(np.arange(1, 6), np.log(acf), 1)[0])
     assert abs(slope - np.log(0.6)) < 0.15 * abs(np.log(0.6))
+
+
+def _whole_array_draw(process, scenario, n, rep):
+    """The simulator written with whole-length arrays: one (d, n) draw of
+    stream (seed, rep, 0), one filter over whole rows, the FGM step on
+    whole columns, and noise from stream (seed, rep, 1)."""
+    z = np.random.default_rng((process.seed, rep, 0)).standard_normal(
+        (process.dim, n))
+    ar = process.ar_coeff
+    if ar != 0.0 and n > 1:
+        rest, _ = lfilter([math.sqrt(1.0 - ar * ar)], [1.0, -ar], z[:, 1:],
+                          axis=1, zi=ar * z[:, :1])
+        z = np.concatenate([z[:, :1], rest], axis=1)
+    u = ndtr(z)
+    theta = process.copula_theta
+    if theta != 0.0:
+        a = theta * (1.0 - 2.0 * u[0])
+        u[1] = 2.0 * u[1] / (1.0 + a + np.sqrt((1.0 + a) ** 2
+                                               - 4.0 * a * u[1]))
+    x = u.T.copy()
+    y = np.full(n, float(scenario.offset))
+    for coord in range(1, process.dim + 1):
+        y += scenario.component(coord)(x[:, coord - 1])
+    half = scenario.noise_halfwidth
+    if half > 0:
+        y += np.random.default_rng((process.seed, rep, 1)).uniform(
+            -half, half, n)
+    return x, y
+
+
+def test_simulator_chunks_match_whole_array_draw():
+    processes = [MixingProcessSpec(dim=d, ar_coeff=ar, seed=30 + d)
+                 for d in range(1, 5) for ar in (0.0, 0.7)]
+    processes.append(MixingProcessSpec(dim=2, ar_coeff=0.6,
+                                       copula_theta=-0.45, seed=35))
+    names = ("sine", "bump", "step", "sawtooth")
+    for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        for proc in processes:
+            for noise in (0.0, 0.5):
+                scen = ScenarioSpec(components=names[:proc.dim], offset=0.3,
+                                    noise_halfwidth=noise)
+                data = simulate_dataset(proc, scen, n, rep=n % 5)
+                x, y = _whole_array_draw(proc, scen, n, rep=n % 5)
+                assert np.array_equal(data.x, x), (n, proc, noise)
+                assert np.array_equal(data.y, y), (n, proc, noise)
 
 
 def test_noiseless_responses_are_exact_sums():

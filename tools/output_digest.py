@@ -1,0 +1,226 @@
+"""Print one SHA-256 over a fixed set of program outputs, and one per part.
+
+    python3 tools/output_digest.py [--src DIR] [--parts]
+
+Two source trees whose outputs agree bit for bit print the same digest,
+so running this at a parent commit and at a change shows whether the
+change moved any output.  ``--src`` names the ``src/`` directory to
+import ``addwave`` from (by default this checkout's); ``--parts`` also
+prints each part's digest, to find which output moved.
+
+The parts: simulated datasets (i.i.d., AR and AR + FGM processes, dims 1
+to 4, sizes on both sides of the simulator's and the stencil's chunk
+edges, with and without noise); ``weighted_level_sums`` and
+``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
+``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``;
+``run_experiment`` reports with every ``runtime_ms`` removed; and the
+files and stdout of the ``simulate`` and ``estimate`` commands, with the
+temporary directory's name removed.  Arrays are hashed by dtype, shape
+and bytes, reports as sorted JSON.  A run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Sizes on both sides of 2**14 and 2**15 and past them: one-chunk and
+# many-chunk runs of the simulator and the stencil for either chunk length.
+SIZES = (1, 2, 3, 1000, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 2 ** 15 - 1,
+         2 ** 15, 2 ** 15 + 1, 2 ** 16 + 3, 2 ** 17 + 3)
+PROCESSES = (  # dim, ar_coeff, copula_theta, seed
+    (1, 0.0, 0.0, 3), (2, 0.0, -0.7, 4), (3, 0.3, 0.0, 5),
+    (4, 0.99, 0.0, 6), (2, 0.6, 0.5, 7), (2, 0.9, -0.4, 8))
+COMPONENTS = ("sine", "bump", "step", "sawtooth")
+
+
+class Digest:
+    """Named SHA-256 parts and one digest over all of them."""
+
+    def __init__(self):
+        self.parts = {}
+
+    def part(self, name: str):
+        return self.parts.setdefault(name, hashlib.sha256())
+
+    def array(self, name: str, value) -> None:
+        a = np.ascontiguousarray(value)
+        h = self.part(name)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+
+    def text(self, name: str, value: str) -> None:
+        self.part(name).update(value.encode())
+
+    def json(self, name: str, value) -> None:
+        self.text(name, json.dumps(value, sort_keys=True))
+
+    def total(self) -> str:
+        h = hashlib.sha256()
+        for name in sorted(self.parts):
+            h.update(f"{name}:{self.parts[name].hexdigest()}\n".encode())
+        return h.hexdigest()
+
+
+def _strip_runtimes(value):
+    if isinstance(value, dict):
+        return {k: _strip_runtimes(v) for k, v in value.items()
+                if k != "runtime_ms"}
+    if isinstance(value, list):
+        return [_strip_runtimes(v) for v in value]
+    return value
+
+
+def simulated(dig, aw):
+    for dim, ar, theta, seed in PROCESSES:
+        proc = aw.MixingProcessSpec(dim=dim, ar_coeff=ar, copula_theta=theta,
+                                    seed=seed)
+        for noise in (0.0, 0.5):
+            scen = aw.ScenarioSpec(components=COMPONENTS[:dim], offset=0.3,
+                                   noise_halfwidth=noise)
+            for n in SIZES:
+                data = aw.simulate_dataset(proc, scen, n, rep=n % 7)
+                name = f"simulate/d{dim}-ar{ar}-fgm{theta}"
+                dig.array(name, data.x)
+                dig.array(name, data.y)
+
+
+def wavelet_sums_and_series(dig, aw):
+    proc = aw.MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=9)
+    scen = aw.ScenarioSpec(components=("sine", "bump"), noise_halfwidth=0.5)
+    data = aw.simulate_dataset(proc, scen, 2 ** 16 + 3, rep=1)
+    x, w = data.x[:, 0], data.y
+    coeffs = np.random.default_rng(9).standard_normal(2 ** 7)
+    for r in (1, 2, 4, 10):
+        table = aw.cascade_table(aw.make_family(r), 12)
+        name = f"wavelet/R{r}"
+        for kind in ("scaling", "wavelet"):
+            for level in (0, 3, 7, 12):
+                dig.array(name, aw.weighted_level_sums(table, kind, level,
+                                                       x, w))
+        details = [(j, coeffs[:2 ** j]) for j in range(3, 7)]
+        dig.array(name, aw.evaluate_series(table, 3, coeffs[:8], details, x,
+                                           offset=0.25))
+        dig.array(name, aw.evaluate_series(table, 7, coeffs, [], x[:1000]))
+
+
+def fits(dig, aw):
+    proc = aw.MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=11)
+    scen = aw.ScenarioSpec(components=("sine", "step"), offset=0.3,
+                           noise_halfwidth=0.5)
+    grid = (np.arange(2048) + 0.5) / 2048
+    for r in (1, 2, 4):
+        table = aw.cascade_table(aw.make_family(r), 12)
+        for n in (1000, 2 ** 14, 2 ** 16 + 3):
+            data = aw.simulate_dataset(proc, scen, n, rep=2)
+            for coord in (1, 2):
+                for kappa in (0.5, 1.0):
+                    est = aw.fit_component(
+                        data, scen.rho_spec(), table,
+                        aw.EstimatorConfig(coord=coord, threshold_const=kappa))
+                    name = f"fit/R{r}"
+                    dig.text(name, est.to_json())
+                    dig.array(name, aw.eval_estimate(est, table, grid))
+                    dig.array(name, aw.eval_estimate(
+                        est, table, data.column(coord)))
+
+
+def replications(dig, aw):
+    table = aw.cascade_table(aw.make_family(2), 12)
+    scen = aw.ScenarioSpec(components=("sine", "bump"), offset=0.3,
+                           noise_halfwidth=0.5)
+    targets = [(kind, j, k, coord) for kind in ("scaling", "wavelet")
+               for j in (2, 5) for k in range(2 ** j) for coord in (1, 2)]
+    for theta in (0.0, 0.5):
+        proc = aw.MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=theta,
+                                    seed=13)
+        for n, reps in ((2 ** 10, 20), (2 ** 16 + 3, 2)):
+            dig.array("oracle/replicate_coeffs", aw.replicate_coeffs(
+                proc, scen, table, targets, n=n, reps=reps, rep_start=5))
+        dig.json("oracle/calibrate_threshold", aw.calibrate_threshold(
+            proc, scen, table, n=1024, coord=2, reps=200))
+
+
+def experiments(dig, cli):
+    configs = (
+        {"scenario": {"components": ["sine"], "mu": 0.3,
+                      "noise_halfwidth": 0.5},
+         "process": {"ar_coeff": 0.0, "copula_theta": 0.0},
+         "n_grid": [256, 512, 1024, 2048], "reps": 2, "master_seed": 5,
+         "kappa": 1.0},
+        {"scenario": {"components": ["sine", "bump"], "mu": 0.3,
+                      "noise_halfwidth": 0.5},
+         "process": {"ar_coeff": 0.6, "copula_theta": 0.5},
+         "n_grid": [1024, 4096, 16384, 65536], "reps": 2, "master_seed": 21,
+         "kappa": 1.0},
+        {"scenario": {"components": ["step", "sine"], "mu": 0.0,
+                      "noise_halfwidth": 0.2},
+         "process": {"ar_coeff": 0.9, "copula_theta": -0.4},
+         "n_grid": [512, 1024], "reps": 3, "master_seed": 8,
+         "kappa_mode": "calibrated", "family_r": 4, "aggregate": "median"},
+    )
+    for payload in configs:
+        report, _ = cli.run_experiment(cli.parse_experiment_config(payload))
+        dig.json("cli/run_experiment", _strip_runtimes(report))
+
+
+def commands(dig, cli):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        cfg = base / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"scenario": {"components": ["sine", "bump"], "mu": 0.3,
+                          "noise_halfwidth": 0.5},
+             "process": {"ar_coeff": 0.6, "copula_theta": 0.5},
+             "n_grid": [2, 64, 2048], "reps": 2, "master_seed": 17,
+             "kappa": 1.0}))
+        runs = (["simulate", "--config", str(cfg), "--output",
+                 str(base / "data")],
+                ["estimate", "--dataset",
+                 str(base / "data" / "dataset_n2048_rep1.json"),
+                 "--coord", "2", "--output", str(base / "fit")])
+        for argv in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            if code != cli.EXIT_OK:
+                raise RuntimeError(f"{argv[0]} exited with {code}")
+            dig.text("cli/commands", out.getvalue().replace(tmp, "<tmp>"))
+        for path in sorted(p for p in base.rglob("*") if p.is_file()):
+            dig.text("cli/commands", str(path.relative_to(base)))
+            dig.part("cli/commands").update(path.read_bytes())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--parts", action="store_true")
+    ns = ap.parse_args(argv)
+    sys.path.insert(0, str(ns.src.resolve()))
+    import addwave as aw
+    from addwave import cli
+
+    dig = Digest()
+    for step in (simulated, wavelet_sums_and_series, fits, replications):
+        step(dig, aw)
+    experiments(dig, cli)
+    commands(dig, cli)
+    if ns.parts:
+        for name in sorted(dig.parts):
+            print(f"{dig.parts[name].hexdigest()}  {name}")
+    print(f"{dig.total()}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
