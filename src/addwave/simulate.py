@@ -169,13 +169,14 @@ def fgm_density(theta: float) -> DesignDensity:
         raise ValueError(f"theta must be in (-1, 1), got {theta}")
 
     def evaluator(pts):
+        # 1 + theta (1 - 2 u1) (1 - 2 u2), in that order, in two arrays.
         p = np.asarray(pts, dtype=float)
-        return 1.0 + theta * (1.0 - 2.0 * p[:, 0]) * (1.0 - 2.0 * p[:, 1])
+        a, b = np.multiply(p[:, 0], 2.0), np.multiply(p[:, 1], 2.0)
+        np.multiply(np.subtract(1.0, a, out=a), theta, out=a)
+        a *= np.subtract(1.0, b, out=b)
+        return np.add(a, 1.0, out=a)
 
-    return DesignDensity(
-        dim=2,
-        evaluator=evaluator,
-        floor=1.0 - abs(theta))
+    return DesignDensity(dim=2, evaluator=evaluator, floor=1.0 - abs(theta))
 
 
 def gen_design(spec: MixingProcessSpec, n: int,
@@ -285,9 +286,16 @@ def simulate_dataset(process: MixingProcessSpec, scenario: ScenarioSpec,
     return Dataset(y=y, x=x, density=density)
 
 
+def _json_object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"field {field!r} must be a JSON object, "
+                         f"got {json.dumps(value)[:40]}")
+    return value
+
+
 def scenario_from_config(cfg: dict) -> ScenarioSpec:
     """Build a scenario from declarative keys, naming any missing field."""
-    if "components" not in cfg:
+    if "components" not in _json_object(cfg, "scenario"):
         raise ValueError("scenario config is missing field 'components'")
     components = cfg["components"]
     if (not isinstance(components, (list, tuple)) or not components
@@ -299,6 +307,7 @@ def scenario_from_config(cfg: dict) -> ScenarioSpec:
 
 
 def process_from_config(cfg: dict, dim: int, seed: int) -> MixingProcessSpec:
+    _json_object(cfg, "process")
     return MixingProcessSpec(dim=dim,
                              ar_coeff=float(cfg.get("ar_coeff", 0.0)),
                              copula_theta=float(cfg.get("copula_theta", 0.0)),
@@ -358,7 +367,7 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
     for field in ("process", "y", "x"):
         if field not in payload:
             raise ValueError(f"dataset file is missing field {field!r}")
-    proc = payload["process"]
+    proc = _json_object(payload["process"], "process")
     if "dim" not in proc:
         raise ValueError("dataset field 'process' is missing 'dim'")
     theta = float(proc.get("copula_theta", 0.0))

@@ -23,10 +23,11 @@ Analysis (``weighted_level_sums``, a scatter onto the shifts) and synthesis
 (``evaluate_series``, a gather at the points) share one stencil,
 ``_stencil``.  It walks the points in chunks of ``_CHUNK`` through six
 buffers allocated once per call and refilled with ufunc ``out=``, so the
-cost per point does not grow once the points outrun the L2 cache.  The
-scatter keeps one row per support offset and adds each chunk into it point
-by point, so every shift sums its points in the order one ``bincount`` over
-all of them would, whatever the chunking.
+cost per point does not grow once the points outrun the L2 cache.  Each
+point's table position is found once and read at every support offset,
+which interpolates at the exact argument.  The scatter keeps one row per
+offset and adds each chunk into it point by point, so every shift sums its
+points in the order one ``bincount`` over all of them would.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def _validate_table(table: BasisTable) -> None:
     tol = 2.0 ** (-table.depth + 2) * table.family.support_length
     one = _support_integral(table, "scaling", 0)
     zero = _support_integral(table, "wavelet", 0)
-    phi_sq = _support_norm_sq(table, "scaling")
-    psi_sq = _support_norm_sq(table, "wavelet")
+    phi_sq = _support_integral(table, "scaling", square=True)
+    psi_sq = _support_integral(table, "wavelet", square=True)
     if (abs(one - 1.0) > tol or abs(zero) > tol
             or abs(phi_sq - 1.0) > tol or abs(psi_sq - 1.0) > tol):
         raise RuntimeError(
@@ -221,25 +222,15 @@ def _validate_table(table: BasisTable) -> None:
             f"norms=({phi_sq:.6f}, {psi_sq:.6f})")
 
 
-def _quad_nodes(table: BasisTable) -> tuple[np.ndarray, float]:
-    # Midpoint rule at step 2**(1-depth): abscissae are the odd grid nodes,
-    # so the tabulated values are used without interpolation.
-    xs = np.arange(1, table.phi_samples.size, 2) * 2.0 ** (-table.depth)
-    return xs, 2.0 ** (1 - table.depth)
-
-
-def _support_integral(table: BasisTable, kind: str, power: int) -> float:
+def _support_integral(table: BasisTable, kind: str, power: int = 0,
+                      square: bool = False) -> float:
+    """Integral of ``f(t) * t**power``, or of ``f(t)**2``, by the midpoint
+    rule at step ``2**(1-depth)``, whose abscissae are the odd grid nodes."""
     samples = table.phi_samples if kind == "scaling" else table.psi_samples
-    xs, step = _quad_nodes(table)
     vals = samples[1::2]
-    return float(step * np.sum(vals * xs ** power))
-
-
-def _support_norm_sq(table: BasisTable, kind: str) -> float:
-    samples = table.phi_samples if kind == "scaling" else table.psi_samples
-    _, step = _quad_nodes(table)
-    vals = samples[1::2]
-    return float(step * np.sum(vals * vals))
+    xs = np.arange(1, samples.size, 2) * 2.0 ** (-table.depth)
+    integrand = vals * vals if square else vals * xs ** power
+    return float(2.0 ** (1 - table.depth) * np.sum(integrand))
 
 
 def _sample(table: BasisTable, kind: str, t: np.ndarray) -> np.ndarray:
@@ -267,17 +258,17 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     offset`` (mod ``2**level``).  Both are views of six buffers allocated
     once per call and refilled in place, so a chunk's working set stays in
     L2 however many points there are; the caller may overwrite ``vals``.
-    Each value is ``_sample``'s arithmetic, bit for bit, without its
-    ``clip`` and ``where``: ``frac + offset`` lies in ``[0, support]``, so
-    no position leaves the table.  The ``minimum`` is kept, because
-    ``frac + offset`` can round up to the next integer.  A chunk holding a
-    point that is not finite, or whose cell overflows int64, raises
-    ``ValueError`` before anything of it is yielded.
+    A point's table position ``q = frac * 2**depth`` (exact), node
+    ``floor(q)`` and weight ``t = q - node`` serve every offset ``o``,
+    read at the node of the slices from ``o * 2**depth`` and one further:
+    ``_sample``'s interpolation at the exact ``frac + o``, not its rounded
+    sum.  Only a tiny negative point, whose ``frac`` rounds to 1, needs the
+    node clamped (to ``2**depth - 1``, so ``t = 1``); the two-tap step
+    table is read unclamped.  A chunk with a point that is not finite, or
+    whose cell overflows int64, raises ``ValueError`` before it yields.
     """
     samples = table.phi_samples if kind == "scaling" else table.psi_samples
-    upper = samples[1:]
-    last = samples.size - 2
-    step = 2.0 ** table.depth
+    step = 2 ** table.depth
     linear = table.family.vanishing_moments > 1
     size = min(x.size, _CHUNK)
     frac, pos, low, vals = (np.empty(size) for _ in range(4))
@@ -291,23 +282,23 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
         np.subtract(f, p, out=f)
         c[...] = p
         np.bitwise_and(c, 2 ** level - 1, out=c)
+        np.multiply(f, step, out=f)
+        np.floor(f, out=p)
+        if linear:
+            np.minimum(p, step - 1, out=p)
+        k[...] = p
+        if linear:
+            # From here on f holds t and p holds 1 - t.
+            np.subtract(f, p, out=f)
+            np.subtract(1.0, f, out=p)
         for offset in range(table.family.support_length):
-            np.add(f, offset, out=p)
-            np.multiply(p, step, out=p)
-            np.floor(p, out=lo)
+            head = samples[offset * step:]
+            np.take(head, k, out=v)
             if linear:
-                np.minimum(lo, last, out=lo)
-                k[...] = lo
-                np.subtract(p, lo, out=p)
-                np.take(samples, k, out=v)
-                np.take(upper, k, out=lo)
-                np.multiply(p, lo, out=lo)
-                np.subtract(1.0, p, out=p)
+                np.take(head[1:], k, out=lo)
+                np.multiply(f, lo, out=lo)
                 np.multiply(p, v, out=v)
                 np.add(v, lo, out=v)
-            else:
-                k[...] = lo
-                np.take(samples, k, out=v)
             yield start, c, offset, v
 
 
@@ -504,8 +495,8 @@ def basis_diagnostics(family: WaveletFamily, depth: int,
 
     # Normalization of both tabulated functions.
     norm_err = max(abs(_support_integral(table, "scaling", 0) - 1.0),
-                   abs(_support_norm_sq(table, "scaling") - 1.0),
-                   abs(_support_norm_sq(table, "wavelet") - 1.0))
+                   *(abs(_support_integral(table, kind, square=True) - 1.0)
+                     for kind in ("scaling", "wavelet")))
     checks.append(_check("normalization", norm_err, 2.0 ** (-depth + 2) * sup))
 
     # Gram matrix of the periodized dictionary up to max_gram_level.  The

@@ -264,19 +264,45 @@ def test_estimate_huge_threshold_keeps_nothing(tmp_path, capsys):
     assert est.kept_count() == 0
 
 
-def test_estimate_names_dataset_without_dim(tmp_path, capsys):
+def _edited_dataset(tmp_path, edit) -> str:
     proc = MixingProcessSpec(dim=1, seed=3)
     scen = ScenarioSpec(components=("sine",))
     ds_path = tmp_path / "d.json"
     write_dataset_json(ds_path, simulate_dataset(proc, scen, 64),
                        dataset_meta(proc, scen, 64, 0))
     payload = json.loads(ds_path.read_text())
-    del payload["process"]["dim"]
+    edit(payload)
     ds_path.write_text(json.dumps(payload))
-    assert main(["estimate", "--dataset", str(ds_path),
+    return str(ds_path)
+
+
+def test_estimate_names_dataset_without_dim(tmp_path, capsys):
+    path = _edited_dataset(tmp_path, lambda p: p["process"].pop("dim"))
+    assert main(["estimate", "--dataset", path,
                  "--output", str(tmp_path / "fit")]) == EXIT_USAGE
     assert ("dataset field 'process' is missing 'dim'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field, value", [("process", 3), ("scenario", 5)])
+def test_estimate_names_block_that_is_not_an_object(tmp_path, capsys,
+                                                     field, value):
+    path = _edited_dataset(tmp_path, lambda p: p.update({field: value}))
+    assert main(["estimate", "--dataset", path,
+                 "--output", str(tmp_path / "fit")]) == EXIT_USAGE
+    assert (f"error: field {field!r} must be a JSON object, got {value}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field, value", [("process", 3), ("scenario", 5)])
+def test_mc_rate_names_block_that_is_not_an_object(tmp_path, capsys,
+                                                   field, value):
+    path = _write_config(tmp_path, **{field: value})
+    assert main(["mc-rate", "--config", path]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: field {field!r} must be a JSON object, got {value}"
+            in captured.err)
 
 
 def test_module_entry_point_smoke():

@@ -294,7 +294,10 @@ def test_weights_by_chunk_match_whole_array():
     rng = np.random.default_rng(8)
     density = fgm_density(0.45)
     data = Dataset(y=rng.random(n), x=rng.random((n, 2)), density=density)
-    assert np.array_equal(_weights(data, RHO), data.y / density(data.x))
+    u, v = data.x[:, 0], data.x[:, 1]
+    literal = 1.0 + 0.45 * (1.0 - 2.0 * u) * (1.0 - 2.0 * v)
+    assert np.array_equal(density(data.x), literal)
+    assert np.array_equal(_weights(data, RHO), data.y / literal)
     # A density under its floor at the last point, past the first chunks,
     # is still refused.
     dips = DesignDensity(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,11 +161,13 @@ def test_stencil_across_chunk_boundaries(table):
 
 @pytest.mark.parametrize("level", [0, 5])
 def test_stencil_edge_points(level):
-    # At x = 1 - 2**-53 and level 0, frac + 2 rounds up to 3.0: the position
-    # is the table's last node, and only the clamp to the last interval
-    # keeps the interpolation's right neighbour inside the table.
-    x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60])
-    w = np.array([1.0, -2.0, 3.0, 0.5])
+    # At x = 1 - 2**-53 and level 0, frac + 2 would round up to 3.0, the
+    # table's last node; the stencil reads the position frac * 2**depth
+    # instead, whose node is below 2**depth.  At x = -2**-60 frac itself
+    # rounds up to 1.0, the one case whose node is clamped to the last one
+    # below 2**depth with weight 1 on its right neighbour.
+    x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60])
+    w = np.array([1.0, -2.0, 3.0, 0.5, -1.5])
     for table in (HAAR, DB2, DB10):
         for kind in ("scaling", "wavelet"):
             fast = weighted_level_sums(table, kind, level, x, w)
@@ -176,6 +179,69 @@ def test_stencil_edge_points(level):
                    + d * eval_periodized(table, "wavelet", level, k, x)
                    for k, (c, d) in enumerate(zip(coeffs, coeffs[::-1])))
         assert float(np.max(np.abs(fast - slow))) < 1e-12
+
+
+def _unit_series(table, kind, level, shift, x):
+    unit = np.zeros(2 ** level)
+    unit[shift] = 1.0
+    if kind == "scaling":
+        return evaluate_series(table, level, unit, [], x)
+    return evaluate_series(table, level, np.zeros(2 ** level),
+                           [(level, unit)], x)
+
+
+def _exact_interpolants(table, kind, level, x):
+    """Per point and shift, in exact arithmetic, ``_sample``'s linear
+    interpolant at ``frac + offset`` summed over the offsets that land on
+    the shift; ``frac`` is the float ``2**level * x - floor(2**level * x)``,
+    which is exact for ``x >= 0`` and rounds up to 1 for a tiny negative x."""
+    samples = table.phi_samples if kind == "scaling" else table.psi_samples
+    step, period = 2 ** table.depth, 2 ** level
+    rows = []
+    for point in x:
+        scaled = np.float64(point) * period
+        cell = math.floor(scaled)
+        frac = Fraction(float(scaled - np.floor(scaled)))
+        row = [Fraction(0)] * period
+        for offset in range(table.family.support_length):
+            pos = (frac + offset) * step
+            node = min(math.floor(pos), samples.size - 2)
+            t = pos - node
+            row[(cell - offset) % period] += (
+                (1 - t) * Fraction(float(samples[node]))
+                + t * Fraction(float(samples[node + 1])))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("r", [2, 4, 10])
+def test_stencil_evaluates_at_exact_argument(r):
+    # The stencil interpolates the table at frac + offset exactly, not at
+    # its rounded sum: each value is within 2 ulp of 2**(level/2) *
+    # max|table| of the exact interpolant, and where frac + offset is a
+    # float (dyadic points) it is eval_periodized's value bit for bit.
+    table = DB10 if r == 10 else TABLES[r]
+    rng = np.random.default_rng(31)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 40),
+                        [0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60,
+                         0.5 - 2.0 ** -54]])
+    dyadic = rng.integers(0, 2 ** 20, 40) / 2.0 ** 20
+    for level in (table.family.coarsest_level,
+                  table.family.coarsest_level + 2):
+        scale = 2.0 ** (level / 2.0)
+        for kind in ("scaling", "wavelet"):
+            samples = table.phi_samples if kind == "scaling" \
+                else table.psi_samples
+            tol = Fraction(2.0 * np.spacing(scale * np.max(np.abs(samples))))
+            exact = _exact_interpolants(table, kind, level, x)
+            for shift in range(2 ** level):
+                fast = _unit_series(table, kind, level, shift, x)
+                for value, row in zip(fast, exact):
+                    assert abs(Fraction(float(value))
+                               - Fraction(scale) * row[shift]) <= tol
+                assert np.array_equal(
+                    _unit_series(table, kind, level, shift, dyadic),
+                    eval_periodized(table, kind, level, shift, dyadic))
 
 
 def test_evaluate_series_point_shapes():

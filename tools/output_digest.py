@@ -1,12 +1,24 @@
 """Print one SHA-256 over a fixed set of program outputs, and one per part.
 
     python3 tools/output_digest.py [--src DIR] [--parts]
+    python3 tools/output_digest.py [--src DIR] --against OTHER_SRC
 
 Two source trees whose outputs agree bit for bit print the same digest,
 so running this at a parent commit and at a change shows whether the
 change moved any output.  ``--src`` names the ``src/`` directory to
 import ``addwave`` from (by default this checkout's); ``--parts`` also
 prints each part's digest, to find which output moved.
+
+``--against`` makes the outputs of both trees, in two processes, and
+prints for each part whether it is identical and, if not, how far it
+moved from OTHER_SRC's values: how many values changed, the largest
+absolute change and the largest relative one, how many ``kept`` entries
+differ (threshold flags in fit JSON, kept counts in reports and in the
+``estimate`` summary) and how many other entries differ (strings, flags,
+lengths).  A relative change divides by the largest magnitude of its
+array, or of its key within one JSON document or CSV column; for level
+sums it divides by ``sum|w| * 2**(level/2) * max|table|``, the bound on
+the sum of the points' values, so a move of a few 1e-16 is rounding.
 
 The parts: simulated datasets (i.i.d., AR and AR + FGM processes, dims 1
 to 4, sizes on both sides of the simulator's and the stencil's chunk
@@ -23,9 +35,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -45,25 +59,33 @@ COMPONENTS = ("sine", "bump", "step", "sawtooth")
 
 
 class Digest:
-    """Named SHA-256 parts and one digest over all of them."""
+    """Named SHA-256 parts and one digest over all of them; with a
+    ``sink``, each output is also passed to it as ``(part, record)``."""
 
-    def __init__(self):
+    def __init__(self, sink=None):
         self.parts = {}
+        self.sink = sink
 
     def part(self, name: str):
         return self.parts.setdefault(name, hashlib.sha256())
 
-    def array(self, name: str, value) -> None:
+    def array(self, name: str, value, scale: float | None = None) -> None:
         a = np.ascontiguousarray(value)
         h = self.part(name)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
+        if self.sink:
+            self.sink(name, ("array", a, scale))
 
-    def text(self, name: str, value: str) -> None:
+    def text(self, name: str, value: str, form: str = "text") -> None:
+        """``form`` tells the diff how to read ``value``: ``json``,
+        ``lines`` (one JSON document a line), ``csv`` or plain ``text``."""
         self.part(name).update(value.encode())
+        if self.sink:
+            self.sink(name, (form, value, None))
 
     def json(self, name: str, value) -> None:
-        self.text(name, json.dumps(value, sort_keys=True))
+        self.text(name, json.dumps(value, sort_keys=True), "json")
 
     def total(self) -> str:
         h = hashlib.sha256()
@@ -105,9 +127,12 @@ def wavelet_sums_and_series(dig, aw):
         table = aw.cascade_table(aw.make_family(r), 12)
         name = f"wavelet/R{r}"
         for kind in ("scaling", "wavelet"):
+            peak = np.max(np.abs(table.phi_samples if kind == "scaling"
+                                 else table.psi_samples))
             for level in (0, 3, 7, 12):
                 dig.array(name, aw.weighted_level_sums(table, kind, level,
-                                                       x, w))
+                                                       x, w),
+                          scale=np.sum(np.abs(w)) * 2.0 ** (level / 2) * peak)
         details = [(j, coeffs[:2 ** j]) for j in range(3, 7)]
         dig.array(name, aw.evaluate_series(table, 3, coeffs[:8], details, x,
                                            offset=0.25))
@@ -129,7 +154,7 @@ def fits(dig, aw):
                         data, scen.rho_spec(), table,
                         aw.EstimatorConfig(coord=coord, threshold_const=kappa))
                     name = f"fit/R{r}"
-                    dig.text(name, est.to_json())
+                    dig.text(name, est.to_json(), "json")
                     dig.array(name, aw.eval_estimate(est, table, grid))
                     dig.array(name, aw.eval_estimate(
                         est, table, data.column(coord)))
@@ -195,26 +220,159 @@ def commands(dig, cli):
                 code = cli.main(argv)
             if code != cli.EXIT_OK:
                 raise RuntimeError(f"{argv[0]} exited with {code}")
-            dig.text("cli/commands", out.getvalue().replace(tmp, "<tmp>"))
+            dig.text("cli/commands", out.getvalue().replace(tmp, "<tmp>"),
+                     "lines")
         for path in sorted(p for p in base.rglob("*") if p.is_file()):
             dig.text("cli/commands", str(path.relative_to(base)))
-            dig.part("cli/commands").update(path.read_bytes())
+            dig.text("cli/commands", path.read_bytes().decode(),
+                     path.suffix[1:])
+
+
+def collect(src: Path, sink=None) -> Digest:
+    """Every part's outputs of the ``addwave`` under ``src``."""
+    sys.path.insert(0, str(src.resolve()))
+    import addwave as aw
+    from addwave import cli
+
+    dig = Digest(sink)
+    for step in (simulated, wavelet_sums_and_series, fits, replications):
+        step(dig, aw)
+    experiments(dig, cli)
+    commands(dig, cli)
+    return dig
+
+
+def _stream(src: Path, conn) -> None:
+    """Send ``src``'s records down ``conn``, then its part digests."""
+    dig = collect(src, lambda name, record: conn.send((name, record)))
+    conn.send({name: h.hexdigest() for name, h in dig.parts.items()})
+    conn.close()
+
+
+def _leaves(record) -> tuple[dict, float | None]:
+    """A record as ``{key: values}`` plus the array's own scale: an array
+    under the key ``""``, JSON leaves under the last object key above
+    them, CSV cells under their column's header."""
+    form, value, scale = record
+    if form == "array":
+        return {"": value}, scale
+    leaves: dict = {}
+
+    def walk(item, key):
+        if isinstance(item, dict):
+            for k, v in item.items():
+                walk(v, k)
+        elif isinstance(item, list):
+            for v in item:
+                walk(v, key)
+        else:
+            leaves.setdefault(key, []).append(item)
+
+    if form == "json":
+        walk(json.loads(value), "")
+    elif form == "lines":
+        for line in value.splitlines():
+            walk(json.loads(line), "")
+    elif form == "csv":
+        header, *rows = csv.reader(io.StringIO(value))
+        for row in rows:
+            for key, cell in zip(header, row):
+                walk(float(cell), key)
+    else:
+        walk(value, "text")
+    return leaves, None
+
+
+def _numbers(values) -> np.ndarray | None:
+    if isinstance(values, np.ndarray):
+        return values.astype(float).reshape(-1)
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+           for v in values):
+        return np.array(values, dtype=float)
+    return None
+
+
+class Moves:
+    """How far one part's values moved from the reference tree's."""
+
+    def __init__(self):
+        self.values = self.changed = self.kept = self.other = 0
+        self.max_abs = self.max_rel = 0.0
+
+    def add(self, ref_record, new_record) -> None:
+        (ref, scale), (new, _) = _leaves(ref_record), _leaves(new_record)
+        for key in ref.keys() | new.keys():
+            a, b = ref.get(key, []), new.get(key, [])
+            if np.shape(a) != np.shape(b):
+                self.other += 1
+            elif key == "kept":
+                self.kept += sum(x != y for x, y in zip(a, b))
+            elif (x := _numbers(a)) is not None \
+                    and (y := _numbers(b)) is not None:
+                self._numbers(x, y, scale)
+            else:
+                self.other += sum(x != y for x, y in zip(a, b))
+
+    def _numbers(self, ref, new, scale) -> None:
+        moved = ~((ref == new) | (np.isnan(ref) & np.isnan(new)))
+        self.values += ref.size
+        self.changed += int(moved.sum())
+        if not moved.any():
+            return
+        delta = float(np.max(np.abs(new[moved] - ref[moved])))
+        if scale is None:
+            scale = float(np.max(np.abs(ref[np.isfinite(ref)]), initial=0.0))
+        self.max_abs = max(self.max_abs, delta)
+        self.max_rel = max(self.max_rel, delta / scale if scale else np.inf)
+
+    def line(self, name: str) -> str:
+        return (f"{name:28s} {self.changed:>9d} of {self.values:<9d} "
+                f"{self.max_abs:9.2e} {self.max_rel:9.2e} "
+                f"{self.kept:6d} {self.other:6d}")
+
+
+def diff(src: Path, against: Path) -> None:
+    """Print how far each part of ``src``'s outputs moved from
+    ``against``'s, making both in two processes at once."""
+    ctx = multiprocessing.get_context("spawn")
+    conns, procs = [], []
+    for tree in (against, src):
+        mine, theirs = ctx.Pipe(duplex=False)
+        procs.append(ctx.Process(target=_stream, args=(tree, theirs),
+                                 daemon=True))
+        procs[-1].start()
+        theirs.close()
+        conns.append(mine)
+    moves: dict = {}
+    while True:
+        ref, new = (c.recv() for c in conns)
+        if isinstance(ref, dict):
+            break
+        if ref[0] != new[0]:
+            raise RuntimeError(f"the trees emit different parts: "
+                               f"{ref[0]} against {new[0]}")
+        moves.setdefault(ref[0], Moves()).add(ref[1], new[1])
+    for proc in procs:
+        proc.join()
+    print(f"{'part':28s} {'changed of values':>22s} {'max abs':>9s} "
+          f"{'max rel':>9s} {'kept':>6s} {'other':>6s}")
+    for name in sorted(moves):
+        if ref[name] == new[name]:
+            print(f"{name:28s} identical")
+        else:
+            print(moves[name].line(name))
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--parts", action="store_true")
+    ap.add_argument("--against", type=Path, metavar="OTHER_SRC")
     ns = ap.parse_args(argv)
-    sys.path.insert(0, str(ns.src.resolve()))
-    import addwave as aw
-    from addwave import cli
-
-    dig = Digest()
-    for step in (simulated, wavelet_sums_and_series, fits, replications):
-        step(dig, aw)
-    experiments(dig, cli)
-    commands(dig, cli)
+    if ns.against is not None:
+        diff(ns.src, ns.against)
+        return 0
+    dig = collect(ns.src)
     if ns.parts:
         for name in sorted(dig.parts):
             print(f"{dig.parts[name].hexdigest()}  {name}")
