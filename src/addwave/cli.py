@@ -70,6 +70,14 @@ class ExperimentConfig:
     def __post_init__(self):
         # Reuses the bounds of the family, table and scenario; runs before
         # any cell, and again for command-line overrides via ``replace``.
+        for name in ("master_seed", "family_r", "depth", "coord", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"experiment field {name!r} must be an "
+                                 f"integer, got {value!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"experiment field 'master_seed' must be >= 0, "
+                             f"got {self.master_seed}")
         scenario = scenario_from_config(self.scenario)
         for name, check in (("family_r", make_family),
                             ("depth", _check_depth),
@@ -133,15 +141,15 @@ def parse_experiment_config(payload: dict) -> ExperimentConfig:
         process=payload["process"],
         n_grid=tuple(n_grid),
         reps=reps,
-        master_seed=int(payload["master_seed"]),
+        master_seed=payload["master_seed"],
         kappa_mode=mode,
         kappa_value=float(payload.get("kappa", 1.0)),
-        family_r=int(payload.get("family_r", 2)),
-        depth=int(payload.get("depth", 12)),
-        coord=int(payload.get("coord", 1)),
+        family_r=payload.get("family_r", 2),
+        depth=payload.get("depth", 12),
+        coord=payload.get("coord", 1),
         aggregate=aggregate,
         output_dir=payload.get("output_dir"),
-        budget=int(payload.get("budget", DEFAULT_BUDGET)),
+        budget=payload.get("budget", DEFAULT_BUDGET),
         allow_over_budget=bool(payload.get("allow_over_budget", False)),
         self_test_exponent=None if exponent is None else float(exponent))
 
@@ -215,8 +223,22 @@ def _aggregate_report(config: ExperimentConfig, cells: list,
     return report
 
 
+def _workers() -> int:
+    """The worker count ``ADDWAVE_WORKERS`` asks for; 1 when it is unset."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, "
+                         f"got {raw!r}")
+    return int(raw)
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
-    """Full sweep; returns the report and whether it was interrupted."""
+    """Full sweep; returns the report and whether it was interrupted.
+
+    Cells run in a process pool when ``ADDWAVE_WORKERS`` exceeds 1; the
+    pool is no wider than the cells or the CPUs.
+    """
+    workers = _workers()
     _charge_budget(config.reps, sum(config.n_grid), config.budget,
                    config.allow_over_budget)
     if config.self_test_exponent is not None:
@@ -239,7 +261,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
              config.master_seed, config.coord, kappa, n_index, n, rep)
             for n_index, n in enumerate(config.n_grid)
             for rep in range(config.reps)]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     done = []
     interrupted = False
     try:

@@ -21,18 +21,21 @@ constantly so that its jumps stay exact.
 
 Analysis (``weighted_level_sums``, a scatter onto the shifts) and synthesis
 (``evaluate_series``, a gather at the points) share one stencil,
-``_stencil``.  It walks the points in chunks of ``_CHUNK`` through six
+``_stencil``.  It walks the points in chunks of ``_CHUNK`` through seven
 buffers allocated once per call and refilled with ufunc ``out=``, so the
 cost per point does not grow once the points outrun the L2 cache.  Each
 point's table position is found once and read at every support offset,
-which interpolates at the exact argument.  The scatter keeps one row per
-offset and adds each chunk into it point by point, so every shift sums its
-points in the order one ``bincount`` over all of them would.
+which interpolates at the exact argument; at each offset one unchecked
+gather from a table of neighbouring sample pairs reads both ends of the
+interpolation.  The scatter keeps one row per offset and adds each chunk
+into it point by point, so every shift sums its points in the order one
+``bincount`` over all of them would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, comb, log2
 
 import numpy as np
@@ -42,11 +45,11 @@ SQRT2 = float(np.sqrt(2.0))
 _MIN_DEPTH = 6
 _MAX_DEPTH = 16
 # Points per pass of the stencil, the simulator and the density weights.
-# Their buffers of this length (six 8-byte ones for the stencil plus one
-# that synthesis gathers into, 896 KiB; four for the simulated design,
-# 512 KiB) stay well inside a 2 MiB L2.  On one core with a 2 MiB L2,
-# 2**14 beat 2**13 and 2**15 for analysis plus synthesis at n = 2**20 and
-# for simulation at n = 2**16.
+# Their buffers of this length (six 8-byte ones and one 16-byte one for
+# the stencil plus one that synthesis gathers into, 1.125 MiB; four for the
+# simulated design, 512 KiB) stay inside a 2 MiB L2.  On one core with a
+# 2 MiB L2, 2**14 beat 2**13 and 2**15 for analysis plus synthesis at
+# n = 2**20 and for simulation at n = 2**16.
 _CHUNK = 2 ** 14
 
 
@@ -86,12 +89,31 @@ class BasisTable:
         ``i * 2**-depth`` for ``i = 0 .. support_length * 2**depth``.
     phi_samples, psi_samples : ndarray
         Values of the scaling function and wavelet on that grid.
+    phi_pairs, psi_pairs : ndarray
+        Each node's sample and its right neighbour's, as one complex number;
+        built on first use, for the stencil's interpolation.
     """
 
     family: WaveletFamily
     depth: int
     phi_samples: np.ndarray
     psi_samples: np.ndarray
+
+    @cached_property
+    def phi_pairs(self) -> np.ndarray:
+        return _pair_table(self.phi_samples)
+
+    @cached_property
+    def psi_pairs(self) -> np.ndarray:
+        return _pair_table(self.psi_samples)
+
+
+def _pair_table(samples: np.ndarray) -> np.ndarray:
+    """``samples[i] + 1j * samples[i + 1]`` for each node ``i`` but the
+    last, so one gather reads a node and its right neighbour."""
+    pairs = np.empty(samples.size - 1, np.complex128)
+    pairs.real, pairs.imag = samples[:-1], samples[1:]
+    return pairs
 
 
 def make_family(vanishing_moments: int) -> WaveletFamily:
@@ -255,27 +277,41 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
 
     ``cell`` is each point's ``floor(2**level * x) & (2**level - 1)`` and
     ``vals`` the unscaled values there of the element of shift ``cell -
-    offset`` (mod ``2**level``).  Both are views of six buffers allocated
+    offset`` (mod ``2**level``).  Both are views of seven buffers allocated
     once per call and refilled in place, so a chunk's working set stays in
     L2 however many points there are; the caller may overwrite ``vals``.
     A point's table position ``q = frac * 2**depth`` (exact), node
-    ``floor(q)`` and weight ``t = q - node`` serve every offset ``o``,
-    read at the node of the slices from ``o * 2**depth`` and one further:
-    ``_sample``'s interpolation at the exact ``frac + o``, not its rounded
-    sum.  Only a tiny negative point, whose ``frac`` rounds to 1, needs the
-    node clamped (to ``2**depth - 1``, so ``t = 1``); the two-tap step
-    table is read unclamped.  A chunk with a point that is not finite, or
-    whose cell overflows int64, raises ``ValueError`` before it yields.
+    ``floor(q)`` and weight ``t = q - node`` serve every offset ``o``: one
+    gather at the node from the table's pairs ``(s[i], s[i+1])`` from ``o *
+    2**depth`` on, then ``(1 - t) * s[i] + t * s[i+1]``, is ``_sample``'s
+    interpolation at the exact ``frac + o``, not its rounded sum.  The pairs
+    are built once per table and kind, 16 bytes per sample (192 KiB for DB2
+    at depth 12, 19 MiB for R = 10 at depth 16).  The two-tap step table
+    is read unpaired, from ``o * 2**depth`` through ``2**depth`` further.
+
+    The gathers use ``mode='clip'``, which never changes an index here, in
+    place of a bounds check per element: ``cell`` is masked into ``[0,
+    2**level - 1]``, and ``frac`` lies in ``[0, 1]``, so the node lies in
+    ``[0, 2**depth]``.  It reaches ``2**depth`` only for a tiny negative
+    point, whose ``frac`` rounds to 1: the interpolated tables clamp that
+    node to ``2**depth - 1`` (so ``t = 1``), and the step table's slice
+    holds one entry past ``2**depth - 1`` for it.  A chunk with a point
+    that is not finite, or whose cell overflows int64, raises
+    ``ValueError`` before it yields.
     """
     samples = table.phi_samples if kind == "scaling" else table.psi_samples
     step = 2 ** table.depth
     linear = table.family.vanishing_moments > 1
+    if linear:
+        pairs = table.phi_pairs if kind == "scaling" else table.psi_pairs
     size = min(x.size, _CHUNK)
     frac, pos, low, vals = (np.empty(size) for _ in range(4))
     cell, node = np.empty(size, np.int64), np.empty(size, np.int64)
+    both = np.empty(size if linear else 0, np.complex128)
     for start in range(0, x.size, _CHUNK):
         m = min(x.size - start, _CHUNK)
-        f, p, lo, v, c, k = (a[:m] for a in (frac, pos, low, vals, cell, node))
+        f, p, lo, v, c, k, b = (a[:m] for a in (frac, pos, low, vals, cell,
+                                                node, both))
         np.multiply(x[start:start + m], 2.0 ** level, out=f)
         np.floor(f, out=p)
         _check_cells(p, level)
@@ -292,13 +328,15 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
             np.subtract(f, p, out=f)
             np.subtract(1.0, f, out=p)
         for offset in range(table.family.support_length):
-            head = samples[offset * step:]
-            np.take(head, k, out=v)
             if linear:
-                np.take(head[1:], k, out=lo)
-                np.multiply(f, lo, out=lo)
-                np.multiply(p, v, out=v)
+                np.take(pairs[offset * step:(offset + 1) * step], k, out=b,
+                        mode="clip")
+                np.multiply(f, b.imag, out=lo)
+                np.multiply(p, b.real, out=v)
                 np.add(v, lo, out=v)
+            else:
+                np.take(samples[offset * step:(offset + 1) * step + 1], k,
+                        out=v, mode="clip")
             yield start, c, offset, v
 
 
@@ -455,7 +493,7 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
                   for off in range(table.family.support_length)]
         for start, cell, off, vals in _stencil(table, kind, level, flat_x):
             g = gathered[:vals.size]
-            np.take(rolled[off], cell, out=g)
+            np.take(rolled[off], cell, out=g, mode="clip")
             np.multiply(g, vals, out=g)
             flat_out[start:start + g.size] += g
     if not evaluated:

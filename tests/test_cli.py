@@ -90,6 +90,21 @@ def test_mc_rate_names_out_of_range_fields(tmp_path, capsys):
     assert "'depth'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("master_seed", -1), ("master_seed", "x"), ("master_seed", 1.7),
+    ("family_r", 2.9), ("depth", 12.0), ("coord", True), ("budget", "100")])
+def test_mc_rate_names_integer_fields(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, **{field: value})
+    assert main(["mc-rate", "--config", cfg]) == EXIT_USAGE
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_mc_rate_seed_override_must_be_non_negative(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["mc-rate", "--config", cfg, "--seed", "-1"]) == EXIT_USAGE
+    assert "'master_seed'" in capsys.readouterr().err
+
+
 def test_nan_ise_gives_fit_error_and_no_json(tmp_path, monkeypatch, capsys):
     run_cell = cli._run_cell
 
@@ -183,6 +198,55 @@ def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     pooled, _ = run_experiment(config)
     assert json.dumps(_strip_runtimes(serial), sort_keys=True) \
         == json.dumps(_strip_runtimes(pooled), sort_keys=True)
+
+
+def _inline_pool(widths):
+    """A stand-in for ``ProcessPoolExecutor`` that records its width and
+    maps in this process."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    return InlinePool
+
+
+def test_worker_pool_is_no_wider_than_cells_or_cpus(monkeypatch):
+    config = parse_experiment_config(_base_config())
+    serial, _ = run_experiment(config)
+    widths = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(widths))
+    for cpus, asked, width in ((4, "64", 4), (16, "64", 8), (16, "3", 3),
+                               (16, "1", None), (1, "2", None)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv(WORKERS_ENV, asked)
+        widths.clear()
+        report, _ = run_experiment(config)
+        assert widths == ([] if width is None else [width])
+        assert json.dumps(_strip_runtimes(report), sort_keys=True) \
+            == json.dumps(_strip_runtimes(serial), sort_keys=True)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-3"])
+def test_workers_env_must_be_a_positive_integer(tmp_path, monkeypatch,
+                                                capsys, value):
+    widths = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(widths))
+    monkeypatch.setenv(WORKERS_ENV, value)
+    cfg = _write_config(tmp_path)
+    assert main(["mc-rate", "--config", cfg]) == EXIT_USAGE
+    assert f"{WORKERS_ENV} must be a positive integer" \
+        in capsys.readouterr().err
+    assert widths == []
 
 
 def test_self_test_mode_recovers_planted_slope(tmp_path):

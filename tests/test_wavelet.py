@@ -161,11 +161,15 @@ def test_stencil_across_chunk_boundaries(table):
 
 @pytest.mark.parametrize("level", [0, 5])
 def test_stencil_edge_points(level):
-    # At x = 1 - 2**-53 and level 0, frac + 2 would round up to 3.0, the
-    # table's last node; the stencil reads the position frac * 2**depth
-    # instead, whose node is below 2**depth.  At x = -2**-60 frac itself
-    # rounds up to 1.0, the one case whose node is clamped to the last one
-    # below 2**depth with weight 1 on its right neighbour.
+    # The stencil's gathers clip indices instead of checking them, so these
+    # points pin why every index is in range.  The cell is masked into
+    # [0, 2**level - 1].  frac = 2**level x - floor(2**level x) lies in
+    # [0, 1], so the node floor(frac * 2**depth) lies in [0, 2**depth]:
+    # below 2**depth at x = 1 - 2**-53, where frac + 2 would round up to
+    # the table's last node 3.0, and equal to 2**depth only at x = -2**-60,
+    # where frac itself rounds up to 1.0.  There the interpolated tables
+    # clamp the node to 2**depth - 1 with weight 1 on its right neighbour,
+    # and the Haar step table's slice still holds entry 2**depth (a zero).
     x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60])
     w = np.array([1.0, -2.0, 3.0, 0.5, -1.5])
     for table in (HAAR, DB2, DB10):
@@ -179,6 +183,17 @@ def test_stencil_edge_points(level):
                    + d * eval_periodized(table, "wavelet", level, k, x)
                    for k, (c, d) in enumerate(zip(coeffs, coeffs[::-1])))
         assert float(np.max(np.abs(fast - slow))) < 1e-12
+
+
+@pytest.mark.parametrize("table", [DB2, DB10], ids=["R2", "R10"])
+def test_pair_tables_hold_neighbouring_samples(table):
+    for samples, attr in ((table.phi_samples, "phi_pairs"),
+                          (table.psi_samples, "psi_pairs")):
+        pairs = getattr(table, attr)
+        assert pairs.dtype == np.complex128 and pairs.flags.c_contiguous
+        assert np.array_equal(pairs.real, samples[:-1])
+        assert np.array_equal(pairs.imag, samples[1:])
+        assert getattr(table, attr) is pairs
 
 
 def _unit_series(table, kind, level, shift, x):
