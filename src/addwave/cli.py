@@ -232,6 +232,14 @@ def _workers() -> int:
     return int(raw)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
     """Full sweep; returns the report and whether it was interrupted.
 
@@ -261,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
              config.master_seed, config.coord, kappa, n_index, n, rep)
             for n_index, n in enumerate(config.n_grid)
             for rep in range(config.reps)]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), _usable_cpus())
     done = []
     interrupted = False
     try:

@@ -47,9 +47,11 @@ _MAX_DEPTH = 16
 # Points per pass of the stencil, the simulator and the density weights.
 # Their buffers of this length (six 8-byte ones and one 16-byte one for
 # the stencil plus one that synthesis gathers into, 1.125 MiB; four for the
-# simulated design, 512 KiB) stay inside a 2 MiB L2.  On one core with a
-# 2 MiB L2, 2**14 beat 2**13 and 2**15 for analysis plus synthesis at
-# n = 2**20 and for simulation at n = 2**16.
+# simulated design, 512 KiB) stay inside a 2 MiB L2, with the 64 KiB of
+# pairs one support offset of the DB2 depth-12 table reads (1 MiB at depth
+# 16: past L2, yet no slower at R = 10 than two checked gathers of the
+# samples).  On one core with a 2 MiB L2, 2**14 beat 2**13 and 2**15 for
+# analysis plus synthesis at n = 2**20 and for simulation at n = 2**16.
 _CHUNK = 2 ** 14
 
 
@@ -90,8 +92,9 @@ class BasisTable:
     phi_samples, psi_samples : ndarray
         Values of the scaling function and wavelet on that grid.
     phi_pairs, psi_pairs : ndarray
-        Each node's sample and its right neighbour's, as one complex number;
-        built on first use, for the stencil's interpolation.
+        Each node's sample and its right neighbour's (zero past the last
+        node), as one complex number; built on first use, for the
+        stencil's interpolation.
     """
 
     family: WaveletFamily
@@ -109,10 +112,10 @@ class BasisTable:
 
 
 def _pair_table(samples: np.ndarray) -> np.ndarray:
-    """``samples[i] + 1j * samples[i + 1]`` for each node ``i`` but the
-    last, so one gather reads a node and its right neighbour."""
-    pairs = np.empty(samples.size - 1, np.complex128)
-    pairs.real, pairs.imag = samples[:-1], samples[1:]
+    """``samples[i] + 1j * samples[i + 1]`` for each node ``i``, zero past
+    the last, so one gather reads a node and its right neighbour."""
+    pairs = np.zeros(samples.size, np.complex128)
+    pairs.real, pairs.imag[:-1] = samples, samples[1:]
     return pairs
 
 
@@ -287,23 +290,24 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     interpolation at the exact ``frac + o``, not its rounded sum.  The pairs
     are built once per table and kind, 16 bytes per sample (192 KiB for DB2
     at depth 12, 19 MiB for R = 10 at depth 16).  The two-tap step table
-    is read unpaired, from ``o * 2**depth`` through ``2**depth`` further.
+    is read unpaired.
 
     The gathers use ``mode='clip'``, which never changes an index here, in
     place of a bounds check per element: ``cell`` is masked into ``[0,
     2**level - 1]``, and ``frac`` lies in ``[0, 1]``, so the node lies in
-    ``[0, 2**depth]``.  It reaches ``2**depth`` only for a tiny negative
-    point, whose ``frac`` rounds to 1: the interpolated tables clamp that
-    node to ``2**depth - 1`` (so ``t = 1``), and the step table's slice
-    holds one entry past ``2**depth - 1`` for it.  A chunk with a point
-    that is not finite, or whose cell overflows int64, raises
+    ``[0, 2**depth]``, and each offset's slice holds entries ``0 ..
+    2**depth``.  The node reaches ``2**depth`` only for a tiny negative
+    point, whose ``frac`` rounds to 1; there ``t = 0``, and the last
+    offset reads the zero pair past the table's last node.  A chunk with
+    a point that is not finite, or whose cell overflows int64, raises
     ``ValueError`` before it yields.
     """
-    samples = table.phi_samples if kind == "scaling" else table.psi_samples
     step = 2 ** table.depth
     linear = table.family.vanishing_moments > 1
     if linear:
-        pairs = table.phi_pairs if kind == "scaling" else table.psi_pairs
+        source = table.phi_pairs if kind == "scaling" else table.psi_pairs
+    else:
+        source = table.phi_samples if kind == "scaling" else table.psi_samples
     size = min(x.size, _CHUNK)
     frac, pos, low, vals = (np.empty(size) for _ in range(4))
     cell, node = np.empty(size, np.int64), np.empty(size, np.int64)
@@ -320,23 +324,18 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
         np.bitwise_and(c, 2 ** level - 1, out=c)
         np.multiply(f, step, out=f)
         np.floor(f, out=p)
-        if linear:
-            np.minimum(p, step - 1, out=p)
         k[...] = p
         if linear:
             # From here on f holds t and p holds 1 - t.
             np.subtract(f, p, out=f)
             np.subtract(1.0, f, out=p)
         for offset in range(table.family.support_length):
+            np.take(source[offset * step:(offset + 1) * step + 1], k,
+                    out=b if linear else v, mode="clip")
             if linear:
-                np.take(pairs[offset * step:(offset + 1) * step], k, out=b,
-                        mode="clip")
                 np.multiply(f, b.imag, out=lo)
                 np.multiply(p, b.real, out=v)
                 np.add(v, lo, out=v)
-            else:
-                np.take(samples[offset * step:(offset + 1) * step + 1], k,
-                        out=v, mode="clip")
             yield start, c, offset, v
 
 

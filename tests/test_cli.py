@@ -194,6 +194,8 @@ def test_mc_rate_runs_are_deterministic(tmp_path):
 def test_worker_pool_matches_serial(tmp_path, monkeypatch):
     config = parse_experiment_config(_base_config())
     serial, _ = run_experiment(config)
+    # Two CPUs whatever the runner has, so a real two-process pool runs.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setenv(WORKERS_ENV, "2")
     pooled, _ = run_experiment(config)
     assert json.dumps(_strip_runtimes(serial), sort_keys=True) \
@@ -227,7 +229,7 @@ def test_worker_pool_is_no_wider_than_cells_or_cpus(monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(widths))
     for cpus, asked, width in ((4, "64", 4), (16, "64", 8), (16, "3", 3),
                                (16, "1", None), (1, "2", None)):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         monkeypatch.setenv(WORKERS_ENV, asked)
         widths.clear()
         report, _ = run_experiment(config)

@@ -167,9 +167,10 @@ def test_stencil_edge_points(level):
     # [0, 1], so the node floor(frac * 2**depth) lies in [0, 2**depth]:
     # below 2**depth at x = 1 - 2**-53, where frac + 2 would round up to
     # the table's last node 3.0, and equal to 2**depth only at x = -2**-60,
-    # where frac itself rounds up to 1.0.  There the interpolated tables
-    # clamp the node to 2**depth - 1 with weight 1 on its right neighbour,
-    # and the Haar step table's slice still holds entry 2**depth (a zero).
+    # where frac itself rounds up to 1.0.  Each offset's slice holds
+    # entries 0 .. 2**depth, so that node is in range: with weight 0 on
+    # its right neighbour (past the last node, a zero pair entry) for the
+    # interpolated tables, and as entry 2**depth of the Haar step table.
     x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60])
     w = np.array([1.0, -2.0, 3.0, 0.5, -1.5])
     for table in (HAAR, DB2, DB10):
@@ -191,8 +192,8 @@ def test_pair_tables_hold_neighbouring_samples(table):
                           (table.psi_samples, "psi_pairs")):
         pairs = getattr(table, attr)
         assert pairs.dtype == np.complex128 and pairs.flags.c_contiguous
-        assert np.array_equal(pairs.real, samples[:-1])
-        assert np.array_equal(pairs.imag, samples[1:])
+        assert np.array_equal(pairs.real, samples)
+        assert np.array_equal(pairs.imag, np.append(samples[1:], 0.0))
         assert getattr(table, attr) is pairs
 
 

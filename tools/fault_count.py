@@ -1,23 +1,24 @@
 """Print milliseconds and minor page faults per op for three benchmark ops.
 
-    python3 tools/fault_count.py [--src DIR] [--seed S] [--ops N]
+    python3 tools/fault_count.py [--src DIR]
 
 Each op runs in a fresh interpreter that imports ``addwave`` from ``--src``
 (by default this checkout's ``src/``), so two source trees can be compared
-run for run.  The ops are built as ``perfbench/worker.py`` builds them, on
-its README scenario and design process:
+run for run.  The ops are this checkout's ``perfbench/worker.py`` ones, at
+seed 1 and worker index 0:
 
-- ``replicate``: one ``oracle.replicate_coeffs`` replication at n = 2^14
-  over the 124 shifts of detail levels 2..6, a new ``rep_start`` per op;
-- ``sweep_cell``: one ``cli._run_cell`` at n = 2^16, a new rep per op;
-- ``fit_large``: ``fit_component``, ``eval_estimate`` at every design
-  point and ``ise`` on one n = 2^20 dataset made before the timed ops.
+- ``replicate``: one ``Replicate`` step, a replication at n = 2^14 over the
+  124 shifts of detail levels 2..6;
+- ``sweep_cell``: one ``cli._run_cell`` of the README sweep at n = 2^16, a
+  new rep per op;
+- ``fit_large``: one ``FitLarge`` step, ``fit_component``, ``eval_estimate``
+  at every design point and ``ise`` on one n = 2^20 dataset made in set-up.
 
-Each op runs three times untimed, then ``--ops`` times timed.  Faults are
-``ru_minflt`` from ``getrusage(RUSAGE_SELF)`` around the timed ops, so
-they count this process's own faults only; the time is wall clock.  A
-fault costs a page of first touch, so a count near zero means the op reuses
-memory the allocator kept from the op before.
+Each op runs three times untimed, then a fixed number of times timed.
+Faults are ``ru_minflt`` from ``getrusage(RUSAGE_SELF)`` around the timed
+ops, so they count this process's own faults only; the time is wall clock.
+A fault costs a page of first touch, so a count near zero means the op
+reuses memory the allocator kept from the op before.
 """
 
 from __future__ import annotations
@@ -33,48 +34,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCENARIO_CFG = {"components": ["sine", "bump"], "mu": 0.3,
-                "noise_halfwidth": 0.5}
-PROCESS_CFG = {"ar_coeff": 0.6, "copula_theta": 0.5}
+SEED = 1
 OPS = {"replicate": 200, "sweep_cell": 100, "fit_large": 20}
 WARM_UP = 3
 
 
-def _make_op(name: str, seed: int):
+def _make_op(name: str):
     """A callable that runs op ``name`` once per call."""
-    from addwave import cli, estimator, oracle, simulate, wavelet
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import worker
+    from addwave import cli
 
-    scenario = simulate.scenario_from_config(SCENARIO_CFG)
-    process = simulate.process_from_config(PROCESS_CFG, 2, seed)
-    table = wavelet.cascade_table(wavelet.make_family(2), 12)
-    count = itertools.count()
-    if name == "replicate":
-        targets = [("wavelet", j, k, 1) for j in range(2, 7)
-                   for k in range(2 ** j)]
-        return lambda: oracle.replicate_coeffs(
-            process, scenario, table, targets, n=2 ** 14, reps=1,
-            rep_start=next(count))
     if name == "sweep_cell":
+        config = cli.parse_experiment_config(
+            {"scenario": worker.SCENARIO_CFG, "process": worker.PROCESS_CFG,
+             "n_grid": worker.SWEEP_N_GRID, "reps": 1, "master_seed": SEED,
+             "kappa": 1.0})
+        count = itertools.count()
         return lambda: cli._run_cell(
-            (SCENARIO_CFG, PROCESS_CFG, 2, 12, seed, 1, 1.0, 3, 2 ** 16,
-             next(count)))
-    data = simulate.simulate_dataset(process, scenario, 2 ** 20, rep=0)
-    config = estimator.EstimatorConfig(coord=1, threshold_const=1.0)
-    truth = scenario.component(1)
-
-    def fit_large():
-        est = estimator.fit_component(data, scenario.rho_spec(), table,
-                                      config)
-        estimator.eval_estimate(est, table, data.x[:, 0])
-        return estimator.ise(est, table, truth, grid_size=2048)
-
-    return fit_large
+            (config.scenario, config.process, config.family_r, config.depth,
+             config.master_seed, config.coord, config.kappa_value,
+             len(config.n_grid) - 1, config.n_grid[-1], next(count)))
+    workload = {"replicate": worker.Replicate,
+                "fit_large": worker.FitLarge}[name]()
+    workload.setup(SEED, 0)
+    return workload.step
 
 
-def _measure(name: str, seed: int, ops: int) -> dict:
-    op = _make_op(name, seed)
+def _measure(name: str) -> dict:
+    op = _make_op(name)
     for _ in range(WARM_UP):
         op()
+    ops = OPS[name]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for _ in range(ops):
@@ -88,24 +79,16 @@ def _measure(name: str, seed: int, ops: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--ops", type=int, default=None,
-                    help="timed ops per kind (default: "
-                         + ", ".join(f"{k} {v}" for k, v in OPS.items())
-                         + ")")
     ap.add_argument("--child", choices=sorted(OPS), help=argparse.SUPPRESS)
     ns = ap.parse_args(argv)
-    if ns.ops is not None and ns.ops < 1:
-        ap.error("--ops must be at least 1")
     if ns.child:
         sys.path.insert(0, str(ns.src.resolve()))
-        print(json.dumps(_measure(ns.child, ns.seed, ns.ops)))
+        print(json.dumps(_measure(ns.child)))
         return 0
     print(f"{'op':<12}{'ops':>6}{'ms/op':>10}{'faults/op':>12}")
-    for name, default in OPS.items():
+    for name in OPS:
         out = subprocess.run(
-            [sys.executable, __file__, "--src", str(ns.src), "--seed",
-             str(ns.seed), "--ops", str(ns.ops or default), "--child", name],
+            [sys.executable, __file__, "--src", str(ns.src), "--child", name],
             check=True, capture_output=True, text=True).stdout
         row = json.loads(out)
         print(f"{name:<12}{row['ops']:>6}{row['ms_per_op']:>10.2f}"
