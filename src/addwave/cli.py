@@ -31,9 +31,10 @@ from .estimator import (EstimatorConfig, eval_estimate, fit_component,
                         identity_rho, ise, max_detail_level, threshold_scale)
 from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
                      calibrate_threshold, rate_fit)
-from .simulate import (dataset_meta, process_from_config, read_dataset_json,
-                       scenario_from_config, simulate_dataset,
-                       test_function, write_dataset_csv, write_dataset_json)
+from .simulate import (_config_number, dataset_meta, process_from_config,
+                       read_dataset_json, scenario_from_config,
+                       simulate_dataset, test_function, write_dataset_csv,
+                       write_dataset_json)
 from .wavelet import (_check_depth, basis_diagnostics, cascade_table,
                       make_family)
 
@@ -79,6 +80,7 @@ class ExperimentConfig:
             raise ValueError(f"experiment field 'master_seed' must be >= 0, "
                              f"got {self.master_seed}")
         scenario = scenario_from_config(self.scenario)
+        process_from_config(self.process, scenario.dim, self.master_seed)
         for name, check in (("family_r", make_family),
                             ("depth", _check_depth),
                             ("coord", scenario.component)):
@@ -86,6 +88,23 @@ class ExperimentConfig:
                 check(getattr(self, name))
             except ValueError as exc:
                 raise ValueError(f"experiment field {name!r}: {exc}") from None
+        # Normalised to floats here, so a ``--kappa`` override is checked
+        # as a config value is.
+        object.__setattr__(self, "kappa_value", _config_number(
+            self.kappa_value, "experiment field 'kappa'", low=0.0))
+        if self.self_test_exponent is not None:
+            # A rate: a negative one overflows the planted series.
+            object.__setattr__(self, "self_test_exponent", _config_number(
+                self.self_test_exponent,
+                "experiment field 'self_test_exponent'", low=0.0))
+        if not isinstance(self.allow_over_budget, bool):
+            raise ValueError(f"experiment field 'allow_over_budget' must be "
+                             f"true or false, got "
+                             f"{json.dumps(self.allow_over_budget)[:40]}")
+        if self.output_dir is not None and not isinstance(self.output_dir,
+                                                          str):
+            raise ValueError(f"experiment field 'output_dir' must be a "
+                             f"string, got {json.dumps(self.output_dir)[:40]}")
 
     def echo(self) -> dict:
         out = {
@@ -135,7 +154,6 @@ def parse_experiment_config(payload: dict) -> ExperimentConfig:
     if aggregate not in ("mean", "median"):
         raise ValueError(
             "experiment field 'aggregate' must be 'mean' or 'median'")
-    exponent = payload.get("self_test_exponent")
     return ExperimentConfig(
         scenario=payload["scenario"],
         process=payload["process"],
@@ -143,15 +161,15 @@ def parse_experiment_config(payload: dict) -> ExperimentConfig:
         reps=reps,
         master_seed=payload["master_seed"],
         kappa_mode=mode,
-        kappa_value=float(payload.get("kappa", 1.0)),
+        kappa_value=payload.get("kappa", 1.0),
         family_r=payload.get("family_r", 2),
         depth=payload.get("depth", 12),
         coord=payload.get("coord", 1),
         aggregate=aggregate,
         output_dir=payload.get("output_dir"),
         budget=payload.get("budget", DEFAULT_BUDGET),
-        allow_over_budget=bool(payload.get("allow_over_budget", False)),
-        self_test_exponent=None if exponent is None else float(exponent))
+        allow_over_budget=payload.get("allow_over_budget", False),
+        self_test_exponent=payload.get("self_test_exponent"))
 
 
 @lru_cache(maxsize=8)

@@ -22,14 +22,14 @@ constantly so that its jumps stay exact.
 Analysis (``weighted_level_sums``, a scatter onto the shifts) and synthesis
 (``evaluate_series``, a gather at the points) share one stencil,
 ``_stencil``.  It walks the points in chunks of ``_CHUNK`` through seven
-buffers allocated once per call and refilled with ufunc ``out=``, so the
-cost per point does not grow once the points outrun the L2 cache.  Each
-point's table position is found once and read at every support offset,
-which interpolates at the exact argument; at each offset one unchecked
-gather from a table of neighbouring sample pairs reads both ends of the
-interpolation.  The scatter keeps one row per offset and adds each chunk
-into it point by point, so every shift sums its points in the order one
-``bincount`` over all of them would.
+buffers, views of one allocation per call refilled with ufunc ``out=``,
+so the cost per point does not grow once the points outrun the L2 cache.
+Each point's table position is found once and read at every support
+offset, which interpolates at the exact argument; at each offset one
+unchecked gather from a table of neighbouring sample pairs reads both ends
+of the interpolation.  The scatter keeps one row per offset and adds each
+chunk into it point by point, so every shift sums its points in the order
+one ``bincount`` over all of them would.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _MIN_DEPTH = 6
 _MAX_DEPTH = 16
 # Points per pass of the stencil, the simulator and the density weights.
 # Their buffers of this length (six 8-byte ones and one 16-byte one for
-# the stencil plus one that synthesis gathers into, 1.125 MiB; four for the
-# simulated design, 512 KiB) stay inside a 2 MiB L2, with the 64 KiB of
+# the stencil plus one that synthesis gathers into, 1.125 MiB; three for
+# the design's FGM step, 384 KiB) stay inside a 2 MiB L2, with the 64 KiB of
 # pairs one support offset of the DB2 depth-12 table reads (1 MiB at depth
 # 16: past L2, yet no slower at R = 10 than two checked gathers of the
 # samples).  On one core with a 2 MiB L2, 2**14 beat 2**13 and 2**15 for
@@ -280,9 +280,10 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
 
     ``cell`` is each point's ``floor(2**level * x) & (2**level - 1)`` and
     ``vals`` the unscaled values there of the element of shift ``cell -
-    offset`` (mod ``2**level``).  Both are views of seven buffers allocated
-    once per call and refilled in place, so a chunk's working set stays in
-    L2 however many points there are; the caller may overwrite ``vals``.
+    offset`` (mod ``2**level``).  Both are views of seven buffers carved
+    from one allocation per call and refilled in place, so a chunk's
+    working set stays in L2 however many points there are; the caller may
+    overwrite ``vals``.
     A point's table position ``q = frac * 2**depth`` (exact), node
     ``floor(q)`` and weight ``t = q - node`` serve every offset ``o``: one
     gather at the node from the table's pairs ``(s[i], s[i+1])`` from ``o *
@@ -309,9 +310,13 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     else:
         source = table.phi_samples if kind == "scaling" else table.psi_samples
     size = min(x.size, _CHUNK)
-    frac, pos, low, vals = (np.empty(size) for _ in range(4))
-    cell, node = np.empty(size, np.int64), np.empty(size, np.int64)
-    both = np.empty(size if linear else 0, np.complex128)
+    # One allocation per call: glibc hands seven separate buffers of 128
+    # KiB or more back to the system on return, and the next call faults
+    # them in again.
+    buffers = np.empty(size * (8 if linear else 6))
+    frac, pos, low, vals, cell, node = buffers[:6 * size].reshape(6, size)
+    cell, node = cell.view(np.int64), node.view(np.int64)
+    both = buffers[6 * size:].view(np.complex128)
     for start in range(0, x.size, _CHUNK):
         m = min(x.size - start, _CHUNK)
         f, p, lo, v, c, k, b = (a[:m] for a in (frac, pos, low, vals, cell,
@@ -404,15 +409,18 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
                          f"for {xa.size} points")
     n_shifts = 2 ** level
     # Row ``offset`` sums each cell's points in point order, as one
-    # ``bincount`` over all points would; rolled by the offset it is that
-    # offset's ``bincount((floor - offset) % n_shifts)``.
+    # ``bincount`` over all points would; rotated left by the offset it is
+    # that offset's ``bincount((floor - offset) % n_shifts)``, added here
+    # as two slices.
     rows = np.zeros((table.family.support_length, n_shifts))
     for start, cell, offset, vals in _stencil(table, kind, level, xa):
         np.multiply(w[start:start + vals.size], vals, out=vals)
         np.add.at(rows[offset], cell, vals)
     acc = np.zeros(n_shifts)
     for offset, row in enumerate(rows):
-        acc += np.roll(row, -offset)
+        o = offset % n_shifts
+        acc[:n_shifts - o] += row[o:]
+        acc[n_shifts - o:] += row[:o]
     return acc * 2.0 ** (level / 2.0)
 
 

@@ -99,6 +99,64 @@ def test_mc_rate_names_integer_fields(tmp_path, capsys, field, value):
     assert f"'{field}'" in capsys.readouterr().err
 
 
+def _no_cell(job):
+    raise AssertionError(f"a cell ran: {job}")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kappa", -1.0), ("kappa", "abc"), ("kappa", float("nan")),
+    ("self_test_exponent", "x"), ("self_test_exponent", float("inf")),
+    ("self_test_exponent", -1000),
+    ("allow_over_budget", "false"), ("allow_over_budget", 0),
+    ("output_dir", 3)])
+def test_mc_rate_names_number_and_flag_fields(tmp_path, capsys, monkeypatch,
+                                              field, value):
+    monkeypatch.setattr(cli, "_run_cell", _no_cell)
+    cfg = _write_config(tmp_path, **{field: value})
+    assert main(["mc-rate", "--config", cfg]) == EXIT_USAGE
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, field, value", [
+    ("scenario", "mu", float("nan")), ("scenario", "mu", "0.3"),
+    ("scenario", "mu", 1e200), ("scenario", "noise_halfwidth", 1e308),
+    ("scenario", "noise_halfwidth", -0.5),
+    ("process", "ar_coeff", "0.6"), ("process", "ar_coeff", True),
+    ("process", "ar_coeff", float("-inf")),
+    ("process", "copula_theta", float("nan")),
+    ("process", "copula_theta", "0.5")])
+def test_mc_rate_names_scenario_and_process_numbers(tmp_path, capsys,
+                                                    monkeypatch, block,
+                                                    field, value):
+    monkeypatch.setattr(cli, "_run_cell", _no_cell)
+    payload = _base_config()
+    payload[block] = dict(payload[block], **{field: value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["mc-rate", "--config", str(cfg)]) == EXIT_USAGE
+    assert f"{block} field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["-1", "nan", "inf"])
+def test_mc_rate_checks_the_kappa_override(tmp_path, capsys, monkeypatch,
+                                           kappa):
+    monkeypatch.setattr(cli, "_run_cell", _no_cell)
+    cfg = _write_config(tmp_path)
+    assert main(["mc-rate", "--config", cfg, "--kappa", kappa]) \
+        == EXIT_USAGE
+    assert "'kappa'" in capsys.readouterr().err
+
+
+def test_parse_config_keeps_valid_numbers_and_flags():
+    config = parse_experiment_config(_base_config(
+        kappa=2, self_test_exponent=1, allow_over_budget=True,
+        output_dir="out"))
+    assert (config.kappa_value, config.self_test_exponent) == (2.0, 1.0)
+    assert type(config.kappa_value) is type(config.self_test_exponent) \
+        is float
+    assert config.allow_over_budget is True
+
+
 def test_mc_rate_seed_override_must_be_non_negative(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["mc-rate", "--config", cfg, "--seed", "-1"]) == EXIT_USAGE

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,15 @@ from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from addwave import MixingProcessSpec, ScenarioSpec, simulate_dataset
+from addwave import MixingProcessSpec, ScenarioSpec, simulate
+from addwave import simulate_dataset
 from addwave import test_function as catalog_fn
 from addwave.simulate import (
     _CHUNK,
+    _MIN_LANES,
+    _Layout,
+    _block_steps,
+    _repair,
     dataset_meta,
     fgm_density,
     gen_design,
@@ -27,6 +36,7 @@ from addwave.simulate import (
 )
 
 AR_PROCESS = MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=12)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_process_spec_validation():
@@ -108,21 +118,97 @@ def _whole_array_draw(process, scenario, n, rep):
     return x, y
 
 
+def _design_sizes(process):
+    """Sizes on both sides of each edge of the simulator: 1, the block
+    length W and 2W, the fewest blocks a vectorised pass takes, one pass
+    holding all coordinates, one span of values, and ``_CHUNK``."""
+    sizes = {1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3}
+    if process.ar_coeff:
+        w = _block_steps(process.ar_coeff)[0]
+        fewest = (-(-_MIN_LANES // process.dim) - 1) * w
+        sizes |= {w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1,
+                  fewest, fewest + 1}
+    if process.ar_coeff in (0.0, 0.7, 0.99):
+        span = _Layout(process.dim, 1, process.ar_coeff).span
+        sizes |= {span // process.dim, span // process.dim + 1, span + 3}
+    return sorted(sizes)
+
+
 def test_simulator_chunks_match_whole_array_draw():
     processes = [MixingProcessSpec(dim=d, ar_coeff=ar, seed=30 + d)
-                 for d in range(1, 5) for ar in (0.0, 0.7)]
-    processes.append(MixingProcessSpec(dim=2, ar_coeff=0.6,
-                                       copula_theta=-0.45, seed=35))
+                 for d in range(1, 5) for ar in (0.0, 0.3, 0.7, 0.9, 0.99)]
+    processes += [MixingProcessSpec(dim=2, ar_coeff=ar, copula_theta=-0.45,
+                                    seed=35) for ar in (0.6, 0.99)]
     names = ("sine", "bump", "step", "sawtooth")
-    for n in (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
-        for proc in processes:
-            for noise in (0.0, 0.5):
-                scen = ScenarioSpec(components=names[:proc.dim], offset=0.3,
-                                    noise_halfwidth=noise)
-                data = simulate_dataset(proc, scen, n, rep=n % 5)
-                x, y = _whole_array_draw(proc, scen, n, rep=n % 5)
-                assert np.array_equal(data.x, x), (n, proc, noise)
-                assert np.array_equal(data.y, y), (n, proc, noise)
+    for proc in processes:
+        for n in _design_sizes(proc):
+            noise = 0.5 * (n % 2)
+            scen = ScenarioSpec(components=names[:proc.dim], offset=0.3,
+                                noise_halfwidth=noise)
+            data = simulate_dataset(proc, scen, n, rep=n % 5)
+            x, y = _whole_array_draw(proc, scen, n, rep=n % 5)
+            assert np.array_equal(data.x, x), (n, proc, noise)
+            assert np.array_equal(data.y, y), (n, proc, noise)
+
+
+def test_blocks_that_fail_their_check_are_repaired(monkeypatch):
+    # Blocks of 5 with one warm-up step from a 4-term estimate: nearly
+    # every boundary check fails, and the sequential reruns alone must
+    # give the filter's values.
+    monkeypatch.setattr(simulate, "_block_steps", lambda ar: (5, 1))
+    failed = []
+    repair = simulate._repair
+
+    def counting(steps, blocks, b, ar, m, lanes):
+        failed.append(lanes.size)
+        repair(steps, blocks, b, ar, m, lanes)
+
+    monkeypatch.setattr(simulate, "_repair", counting)
+    for ar in (0.3, 0.6, 0.9):
+        proc = MixingProcessSpec(dim=2, ar_coeff=ar, seed=41)
+        for n in (40, 501, 3000):
+            x, _ = gen_design(proc, n, rep=1)
+            scen = ScenarioSpec(components=("sine", "bump"))
+            assert np.array_equal(x, _whole_array_draw(proc, scen, n, 1)[0])
+    assert sum(failed) > 1000
+
+
+def test_block_repair_runs_on_into_the_next_block():
+    # Block 1 starts one unit off and, at 8 steps a block, is still off at
+    # its end; block 2 went on from that wrong end, as if its warm-up had
+    # matched it, so only block 1 is flagged.  The rerun of block 1 must
+    # carry on into block 2 and stop in block 3, which is exact.
+    ar, w, m = 0.6, 8, 4
+    b = math.sqrt(1.0 - ar * ar)
+    z = np.random.default_rng(5).standard_normal(m * w)
+    exact = np.concatenate([z[:1], lfilter([b], [1.0, -ar], z[1:],
+                                           zi=ar * z[:1])[0]])
+    wrong = exact.copy()
+    y = exact[w - 1] + 1.0
+    for i in range(w, 3 * w):
+        y = ar * y + b * z[i]
+        wrong[i] = y
+    assert wrong[3 * w - 1] != exact[3 * w - 1]
+    steps = wrong.reshape(m, w).T.copy()
+    _repair(steps, z.reshape(m, w), b, ar, m, np.array([1]))
+    assert np.array_equal(steps.T.reshape(-1), exact)
+
+
+@pytest.mark.parametrize("code, absent", [
+    ("import addwave.cli", "scipy"),
+    ("import addwave\n"
+     "proc = addwave.MixingProcessSpec(dim=2, ar_coeff=0.6, seed=1)\n"
+     "scen = addwave.ScenarioSpec(components=('sine', 'bump'))\n"
+     "addwave.simulate_dataset(proc, scen, 2 ** 14)", "scipy.signal")],
+    ids=["import-cli", "ar-simulation"])
+def test_modules_left_unloaded(code, absent):
+    probe = (f"{code}\nimport sys\n"
+             f"print(sorted(m for m in sys.modules if m == {absent!r} "
+             f"or m.startswith({absent!r} + '.')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC)).stdout
+    assert out.strip() == "[]"
 
 
 def test_noiseless_responses_are_exact_sums():
