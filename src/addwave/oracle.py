@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import _weights, max_detail_level, threshold_scale
-from .simulate import MixingProcessSpec, ScenarioSpec, simulate_dataset
+from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
 from .wavelet import BasisTable, level_coeffs, weighted_level_sums
 
 DEFAULT_BUDGET = 1_000_000_000
@@ -121,8 +121,8 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
             raise ValueError(f"shift {shift} out of range at level {level}")
         groups.setdefault((kind, level, coord), []).append((col, shift))
     out = np.empty((reps, len(targets)))
-    for r in range(reps):
-        data = simulate_dataset(process, scenario, n, rep=rep_start + r)
+    datasets = simulate_datasets(process, scenario, n, rep_start, reps)
+    for r, data in enumerate(datasets):
         w = _weights(data, rho)
         for (kind, level, coord), members in groups.items():
             sums = weighted_level_sums(

@@ -20,25 +20,27 @@ these taps: its transposed direct form adds ``fl(b * z_i)`` to a state
 ``0 * z_(i-1) - fl(-ar * y_(i-1))``, which is ``fl(ar * y_(i-1))``
 exactly.  The recursion runs in numpy instead, vectorised across blocks
 of ``W`` steps with ``ar**(W - 8) <= 2**-64`` (W = 95 at ar = 0.6).
-Each block first warms up over the block before it: a weighted sum of
-that block's first inputs estimates the chain ``V`` steps before its end
-to about ``2**-48``, and ``V`` exact steps, ``ar**(V - 8) <= 2**-16``,
-bring it to well below an ulp of the chain.  So the warm-up almost always
-ends on the previous block's exact last value, and that is checked at
-every boundary: a block whose warm-up matches is exact by induction,
-since its own steps then repeat the sequential arithmetic.  A block that
-does not match is rerun sequentially, in Python floats, from the exact
-value before it, until its values agree with the stored ones; a rerun
-that reaches the block's end goes on into the next block.  A pass with
-too few blocks runs sequentially throughout.  The vectorised pass costs
-about ``W + V`` numpy steps, so its cost grows like ``1 / (1 - ar)``.
+Each block first warms up: ``W`` steps from 0 over the block before it,
+whose start is then forgotten but for ``2**-64`` of the chain's size, so
+the warm-up almost always ends on the previous block's exact last value.
+That is checked at every boundary: a block whose warm-up matches is exact
+by induction, since its own steps then repeat the sequential arithmetic.
+A block that does not match is rerun sequentially, in Python floats, from
+the exact value before it, until its values agree with the stored ones; a
+rerun that reaches the block's end goes on into the next block.  A pass
+takes ``2 * W`` vectorised steps, or one per point where it has at most
+``2 * W`` points, each two numpy calls: a cost per pass that grows like
+``1 / (1 - ar)`` and outweighs the arithmetic, two multiplies and two
+adds a value, where a pass has few blocks.
 
-The design is made in passes of ``_SPAN`` values (longer where 64
-blocks are) through buffers carved from one allocation per call, and the
-responses in chunks of ``_CHUNK`` points, so no temporary spans all n
-points.  Each coordinate's normals are drawn in order, all of the first
-coordinate's before the second's, so every value is bit for bit the one
-a whole-array draw and filter give.
+The design is made in passes of ``_SPAN`` values through buffers carved
+from one allocation per call, less than four spans of floats whatever
+``ar`` is, and the responses in chunks of ``_CHUNK`` points, so no
+temporary spans all n points.  Each coordinate's normals are drawn in
+order, all of the first coordinate's before the second's, so every value
+is bit for bit the one a whole-array draw and filter give.  Replications
+drawn together, as ``simulate_datasets`` does a pass's worth at a time,
+each keep their own stream and so their values.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
@@ -202,13 +205,9 @@ def gen_design(spec: MixingProcessSpec, n: int,
                rep: int = 0) -> tuple[np.ndarray, DesignDensity]:
     """Draw n design points; returns the points and their exact density.
 
-    The latent chains come pass by pass from ``_Layout.passes``: every
-    coordinate at once when ``d * n`` fits one pass, else one coordinate
-    at a time.  Each pass's chain values go through the normal CDF
-    straight into the returned ``(n, d)`` array and, for the second
-    coordinate, through the FGM step against the finished first, in
-    chunks of ``_CHUNK``.  Every value equals the one a single ``(d, n)``
-    draw and one ``lfilter`` over whole rows would give, bit for bit.
+    A batch of one replication from ``gen_designs``.  Every value equals
+    the one a single ``(d, n)`` draw and one ``lfilter`` over whole rows
+    would give, bit for bit.
 
     Time per call with d = 2 and FGM theta 0.5, fastest of alternating
     calls in one process (2-core Xeon, Python 3.11, numpy 2.4), with the
@@ -217,136 +216,132 @@ def gen_design(spec: MixingProcessSpec, n: int,
     ============  ============  ============  ============  ============
     ar            n = 2^10      n = 2^14      n = 2^16      n = 2^20
     ============  ============  ============  ============  ============
-    0.6 (W 95)    0.24 (0.13)   1.28 (1.29)   4.9 (5.1)     97 (100)
-    0.9 (W 430)   0.29 (0.13)   1.6 (1.2)     5.0 (4.8)     97 (99)
-    0.99 (W 4422) 0.29 (0.13)   4.0 (1.5)     10.3 (4.9)    184 (85)
+    0.6 (W 95)    0.43 (0.16)   1.52 (1.40)   4.6 (4.9)     81 (84)
+    0.9 (W 430)   0.86 (0.13)   1.8 (1.2)     4.9 (4.6)     117 (104)
+    0.99 (W 4422) 1.07 (0.12)   9.4 (1.2)     13.1 (4.6)    313 (87)
     ============  ============  ============  ============  ============
 
-    Passes of fewer than ``_MIN_LANES`` blocks run sequentially, at about
-    0.12 us a value: n = 2^10 at ar = 0.9 and 0.99, and n = 2^14 at 0.99.
+    Where a pass has few blocks (small n, or n past one span at large
+    ``ar``) the numpy calls of its ``2 * W`` steps dominate; batches of
+    replications from ``simulate_datasets`` give those steps more blocks.
+    """
+    xs, density = gen_designs(spec, n, rep, 1)
+    return xs[0], density
+
+
+def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
+                reps: int) -> tuple[list, DesignDensity]:
+    """The designs of replications ``rep_start`` to ``rep_start + reps -
+    1``, drawn together; each equals ``gen_design(spec, n, rep)``.
+
+    The latent chains, ``reps * d`` of them, come pass by pass from
+    ``_Layout.passes``: all at once when they fit one pass, else one chain
+    at a time.  Each pass's chain values go through the normal CDF
+    straight into the replication's ``(n, d)`` array and, for the second
+    coordinate, through the FGM step against the finished first, in
+    chunks of ``_CHUNK``.  Each replication draws from its own stream.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     # Imported here, so that importing the package loads no scipy.
     from scipy.special import ndtr
-    rng = np.random.default_rng((spec.seed, rep, _DESIGN_CHANNEL))
-    theta = spec.copula_theta
-    x = np.empty((n, spec.dim))
-    layout = _Layout(spec.dim, n, spec.ar_coeff if n > 1 else 0.0)
+    dim, theta = spec.dim, spec.copula_theta
+    rngs = []
+    for rep in range(rep_start, rep_start + reps):
+        rng = np.random.default_rng((spec.seed, rep, _DESIGN_CHANNEL))
+        rngs += [rng] * dim
+    xs = [np.empty((n, dim)) for _ in range(reps)]
+    layout = _Layout(len(rngs), n, spec.ar_coeff if n > 1 else 0.0)
     chunk = min(n, _CHUNK)
     # One allocation per call for every buffer, FGM scratch included:
     # separate buffers of 128 KiB or more fault in again every call.
     work = np.empty(layout.words + (3 * chunk if theta else 0))
     fgm = work[layout.words:].reshape(3, chunk) if theta else None
-    for first, start, chains in layout.passes(rng, work):
-        for coord, y in enumerate(chains, first):
-            out = x[start:start + y.size, coord]
+    for first, start, chains in layout.passes(rngs, work):
+        for chain, y in enumerate(chains, first):
+            rep, coord = divmod(chain, dim)
+            out = xs[rep][start:start + y.size, coord]
             if coord == 1 and theta:
                 ndtr(y, out=y)
-                u1 = x[start:start + y.size, 0]
+                u1 = xs[rep][start:start + y.size, 0]
                 for a in range(0, y.size, _CHUNK):
                     _fgm_conditional(u1[a:a + _CHUNK], y[a:a + _CHUNK],
                                      theta, fgm, out[a:a + _CHUNK])
             else:
                 ndtr(y, out=out)
-    density = fgm_density(theta) if theta else uniform_density(spec.dim)
-    return x, density
+    density = fgm_density(theta) if theta else uniform_density(dim)
+    return xs, density
 
 
-# Values per pass of the recursion: its two buffers, 1 MiB each, share
-# the 2 MiB L2, and n = 2^16 with d = 2 is one pass.
+# Values per pass of the recursion, whatever ar is: its two buffers, 1 MiB
+# each, share the 2 MiB L2, and n = 2^16 with d = 2 is one pass.
 _SPAN = 2 ** 17
-# A pass with fewer blocks than this runs sequentially: its vectorised
-# steps would cost about as much as 16 blocks' worth of Python floats.
-_MIN_LANES = 16
 
 
-def _block_steps(ar: float) -> tuple[int, int]:
-    """Block length ``W`` and warm-up length ``V`` of the recursion.
-
-    After ``W - 8`` steps two starts of the chain differ by at most
-    ``2**-64`` of their gap, after ``V - 8`` by ``2**-16``; the 8 extra
-    steps absorb rounding.
-    """
-    memory = math.log(2.0) / -math.log(ar)
-    return math.ceil(64.0 * memory) + 8, math.ceil(16.0 * memory) + 8
+def _block_steps(ar: float) -> int:
+    """Block length ``W`` of the recursion: after ``W - 8`` steps two
+    starts of the chain differ by at most ``2**-64`` of their gap, and the
+    8 extra steps absorb rounding."""
+    return math.ceil(64.0 * math.log(2.0) / -math.log(ar)) + 8
 
 
 class _Layout:
-    """How the latent chains of a ``(dim, n)`` draw are cut into passes.
+    """How ``chains`` latent chains of ``n`` points are cut into passes.
 
-    A pass holds ``rows`` chains of at most ``size`` points: every
-    coordinate at once when ``dim * n`` fits a ``span`` of values, else one
-    coordinate and ``size`` points at a time; a span is ``_SPAN`` values,
-    or 64 blocks where those are longer.  A pass of enough blocks of ``w``
-    points runs vectorised across them, its rows padded to whole blocks.
-    ``words`` is the number of floats of buffer ``passes`` needs.
+    A pass holds ``rows`` chains of at most ``size`` points: every chain at
+    once when ``chains * n`` fits ``_SPAN`` values, else one chain and
+    ``_SPAN`` points at a time.  With ``ar`` nonzero, a pass of ``length``
+    points cuts each row into blocks of ``W`` points, the last one padded,
+    or into one block where ``length`` is at most ``2 * W``: a second
+    block's warm-up and own steps would cost ``2 * W`` vectorised steps.
+    So its values and its steps each take less than twice ``length``
+    floats of buffer a row.  ``words`` is the number of floats ``passes``
+    needs.
     """
 
-    def __init__(self, dim: int, n: int, ar: float):
-        self.dim, self.n, self.ar = dim, n, ar
-        self.w = w = _block_steps(ar)[0] if ar else 1
-        self.span = max(_SPAN, 64 * w)
-        self.rows = dim if dim * n <= self.span else 1
-        self.size = min(n, self.span)
-        lanes = self.lanes(self.size)
-        self.width = -(-self.size // w) * w if lanes else self.size
-        self.words = self.rows * self.width * (2 if lanes else 1) + 2 * lanes
+    def __init__(self, chains: int, n: int, ar: float):
+        self.chains, self.n, self.ar = chains, n, ar
+        self.rows = chains if chains * n <= _SPAN else 1
+        self.size = min(n, _SPAN)
+        self.w = _block_steps(ar) if ar else self.size
+        w, m = self.blocks(self.size)
+        self.area = self.rows * w * m
+        self.words = 2 * self.area + 2 * self.rows * m if ar else self.area
 
-    def lanes(self, length: int) -> int:
-        """Blocks in a pass of ``length`` points; 0 when it runs
-        sequentially."""
-        lanes = self.rows * -(-length // self.w)
-        return lanes if self.ar and lanes >= _MIN_LANES else 0
+    def blocks(self, length: int) -> tuple[int, int]:
+        """Block length and blocks per row of a pass of ``length``
+        points."""
+        w = self.w if length > 2 * self.w else length
+        return w, -(-length // w)
 
-    def passes(self, rng, work: np.ndarray):
+    def passes(self, rngs: list, work: np.ndarray):
         """Yield ``(first, start, chains)`` pass by pass.
 
         ``chains`` is a ``(rows, length)`` view of ``work`` whose row ``r``
-        holds the latent AR(1) chain of coordinate ``first + r`` at points
-        ``start`` to ``start + length``; the caller may overwrite it.
-        Normals are drawn row after row, pass after pass, so the stream is
-        consumed in the order of one ``(dim, n)`` draw.  Rows carry their
-        last value from pass to pass.
+        holds latent AR(1) chain ``first + r`` at points ``start`` to
+        ``start + length``; the caller may overwrite it.  Chain ``c`` draws
+        its normals from ``rngs[c]``, chain after chain and pass after
+        pass, so chains that share a stream consume it in the order of one
+        whole-array draw, first chain first.  Rows carry their last value
+        from pass to pass.
         """
-        rows, size, w = self.rows, self.size, self.w
-        area = rows * self.width
-        for first in range(0, self.dim, rows):
+        rows, size, area = self.rows, self.size, self.area
+        for first in range(0, self.chains, rows):
             prev = [0.0] * rows
             for start in range(0, self.n, size):
                 length = min(self.n - start, size)
-                lanes = self.lanes(length)
-                padded = lanes // rows * w if lanes else length
-                z = work[:rows * padded].reshape(rows, padded)
-                for row in z:
+                w, m = self.blocks(length)
+                z = work[:rows * w * m].reshape(rows, w * m)
+                for row, rng in zip(z, rngs[first:first + rows]):
                     rng.standard_normal(out=row[:length])
-                if lanes:
+                if self.ar:
                     z[:, length:] = 0.0
                     _ar1_blocks(z, self.ar, w, prev, start == 0,
-                                work[area:area + rows * padded],
-                                work[2 * area:2 * area + 2 * lanes])
-                elif self.ar:
-                    _ar1_rows(z, self.ar, prev, start == 0)
+                                work[area:area + z.size],
+                                work[2 * area:2 * area + 2 * rows * m])
                 chains = z[:, :length]
                 prev = chains[:, -1].tolist()
                 yield first, start, chains
-
-
-def _chain(inputs: list, y: float, ar: float) -> list:
-    """``y = ar * y + v`` for each input in turn, in Python floats."""
-    return [y := ar * y + v for v in inputs]
-
-
-def _ar1_rows(z: np.ndarray, ar: float, prev: list, fresh: bool) -> None:
-    """The sequential recursion along each row of ``z``, in place: normals
-    in, chain values out.  Row ``r`` continues from ``prev[r]``; a
-    ``fresh`` row starts the chain at its first normal."""
-    b = sqrt(1.0 - ar * ar)
-    for row, y in zip(z, prev):
-        inputs = np.multiply(row, b).tolist()
-        if fresh:
-            inputs[0] = float(row[0])
-        row[:] = _chain(inputs, y, ar)
 
 
 def _ar1_blocks(z: np.ndarray, ar: float, w: int, prev: list, fresh: bool,
@@ -357,12 +352,10 @@ def _ar1_blocks(z: np.ndarray, ar: float, w: int, prev: list, fresh: bool,
     ``steps`` holds the inputs lane-major, one row per step and one
     column (lane) per block, so every vectorised step is contiguous; the
     blocks' own steps overwrite their inputs with chain values.  Block 0
-    of each row starts from ``prev`` and is exact.  Each later block warms
-    up over the block before it: one matrix-vector product sums that
-    block's first ``w - v`` inputs, weighted by powers of ``ar``, which is
-    the chain ``v`` steps before the block's end up to ``2**-48`` of its
-    size, and ``v`` exact steps from there shrink that gap as ``w`` steps
-    from 0 would.  A block whose warm-up state differs from the previous
+    of each row starts from ``prev`` and is exact.  Each later block first
+    warms up: ``w`` steps from 0 over the block before it, which end on
+    that block's last value but for ``2**-64`` of the chain's size when
+    ``w`` is ``W``.  A block whose warm-up state differs from the previous
     block's last value is repaired by ``_repair``.  ``spare`` holds two
     lane vectors.
     """
@@ -376,26 +369,25 @@ def _ar1_blocks(z: np.ndarray, ar: float, w: int, prev: list, fresh: bool,
     if fresh:
         steps[0, ::m] = z[:, 0]
     a = np.array(ar)
-    warm, tmp = spare[:lanes], spare[lanes:]
-    tail = warm[1:]
-    v = _block_steps(ar)[1]
-    np.dot(ar ** np.arange(w - v - 1, -1.0, -1.0), steps[:w - v, :-1],
-           out=tail)
-    for inputs in steps[w - v:, :-1]:
-        np.multiply(tail, a, out=tail)
-        np.add(tail, inputs, out=tail)
-    warm[::m] = prev
-    last = warm
+    last, tmp = spare[:lanes], spare[lanes:]
+    warm = last[1:]
+    if m > 1:
+        warm[:] = 0.0
+        for inputs in steps[:, :-1]:
+            np.multiply(warm, a, out=warm)
+            np.add(warm, inputs, out=warm)
+    last[::m] = prev
     for inputs in steps:
         np.multiply(last, a, out=tmp)
         np.add(tmp, inputs, out=inputs)
         last = inputs
-    # Block i's warm-up must end on block i - 1's last value; a row's
-    # block 0 started from the exact value and is not checked.
-    failed = tail != steps[-1, :-1]
-    failed[m - 1::m] = False
-    if failed.any():
-        _repair(steps, blocks, b, ar, m, np.flatnonzero(failed) + 1)
+    if m > 1:
+        # Block i's warm-up must end on block i - 1's last value; a row's
+        # block 0 started from the exact value and is not checked.
+        failed = warm != steps[-1, :-1]
+        failed[m - 1::m] = False
+        if failed.any():
+            _repair(steps, blocks, b, ar, m, np.flatnonzero(failed) + 1)
     np.copyto(blocks, steps.T)
 
 
@@ -476,15 +468,41 @@ def gen_responses(x: np.ndarray, scenario: ScenarioSpec, seed: int,
     return y
 
 
-def simulate_dataset(process: MixingProcessSpec, scenario: ScenarioSpec,
-                     n: int, rep: int = 0) -> Dataset:
-    """One replication of the full design-plus-response draw."""
+def _check_dims(process: MixingProcessSpec, scenario: ScenarioSpec) -> None:
     if scenario.dim != process.dim:
         raise ValueError(
             f"scenario has {scenario.dim} components, process dim is {process.dim}")
+
+
+def simulate_dataset(process: MixingProcessSpec, scenario: ScenarioSpec,
+                     n: int, rep: int = 0) -> Dataset:
+    """One replication of the full design-plus-response draw."""
+    _check_dims(process, scenario)
     x, density = gen_design(process, n, rep)
     y = gen_responses(x, scenario, process.seed, rep)
     return Dataset(y=y, x=x, density=density)
+
+
+def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
+                      n: int, rep_start: int,
+                      reps: int) -> Iterator[Dataset]:
+    """Yield replications ``rep_start`` to ``rep_start + reps - 1`` in
+    order, each equal to ``simulate_dataset(process, scenario, n, rep)``.
+
+    Designs are drawn by ``gen_designs`` in batches of as many
+    replications as fill one pass of the recursion, so at small n its
+    vectorised steps run across the blocks of every chain of a batch.
+    """
+    _check_dims(process, scenario)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    batch = max(1, _SPAN // (process.dim * n))
+    end = rep_start + reps
+    for first in range(rep_start, end, batch):
+        xs, density = gen_designs(process, n, first, min(batch, end - first))
+        for rep, x in enumerate(xs, first):
+            y = gen_responses(x, scenario, process.seed, rep)
+            yield Dataset(y=y, x=x, density=density)
 
 
 def _json_object(value, field: str) -> dict:

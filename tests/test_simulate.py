@@ -19,8 +19,7 @@ from addwave import simulate_dataset
 from addwave import test_function as catalog_fn
 from addwave.simulate import (
     _CHUNK,
-    _MIN_LANES,
-    _Layout,
+    _SPAN,
     _block_steps,
     _repair,
     dataset_meta,
@@ -30,6 +29,7 @@ from addwave.simulate import (
     process_from_config,
     read_dataset_json,
     scenario_from_config,
+    simulate_datasets,
     uniform_density,
     write_dataset_csv,
     write_dataset_json,
@@ -118,20 +118,20 @@ def _whole_array_draw(process, scenario, n, rep):
     return x, y
 
 
-def _design_sizes(process):
-    """Sizes on both sides of each edge of the simulator: 1, the block
-    length W and 2W, the fewest blocks a vectorised pass takes, one pass
-    holding all coordinates, one span of values, and ``_CHUNK``."""
-    sizes = {1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3}
+_SIZES = (1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+def _edge_sizes(process):
+    """Sizes on both sides of the recursion's edges: the block length W
+    and 2W, one pass holding all coordinates, and one span of values."""
+    sizes = {3}
     if process.ar_coeff:
-        w = _block_steps(process.ar_coeff)[0]
-        fewest = (-(-_MIN_LANES // process.dim) - 1) * w
-        sizes |= {w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1,
-                  fewest, fewest + 1}
+        w = _block_steps(process.ar_coeff)
+        sizes |= {w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1}
     if process.ar_coeff in (0.0, 0.7, 0.99):
-        span = _Layout(process.dim, 1, process.ar_coeff).span
-        sizes |= {span // process.dim, span // process.dim + 1, span + 3}
-    return sorted(sizes)
+        per_row = _SPAN // process.dim
+        sizes |= {per_row, per_row + 1, _SPAN + 3}
+    return sorted(sizes - set(_SIZES))
 
 
 def test_simulator_chunks_match_whole_array_draw():
@@ -141,8 +141,9 @@ def test_simulator_chunks_match_whole_array_draw():
                                     seed=35) for ar in (0.6, 0.99)]
     names = ("sine", "bump", "step", "sawtooth")
     for proc in processes:
-        for n in _design_sizes(proc):
-            noise = 0.5 * (n % 2)
+        cases = [(n, noise) for n in _SIZES for noise in (0.0, 0.5)]
+        cases += [(n, 0.5 * (n % 2)) for n in _edge_sizes(proc)]
+        for n, noise in cases:
             scen = ScenarioSpec(components=names[:proc.dim], offset=0.3,
                                 noise_halfwidth=noise)
             data = simulate_dataset(proc, scen, n, rep=n % 5)
@@ -152,10 +153,9 @@ def test_simulator_chunks_match_whole_array_draw():
 
 
 def test_blocks_that_fail_their_check_are_repaired(monkeypatch):
-    # Blocks of 5 with one warm-up step from a 4-term estimate: nearly
-    # every boundary check fails, and the sequential reruns alone must
-    # give the filter's values.
-    monkeypatch.setattr(simulate, "_block_steps", lambda ar: (5, 1))
+    # Blocks of 5 warmed up over 5 steps: nearly every boundary check
+    # fails, and the sequential reruns alone must give the filter's values.
+    monkeypatch.setattr(simulate, "_block_steps", lambda ar: 5)
     failed = []
     repair = simulate._repair
 
@@ -171,6 +171,23 @@ def test_blocks_that_fail_their_check_are_repaired(monkeypatch):
             scen = ScenarioSpec(components=("sine", "bump"))
             assert np.array_equal(x, _whole_array_draw(proc, scen, n, 1)[0])
     assert sum(failed) > 1000
+
+
+def test_batched_replications_match_one_at_a_time():
+    # At n = 2^15 two replications of dimension 2 fill a pass, so three
+    # cross a batch edge; at n = 300 all five share one pass.
+    processes = [AR_PROCESS, MixingProcessSpec(dim=3, ar_coeff=0.9, seed=4),
+                 MixingProcessSpec(dim=1, seed=5)]
+    for proc in processes:
+        scen = ScenarioSpec(components=("sine", "bump", "step")[:proc.dim],
+                            noise_halfwidth=0.5)
+        for n, reps in ((1, 3), (300, 5), (2 ** 15, 3)):
+            batch = list(simulate_datasets(proc, scen, n, 7, reps))
+            assert len(batch) == reps
+            for rep, data in enumerate(batch, 7):
+                one = simulate_dataset(proc, scen, n, rep=rep)
+                assert np.array_equal(data.x, one.x), (proc, n, rep)
+                assert np.array_equal(data.y, one.y), (proc, n, rep)
 
 
 def test_block_repair_runs_on_into_the_next_block():
