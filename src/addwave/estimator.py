@@ -40,8 +40,10 @@ class DesignDensity:
     floor: float
 
     def __post_init__(self):
-        if self.floor <= 0:
-            raise ValueError("density floor must be positive")
+        # Each check is written so that a NaN fails it.
+        if not self.floor > 0:
+            raise ValueError(f"density floor must be positive, "
+                             f"got {self.floor}")
         if self.dim <= 3:
             side = {1: 4096, 2: 64, 3: 24}[self.dim]
             axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * self.dim,
@@ -49,11 +51,12 @@ class DesignDensity:
             pts = np.column_stack([a.ravel() for a in axes])
             vals = self.evaluator(pts)
             total = float(np.mean(vals))
-            if abs(total - 1.0) > 1e-3:
+            if not abs(total - 1.0) <= 1e-3:
                 raise ValueError(
-                    f"density integrates to {total:.5f}, not 1")
-            if float(np.min(vals)) < self.floor - 1e-9:
-                raise ValueError("density dips below its declared floor")
+                    f"density evaluator integrates to {total:.5f}, not 1")
+            if not float(np.min(vals)) >= self.floor - 1e-9:
+                raise ValueError(
+                    "density evaluator dips below its declared floor")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(pts, dtype=float)),
@@ -126,6 +129,12 @@ class EstimatorConfig:
     threshold_const: float = 1.0
 
     def __post_init__(self):
+        if (isinstance(self.coord, bool)
+                or not isinstance(self.coord, (int, np.integer))):
+            raise ValueError(f"coord must be an integer, got {self.coord!r}")
+        if self.coord < 1:
+            raise ValueError(f"coord {self.coord} is out of range: "
+                             f"coordinates are numbered from 1")
         if not 0.0 <= self.threshold_const < math.inf:
             raise ValueError("threshold_const must be finite and >= 0")
 

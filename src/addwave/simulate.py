@@ -75,15 +75,18 @@ class MixingProcessSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # Each range check is written so that a NaN fails it.
         if not 1 <= self.dim <= 4:
             raise ValueError(f"dim must be in 1..4, got {self.dim}")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ValueError(f"ar_coeff must be in [0, 1), got {self.ar_coeff}")
-        if abs(self.copula_theta) >= 1.0:
+        if not abs(self.copula_theta) < 1.0:
             raise ValueError(
                 f"copula_theta must be in (-1, 1), got {self.copula_theta}")
         if self.copula_theta != 0.0 and self.dim != 2:
-            raise ValueError("copula dependence is defined for dim == 2 only")
+            raise ValueError(f"copula dependence (copula_theta "
+                             f"{self.copula_theta}) is defined for dim == 2 "
+                             f"only, got dim {self.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +190,7 @@ def uniform_density(dim: int) -> DesignDensity:
 @lru_cache(maxsize=32)
 def fgm_density(theta: float) -> DesignDensity:
     """Bilinear FGM copula density for two coordinates."""
-    if abs(theta) >= 1.0:
+    if not abs(theta) < 1.0:
         raise ValueError(f"theta must be in (-1, 1), got {theta}")
 
     def evaluator(pts):
@@ -627,8 +630,11 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
     proc = _json_object(payload["process"], "process")
     if "dim" not in proc:
         raise ValueError("dataset field 'process' is missing 'dim'")
-    theta = float(proc.get("copula_theta", 0.0))
-    dim = int(proc["dim"])
+    dim = proc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= 4:
+        raise ValueError(f"dataset field 'process' has 'dim' "
+                         f"{json.dumps(dim)[:40]}, not an integer in 1..4")
+    theta = process_from_config(proc, dim, seed=0).copula_theta
     density = fgm_density(theta) if theta != 0.0 else uniform_density(dim)
     data = Dataset(y=np.asarray(payload["y"], dtype=float),
                    x=np.asarray(payload["x"], dtype=float),

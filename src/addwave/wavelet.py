@@ -122,45 +122,41 @@ def _pair_table(samples: np.ndarray) -> np.ndarray:
 def make_family(vanishing_moments: int) -> WaveletFamily:
     """Build the Daubechies filter with the requested vanishing moments.
 
-    The filter is computed by spectral factorization of the binomial
-    half-band polynomial; the root selection keeps the minimum-phase
-    branch, which reproduces the standard published coefficients.
+    The filter is computed by spectral factorization of the half-band
+    polynomial in ``y = sin^2(w/2)``; the root selection keeps the
+    minimum-phase branch, which reproduces the standard published
+    coefficients.  Every filter is orthonormal to a few 1e-15.
     """
+    if (isinstance(vanishing_moments, bool)
+            or not isinstance(vanishing_moments, (int, np.integer))):
+        raise ValueError(f"vanishing_moments must be an integer, "
+                         f"got {vanishing_moments!r}")
     r = int(vanishing_moments)
     if not 1 <= r <= 10:
         raise ValueError(f"vanishing_moments must be in 1..10, got {r}")
     taps = _daubechies_taps(r)
-    if abs(taps.sum() - SQRT2) > 1e-9 or abs(np.dot(taps, taps) - 1.0) > 1e-8:
-        raise RuntimeError("filter construction failed the two defining identities")
+    # sum_l h[l] h[l + 2s] for s = 0, 1, ...: one at s = 0, else zero.
+    shifted = np.correlate(taps, taps, "full")[taps.size - 1::2]
+    shifted[0] -= 1.0
+    if abs(taps.sum() - SQRT2) > 1e-13 or np.max(np.abs(shifted)) > 1e-13:
+        raise RuntimeError("filter construction failed its defining identities")
     return WaveletFamily(vanishing_moments=r, low_pass=taps)
 
 
 def _daubechies_taps(r: int) -> np.ndarray:
     if r == 1:
         return np.array([1.0, 1.0]) / SQRT2
-    # Half-band condition in the variable y = sin^2(w/2).
-    moment_poly = [comb(r - 1 + k, k) for k in range(r)]
-    # Substitute y = (2 - z - 1/z)/4 and clear denominators with z**(r-1).
-    # Ascending powers of z throughout.
-    cleared = np.zeros(2 * r - 1)
-    y_times_z = np.array([-0.25, 0.5, -0.25])
-    for k, c in enumerate(moment_poly):
-        term = np.array([float(c)])
-        for _ in range(k):
-            term = np.convolve(term, y_times_z)
-        cleared[r - 1 - k : r - 1 - k + term.size] += term
-    roots = np.roots(cleared[::-1])
-    inside = roots[np.abs(roots) < 1.0]
-    if inside.size != r - 1:
-        raise RuntimeError("unexpected root pairing in spectral factorization")
-    spectral = np.array([1.0])
-    for root in inside:
-        spectral = np.convolve(spectral, np.array([-root, 1.0]))
-    spectral = spectral.real
-    smooth_part = np.array([1.0])
-    for _ in range(r):
-        smooth_part = np.convolve(smooth_part, np.array([0.5, 0.5]))
-    taps = np.convolve(smooth_part, spectral)
+    # Roots of P(y) = sum_k C(r-1+k, k) y**k, y = sin^2(w/2) (Daubechies,
+    # Ten Lectures, 6.1).  P is positive on [0, 1], the image of the unit
+    # circle, so each root gives one z strictly inside it with
+    # z + 1/z = 2 - 4y.
+    ys = np.roots([comb(r - 1 + k, k) for k in reversed(range(r))])
+    c = 1.0 - 2.0 * ys
+    z = c - np.sqrt(c * c - 1.0 + 0j)
+    z = np.where(np.abs(z) >= 1.0, 1.0 / z, z)
+    spectral = np.poly(z).real[::-1]
+    binomial = np.array([comb(r, k) for k in range(r + 1)]) / 2.0 ** r
+    taps = np.convolve(binomial, spectral)
     taps *= SQRT2 / taps.sum()
     if abs(taps[0]) < abs(taps[-1]):
         taps = taps[::-1].copy()

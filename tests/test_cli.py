@@ -388,9 +388,9 @@ def test_estimate_huge_threshold_keeps_nothing(tmp_path, capsys):
     assert est.kept_count() == 0
 
 
-def _edited_dataset(tmp_path, edit) -> str:
-    proc = MixingProcessSpec(dim=1, seed=3)
-    scen = ScenarioSpec(components=("sine",))
+def _edited_dataset(tmp_path, edit, proc=None) -> str:
+    proc = proc or MixingProcessSpec(dim=1, seed=3)
+    scen = ScenarioSpec(components=("sine", "bump")[:proc.dim])
     ds_path = tmp_path / "d.json"
     write_dataset_json(ds_path, simulate_dataset(proc, scen, 64),
                        dataset_meta(proc, scen, 64, 0))
@@ -406,6 +406,25 @@ def test_estimate_names_dataset_without_dim(tmp_path, capsys):
                  "--output", str(tmp_path / "fit")]) == EXIT_USAGE
     assert ("dataset field 'process' is missing 'dim'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", 2.9, "'dim' 2.9, not an integer"),
+    ("dim", True, "'dim' true, not an integer"),
+    ("dim", "2", "'dim' \"2\", not an integer"),
+    ("dim", 1, "(copula_theta 0.5) is defined for dim == 2 only, got dim 1"),
+    ("copula_theta", float("nan"), "'copula_theta' must be a finite number"),
+    ("copula_theta", "abc", "'copula_theta' must be a finite number"),
+    ("copula_theta", 1.5, "copula_theta must be in (-1, 1), got 1.5")])
+def test_estimate_names_bad_process_field(tmp_path, capsys, field, value,
+                                          message):
+    # A two-coordinate FGM dataset whose declared process is edited.
+    fgm = MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=3)
+    path = _edited_dataset(
+        tmp_path, lambda p: p["process"].update({field: value}), fgm)
+    assert main(["estimate", "--dataset", path,
+                 "--output", str(tmp_path / "fit")]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [("process", 3), ("scenario", 5)])

@@ -80,12 +80,18 @@ def test_density_floor_checked_at_construction():
 
     with pytest.raises(ValueError, match="declared floor"):
         DesignDensity(dim=1, evaluator=wavy, floor=0.5)
+    with pytest.raises(ValueError, match="floor must be positive"):
+        DesignDensity(dim=1, evaluator=wavy, floor=math.nan)
 
 
 def test_density_unit_mass_checked_at_construction():
     with pytest.raises(ValueError, match="integrate"):
         DesignDensity(dim=1,
                       evaluator=lambda p: np.full(np.asarray(p).shape[0], 2.0),
+                      floor=0.5)
+    with pytest.raises(ValueError, match="evaluator integrates to nan"):
+        DesignDensity(dim=1,
+                      evaluator=lambda p: np.full(len(p), math.nan),
                       floor=0.5)
 
 
@@ -373,6 +379,13 @@ def test_config_rejects_non_finite_threshold():
     for bad in (math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="threshold_const"):
             EstimatorConfig(threshold_const=bad)
+
+
+def test_config_rejects_non_integer_coord():
+    for bad in (1.5, True, "1", 0, -2):
+        with pytest.raises(ValueError, match="coord"):
+            EstimatorConfig(coord=bad)
+    assert EstimatorConfig(coord=np.int64(2)).coord == 2
 
 
 def test_fit_rejects_coord_beyond_dim():

@@ -48,6 +48,13 @@ def test_process_spec_validation():
         MixingProcessSpec(dim=1, ar_coeff=1.0)
     with pytest.raises(ValueError, match="copula_theta"):
         MixingProcessSpec(dim=2, copula_theta=1.0)
+    # Each range check fails for NaN, so no NaN-floored density is built.
+    with pytest.raises(ValueError, match="copula_theta"):
+        MixingProcessSpec(dim=2, copula_theta=math.nan)
+    with pytest.raises(ValueError, match="ar_coeff"):
+        MixingProcessSpec(dim=1, ar_coeff=math.nan)
+    with pytest.raises(ValueError, match="theta"):
+        fgm_density(math.nan)
     with pytest.raises(ValueError, match="dim == 2"):
         MixingProcessSpec(dim=1, copula_theta=0.5)
 

@@ -22,7 +22,9 @@ the sum of the points' values, so a move of a few 1e-16 is rounding.
 
 The parts: simulated datasets (i.i.d., AR and AR + FGM processes, dims 1
 to 4, sizes on both sides of the simulator's and the stencil's chunk
-edges, with and without noise); ``weighted_level_sums`` and
+edges, with and without noise); the filters ``make_family(r).low_pass``
+for r = 1..10 (``wavelet/taps``), which shows how far the filters moved
+and not only what was built from them; ``weighted_level_sums`` and
 ``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
 ``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``;
 ``run_experiment`` reports with every ``runtime_ms`` removed; and the
@@ -115,6 +117,11 @@ def simulated(dig, aw):
                 name = f"simulate/d{dim}-ar{ar}-fgm{theta}"
                 dig.array(name, data.x)
                 dig.array(name, data.y)
+
+
+def filters(dig, aw):
+    for r in range(1, 11):
+        dig.array("wavelet/taps", aw.make_family(r).low_pass)
 
 
 def wavelet_sums_and_series(dig, aw):
@@ -235,7 +242,8 @@ def collect(src: Path, sink=None) -> Digest:
     from addwave import cli
 
     dig = Digest(sink)
-    for step in (simulated, wavelet_sums_and_series, fits, replications):
+    for step in (simulated, filters, wavelet_sums_and_series, fits,
+                 replications):
         step(dig, aw)
     experiments(dig, cli)
     commands(dig, cli)
