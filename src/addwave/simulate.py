@@ -34,13 +34,18 @@ takes ``2 * W`` vectorised steps, or one per point where it has at most
 adds a value, where a pass has few blocks.
 
 The design is made in passes of ``_SPAN`` values through buffers carved
-from one allocation per call, less than four spans of floats whatever
+from one allocation per call, less than five spans of floats whatever
 ``ar`` is, and the responses in chunks of ``_CHUNK`` points, so no
 temporary spans all n points.  Each coordinate's normals are drawn in
 order, all of the first coordinate's before the second's, so every value
 is bit for bit the one a whole-array draw and filter give.  Replications
 drawn together, as ``simulate_datasets`` does a pass's worth at a time,
-each keep their own stream and so their values.
+each keep their own stream and so their values.  Designs are stored
+column-major, so every pass over one coordinate reads contiguous memory.
+
+The normal CDF is ``_ndtr``, a numpy port of Cephes' ``ndtr`` (Moshier's
+``ndtr.c``, the one ``scipy.special.ndtr`` runs) that gives the same
+double for every input, so the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -212,21 +217,10 @@ def gen_design(spec: MixingProcessSpec, n: int,
     the one a single ``(d, n)`` draw and one ``lfilter`` over whole rows
     would give, bit for bit.
 
-    Time per call with d = 2 and FGM theta 0.5, fastest of alternating
-    calls in one process (2-core Xeon, Python 3.11, numpy 2.4), with the
-    same call through ``lfilter`` in brackets, in ms:
-
-    ============  ============  ============  ============  ============
-    ar            n = 2^10      n = 2^14      n = 2^16      n = 2^20
-    ============  ============  ============  ============  ============
-    0.6 (W 95)    0.43 (0.16)   1.52 (1.40)   4.6 (4.9)     81 (84)
-    0.9 (W 430)   0.86 (0.13)   1.8 (1.2)     4.9 (4.6)     117 (104)
-    0.99 (W 4422) 1.07 (0.12)   9.4 (1.2)     13.1 (4.6)    313 (87)
-    ============  ============  ============  ============  ============
-
     Where a pass has few blocks (small n, or n past one span at large
     ``ar``) the numpy calls of its ``2 * W`` steps dominate; batches of
     replications from ``simulate_datasets`` give those steps more blocks.
+    CHANGES.md records measured times per call.
     """
     xs, density = gen_designs(spec, n, rep, 1)
     return xs[0], density
@@ -239,41 +233,189 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
 
     The latent chains, ``reps * d`` of them, come pass by pass from
     ``_Layout.passes``: all at once when they fit one pass, else one chain
-    at a time.  Each pass's chain values go through the normal CDF
-    straight into the replication's ``(n, d)`` array and, for the second
-    coordinate, through the FGM step against the finished first, in
-    chunks of ``_CHUNK``.  Each replication draws from its own stream.
+    at a time.  Each pass goes through the normal CDF in place, and each
+    chain's values then go into the replication's column-major ``(n, d)``
+    array, for the second coordinate through the FGM step against the
+    finished first, in chunks of ``_CHUNK``.  Each replication draws from
+    its own stream.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # Imported here, so that importing the package loads no scipy.
-    from scipy.special import ndtr
     dim, theta = spec.dim, spec.copula_theta
     rngs = []
     for rep in range(rep_start, rep_start + reps):
         rng = np.random.default_rng((spec.seed, rep, _DESIGN_CHANNEL))
         rngs += [rng] * dim
-    xs = [np.empty((n, dim)) for _ in range(reps)]
+    xs = [np.empty((n, dim), order="F") for _ in range(reps)]
     layout = _Layout(len(rngs), n, spec.ar_coeff if n > 1 else 0.0)
-    chunk = min(n, _CHUNK)
-    # One allocation per call for every buffer, FGM scratch included:
-    # separate buffers of 128 KiB or more fault in again every call.
-    work = np.empty(layout.words + (3 * chunk if theta else 0))
-    fgm = work[layout.words:].reshape(3, chunk) if theta else None
-    for first, start, chains in layout.passes(rngs, work):
-        for chain, y in enumerate(chains, first):
+    # The normal CDF's chunk: at least _CHUNK values, or the whole pass,
+    # so that a pass's padding past a multiple of _CHUNK is no chunk of its
+    # own (a chunk costs about 25 numpy calls, however short).
+    chunk = -(-layout.area // max(1, layout.area // _CHUNK))
+    # One allocation per call for every buffer, the scratch of the normal
+    # CDF and of the FGM step included: separate buffers of 128 KiB or more
+    # fault in again every call.
+    work = np.empty(layout.words + _NDTR_ROWS * chunk)
+    scratch = work[layout.words:].reshape(_NDTR_ROWS, chunk)
+    for first, start, z, length in layout.passes(rngs, work):
+        values = z.reshape(-1)
+        _ndtr(values, values, scratch)
+        for chain, u in enumerate(z[:, :length], first):
             rep, coord = divmod(chain, dim)
-            out = xs[rep][start:start + y.size, coord]
+            out = xs[rep][start:start + length, coord]
             if coord == 1 and theta:
-                ndtr(y, out=y)
-                u1 = xs[rep][start:start + y.size, 0]
-                for a in range(0, y.size, _CHUNK):
-                    _fgm_conditional(u1[a:a + _CHUNK], y[a:a + _CHUNK],
-                                     theta, fgm, out[a:a + _CHUNK])
+                u1 = xs[rep][start:start + length, 0]
+                for a in range(0, length, _CHUNK):
+                    _fgm_conditional(u1[a:a + _CHUNK], u[a:a + _CHUNK],
+                                     theta, scratch[:3], out[a:a + _CHUNK])
             else:
-                ndtr(y, out=out)
+                out[:] = u
     density = fgm_density(theta) if theta else uniform_density(dim)
     return xs, density
+
+
+# Cephes' ndtr.c coefficients, the sets scipy.special ships: erf(x) = x
+# T(x^2) / U(x^2) for |x| < 1; erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x
+# < 8 and exp(-x^2) R(x) / S(x) past 8, and 0 once x^2 > MAXLOG.  U, Q and
+# S are monic (Cephes' p1evl): the leading 1 is not stored.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996732E2
+_SQRT1_2 = sqrt(0.5)
+# Rows of ``_ndtr``'s scratch: six of floats or positions, and two that
+# hold complex values.
+_NDTR_ROWS = 8
+
+
+def _horner(t, coefs, out, monic=False):
+    """``coefs`` as a polynomial in ``t``, highest power first, by Horner's
+    rule with one rounding per multiply and per add, into ``out``: Cephes'
+    ``polevl``, or with ``monic`` its ``p1evl``, whose leading 1 is not
+    stored."""
+    if monic:
+        np.add(t, coefs[0], out=out)
+    else:
+        np.multiply(t, coefs[0], out=out)
+        np.add(out, coefs[1], out=out)
+    for c in coefs[2 - monic:]:
+        np.multiply(out, t, out=out)
+        np.add(out, c, out=out)
+
+
+def _ndtr(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """The standard normal CDF of the 1-D ``a`` into ``out``, which may be
+    ``a`` itself or strided: bit for bit ``scipy.special.ndtr``.
+
+    ``scratch`` is a C-ordered ``(_NDTR_ROWS, c)`` float array; the values
+    go through it ``c`` at a time.  Cephes takes ``x = a sqrt(1/2)`` and
+    returns ``0.5 + 0.5 erf(x)`` for |x| < sqrt(1/2), else ``0.5 erfc(|x|)``,
+    reflected as ``1 - y`` for x > 0, with ``erfc = 1 - erf`` below 1.  On
+    sqrt(1/2) <= |x| < 1, ``1 - |erf x|`` is exact (Sterbenz) and halving
+    is exact, so the reflected form is the same double as ``0.5 + 0.5
+    erf(x)``: every |x| < 1 takes that formula.  Only the values with |x|
+    >= 1, about 16% of standard normal values, need erfc; they are held,
+    with their positions, until ``c`` of them have gathered, so that the
+    erfc steps run on as many values at once as the erf steps.  No finite
+    input raises a floating-point warning, and NaN gives NaN.
+    """
+    c = scratch.shape[1]
+    held, where = scratch[4], scratch[5].view(np.intp)
+    count = 0
+    for s in range(0, a.size, c):
+        k = min(c, a.size - s)
+        x, t, num, den = (row[:k] for row in scratch[:4])
+        np.multiply(a[s:s + k], _SQRT1_2, out=x)
+        # x^2 where |x| < 1, else 1: the erf branch never sees more.
+        np.clip(x, -1.0, 1.0, out=t)
+        np.square(t, out=t)
+        tail = np.flatnonzero(t >= 1.0)
+        _horner(t, _ERF_T, num)
+        _horner(t, _ERF_U, den, monic=True)
+        np.multiply(x, num, out=num)
+        np.divide(num, den, out=num)
+        np.multiply(num, 0.5, out=num)
+        np.add(num, 0.5, out=out[s:s + k])
+        if count + tail.size > c:
+            _ndtr_tail(held[:count], where[:count], out, scratch)
+            count = 0
+        end = count + tail.size
+        np.take(x, tail, out=held[count:end])
+        np.add(tail, s, out=where[count:end])
+        count = end
+    if count:
+        _ndtr_tail(held[:count], where[:count], out, scratch)
+
+
+def _ndtr_tail(xt, where, out, scratch) -> None:
+    """``0.5 erfc(|x|)``, reflected for x > 0, for the values ``xt`` of x,
+    all with |x| >= 1, into ``out`` at ``where``; overwrites ``xt`` and
+    scratch rows 1 to 3, 6 and 7.
+
+    ``exp(-x^2)`` is taken in complex128: numpy's float64 ``exp`` is its
+    own SIMD kernel and differs from the C library's ``exp`` in the last
+    bit on some arguments, but its complex ``exp`` of a value with a zero
+    imaginary part has the C library's ``exp`` of the real part as its
+    real part, which is what compiled Cephes computes.  Values with |x| >=
+    8 (|a| > 11.3, never met in a standard normal draw) take Cephes' last
+    branch in Python floats, whose ``math.exp`` is the C library's too.
+    """
+    k = xt.size
+    w, p, q = (row[:k] for row in scratch[1:4])
+    np.abs(xt, out=w)
+    far = []
+    if np.max(w) >= 8.0:
+        far = np.flatnonzero(w >= 8.0).tolist()
+        np.minimum(w, 8.0, out=w)
+    _horner(w, _ERFC_P, p)
+    _horner(w, _ERFC_Q, q, monic=True)
+    e = scratch[6:8].reshape(-1).view(np.complex128)[:k]
+    np.square(w, out=e.real)
+    np.negative(e.real, out=e.real)
+    e.imag = 0.0
+    np.exp(e, out=e)
+    np.multiply(e.real, p, out=p)
+    np.divide(p, q, out=p)
+    for i in far:
+        p[i] = _erfc_far(abs(float(xt[i])))
+    # y = 0.5 erfc, and 1 - y where x > 0: the step function of x (never 0
+    # here) minus y signed as x, each value one rounding as Cephes has it.
+    np.multiply(p, 0.5, out=p)
+    np.copysign(p, xt, out=p)
+    np.heaviside(xt, 0.0, out=xt)
+    np.subtract(xt, p, out=p)
+    out[where] = p
+
+
+def _erfc_far(z: float) -> float:
+    """Cephes' ``erfc(z)`` for ``z >= 8``, in Python floats."""
+    if z * z > _MAXLOG:
+        return 0.0
+    p = _ERFC_R[0]
+    for c in _ERFC_R[1:]:
+        p = p * z + c
+    q = z + _ERFC_S[0]
+    for c in _ERFC_S[1:]:
+        q = q * z + c
+    return math.exp(-z * z) * p / q
 
 
 # Values per pass of the recursion, whatever ar is: its two buffers, 1 MiB
@@ -318,11 +460,12 @@ class _Layout:
         return w, -(-length // w)
 
     def passes(self, rngs: list, work: np.ndarray):
-        """Yield ``(first, start, chains)`` pass by pass.
+        """Yield ``(first, start, z, length)`` pass by pass.
 
-        ``chains`` is a ``(rows, length)`` view of ``work`` whose row ``r``
-        holds latent AR(1) chain ``first + r`` at points ``start`` to
-        ``start + length``; the caller may overwrite it.  Chain ``c`` draws
+        ``z`` is a contiguous ``(rows, width)`` view of ``work`` whose row
+        ``r`` holds latent AR(1) chain ``first + r`` at points ``start`` to
+        ``start + length`` in its first ``length`` columns, and finite
+        padding after them; the caller may overwrite it.  Chain ``c`` draws
         its normals from ``rngs[c]``, chain after chain and pass after
         pass, so chains that share a stream consume it in the order of one
         whole-array draw, first chain first.  Rows carry their last value
@@ -342,9 +485,8 @@ class _Layout:
                     _ar1_blocks(z, self.ar, w, prev, start == 0,
                                 work[area:area + z.size],
                                 work[2 * area:2 * area + 2 * rows * m])
-                chains = z[:, :length]
-                prev = chains[:, -1].tolist()
-                yield first, start, chains
+                prev = z[:, length - 1].tolist()
+                yield first, start, z, length
 
 
 def _ar1_blocks(z: np.ndarray, ar: float, w: int, prev: list, fresh: bool,

@@ -195,6 +195,8 @@ def test_batched_replications_match_one_at_a_time():
                 one = simulate_dataset(proc, scen, n, rep=rep)
                 assert np.array_equal(data.x, one.x), (proc, n, rep)
                 assert np.array_equal(data.y, one.y), (proc, n, rep)
+                # Column-major, so each coordinate's pass is contiguous.
+                assert data.x.flags.f_contiguous
 
 
 def test_block_repair_runs_on_into_the_next_block():
@@ -218,20 +220,60 @@ def test_block_repair_runs_on_into_the_next_block():
     assert np.array_equal(steps.T.reshape(-1), exact)
 
 
-@pytest.mark.parametrize("code, absent", [
-    ("import addwave.cli", "scipy"),
-    ("import addwave\n"
-     "proc = addwave.MixingProcessSpec(dim=2, ar_coeff=0.6, seed=1)\n"
-     "scen = addwave.ScenarioSpec(components=('sine', 'bump'))\n"
-     "addwave.simulate_dataset(proc, scen, 2 ** 14)", "scipy.signal")],
-    ids=["import-cli", "ar-simulation"])
-def test_modules_left_unloaded(code, absent):
+def _ndtr_bits(a, out, chunk=_CHUNK):
+    simulate._ndtr(a, out, np.empty((simulate._NDTR_ROWS,
+                                     min(a.size, chunk))))
+    return out.view(np.int64)
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    edges = [0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 38.0, 40.0,
+             np.inf, 5e-324, 1e300]
+    draws = [rng.standard_normal(2 ** 22), 6.0 * rng.standard_normal(2 ** 20),
+             np.array(edges + [-v for v in edges])]
+    for a in draws:
+        expect = ndtr(a).view(np.int64)
+        assert np.array_equal(_ndtr_bits(a, np.empty_like(a)), expect)
+        column = np.zeros((a.size, 3))[:, 1]
+        assert np.array_equal(_ndtr_bits(a, column), expect)
+        assert not column.flags.contiguous
+        inplace = a.copy()
+        assert np.array_equal(_ndtr_bits(inplace, inplace), expect)
+    # Short chunks: the erfc values held across chunks are flushed often.
+    a = draws[0][:2 ** 16]
+    assert np.array_equal(_ndtr_bits(a, np.empty_like(a), chunk=777),
+                          ndtr(a).view(np.int64))
+    out = np.empty(3)
+    simulate._ndtr(np.array([np.nan, 1.0, -np.nan]), out,
+                   np.empty((simulate._NDTR_ROWS, 3)))
+    assert np.isnan(out[[0, 2]]).all() and out[1] == ndtr(1.0)
+
+
+README_SWEEP = {"scenario": {"components": ["sine", "bump"], "mu": 0.3,
+                             "noise_halfwidth": 0.5},
+                "process": {"ar_coeff": 0.6, "copula_theta": 0.5},
+                "n_grid": [1024, 4096, 16384, 65536], "reps": 1,
+                "master_seed": 21, "kappa": 1.0}
+
+
+@pytest.mark.parametrize("code", [
+    "import addwave.cli",
+    "import addwave\n"
+    "proc = addwave.MixingProcessSpec(dim=2, ar_coeff=0.6, seed=1)\n"
+    "scen = addwave.ScenarioSpec(components=('sine', 'bump'))\n"
+    "addwave.simulate_dataset(proc, scen, 2 ** 14)",
+    "from addwave import cli\n"
+    f"cli.run_experiment(cli.parse_experiment_config({README_SWEEP!r}))"],
+    ids=["import-cli", "ar-simulation", "readme-sweep"])
+def test_modules_left_unloaded(code):
     probe = (f"{code}\nimport sys\n"
-             f"print(sorted(m for m in sys.modules if m == {absent!r} "
-             f"or m.startswith({absent!r} + '.')))")
+             "print(sorted(m for m in sys.modules if m == 'scipy' "
+             "or m.startswith('scipy.')))")
+    env = {k: v for k, v in os.environ.items() if k != "ADDWAVE_WORKERS"}
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=SRC)).stdout
+                         env=dict(env, PYTHONPATH=SRC)).stdout
     assert out.strip() == "[]"
 
 

@@ -22,7 +22,9 @@ the sum of the points' values, so a move of a few 1e-16 is rounding.
 
 The parts: simulated datasets (i.i.d., AR and AR + FGM processes, dims 1
 to 4, sizes on both sides of the simulator's and the stencil's chunk
-edges, with and without noise); the filters ``make_family(r).low_pass``
+edges, with and without noise); the normal CDF on edge values and 2^16
+fixed draws (``simulate/ndtr``), so that a numpy whose complex ``exp``
+moves shows there first; the filters ``make_family(r).low_pass``
 for r = 1..10 (``wavelet/taps``), which shows how far the filters moved
 and not only what was built from them; ``weighted_level_sums`` and
 ``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
@@ -117,6 +119,23 @@ def simulated(dig, aw):
                 name = f"simulate/d{dim}-ar{ar}-fgm{theta}"
                 dig.array(name, data.x)
                 dig.array(name, data.y)
+
+
+def normal_cdf(dig, aw):
+    """The simulator's normal CDF on edge values and 2^16 fixed draws.  A
+    tree without ``simulate._ndtr`` gets ``scipy.special.ndtr``'s values,
+    so ``--against`` such a tree compares the port with scipy."""
+    edges = [0.0, 1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 38.0, 40.0, np.inf]
+    a = np.concatenate([edges, np.negative(edges),
+                        np.random.default_rng(14).standard_normal(2 ** 16)])
+    sim = aw.simulate
+    if hasattr(sim, "_ndtr"):
+        out = np.empty_like(a)
+        sim._ndtr(a, out, np.empty((sim._NDTR_ROWS, sim._CHUNK)))
+    else:
+        from scipy.special import ndtr
+        out = ndtr(a)
+    dig.array("simulate/ndtr", out)
 
 
 def filters(dig, aw):
@@ -242,8 +261,8 @@ def collect(src: Path, sink=None) -> Digest:
     from addwave import cli
 
     dig = Digest(sink)
-    for step in (simulated, filters, wavelet_sums_and_series, fits,
-                 replications):
+    for step in (simulated, normal_cdf, filters, wavelet_sums_and_series,
+                 fits, replications):
         step(dig, aw)
     experiments(dig, cli)
     commands(dig, cli)
