@@ -31,10 +31,10 @@ from .estimator import (EstimatorConfig, eval_estimate, fit_component,
                         identity_rho, ise, max_detail_level, threshold_scale)
 from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
                      calibrate_threshold, rate_fit)
-from .simulate import (_config_number, dataset_meta, process_from_config,
-                       read_dataset_json, scenario_from_config,
-                       simulate_dataset, test_function, write_dataset_csv,
-                       write_dataset_json)
+from .simulate import (_config_number, _json_object, dataset_meta,
+                       process_from_config, read_dataset_json,
+                       scenario_from_config, simulate_dataset, test_function,
+                       write_dataset_csv, write_dataset_json)
 from .wavelet import (_check_depth, basis_diagnostics, cascade_table,
                       make_family)
 
@@ -128,10 +128,17 @@ class ExperimentConfig:
         return out
 
 
+_CONFIG_KEYS = ("scenario", "process", "n_grid", "reps", "master_seed",
+                "kappa_mode", "kappa", "family_r", "depth", "coord",
+                "aggregate", "output_dir", "budget", "allow_over_budget",
+                "self_test_exponent")
+
+
 def parse_experiment_config(payload: dict) -> ExperimentConfig:
     """Validate a declarative config, naming each offending field."""
     if not isinstance(payload, dict):
         raise ValueError("experiment config must be a JSON object")
+    _json_object(payload, "experiment config", _CONFIG_KEYS)
     for field in ("scenario", "process", "n_grid", "reps", "master_seed"):
         if field not in payload:
             raise ValueError(f"experiment config is missing field {field!r}")

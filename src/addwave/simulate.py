@@ -33,15 +33,15 @@ takes ``2 * W`` vectorised steps, or one per point where it has at most
 ``1 / (1 - ar)`` and outweighs the arithmetic, two multiplies and two
 adds a value, where a pass has few blocks.
 
-The design is made in passes of ``_SPAN`` values through buffers carved
-from one allocation per call, less than five spans of floats whatever
-``ar`` is, and the responses in chunks of ``_CHUNK`` points, so no
-temporary spans all n points.  Each coordinate's normals are drawn in
-order, all of the first coordinate's before the second's, so every value
-is bit for bit the one a whole-array draw and filter give.  Replications
-drawn together, as ``simulate_datasets`` does a pass's worth at a time,
-each keep their own stream and so their values.  Designs are stored
-column-major, so every pass over one coordinate reads contiguous memory.
+The designs of a batch of replications are one ``(reps, d, n)`` array.
+Each replication's stream fills its ``d`` rows in order, so every value
+is bit for bit the one a whole-array draw and filter give, and each row
+is one coordinate's contiguous chain, so a design is column-major.  The
+recursion, in passes of at most ``_SPAN`` values, the normal CDF and the
+FGM step run in place on that array, with scratch carved from one
+allocation per call (3 MiB at most for n up to 2^18, d = 1 to 4 and ar
+up to 0.999); the responses are made in chunks of ``_CHUNK`` points, so
+no temporary spans all n points.
 
 The normal CDF is ``_ndtr``, a numpy port of Cephes' ``ndtr`` (Moshier's
 ``ndtr.c``, the one ``scipy.special.ndtr`` runs) that gives the same
@@ -81,6 +81,11 @@ class MixingProcessSpec:
 
     def __post_init__(self):
         # Each range check is written so that a NaN fails it.
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if not 1 <= self.dim <= 4:
             raise ValueError(f"dim must be in 1..4, got {self.dim}")
         if not 0.0 <= self.ar_coeff < 1.0:
@@ -92,6 +97,13 @@ class MixingProcessSpec:
             raise ValueError(f"copula dependence (copula_theta "
                              f"{self.copula_theta}) is defined for dim == 2 "
                              f"only, got dim {self.dim}")
+
+    @property
+    def density(self) -> DesignDensity:
+        """The design's exact density: the FGM copula's, or uniform."""
+        if self.copula_theta:
+            return fgm_density(self.copula_theta)
+        return uniform_density(self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +225,8 @@ def gen_design(spec: MixingProcessSpec, n: int,
                rep: int = 0) -> tuple[np.ndarray, DesignDensity]:
     """Draw n design points; returns the points and their exact density.
 
-    A batch of one replication from ``gen_designs``.  Every value equals
+    A batch of one replication from ``gen_designs``: the points are the
+    column-major transpose of its ``(1, d, n)`` array.  Every value equals
     the one a single ``(d, n)`` draw and one ``lfilter`` over whole rows
     would give, bit for bit.
 
@@ -231,47 +244,54 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
     """The designs of replications ``rep_start`` to ``rep_start + reps -
     1``, drawn together; each equals ``gen_design(spec, n, rep)``.
 
-    The latent chains, ``reps * d`` of them, come pass by pass from
-    ``_Layout.passes``: all at once when they fit one pass, else one chain
-    at a time.  Each pass goes through the normal CDF in place, and each
-    chain's values then go into the replication's column-major ``(n, d)``
-    array, for the second coordinate through the FGM step against the
-    finished first, in chunks of ``_CHUNK``.  Each replication draws from
-    its own stream.
+    The batch is one ``(reps, d, n)`` array.  Each replication's stream
+    fills its ``d`` rows in order, as one ``(d, n)`` draw would, and
+    ``designs[r].T`` is the column-major ``(n, d)`` design returned for
+    replication ``rep_start + r``.  The recursion runs in place along every
+    row, the normal CDF once over the whole batch, and the FGM step in
+    place on each replication's second row against its first.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    dim, theta = spec.dim, spec.copula_theta
-    rngs = []
-    for rep in range(rep_start, rep_start + reps):
-        rng = np.random.default_rng((spec.seed, rep, _DESIGN_CHANNEL))
-        rngs += [rng] * dim
-    xs = [np.empty((n, dim), order="F") for _ in range(reps)]
-    layout = _Layout(len(rngs), n, spec.ar_coeff if n > 1 else 0.0)
-    # The normal CDF's chunk: at least _CHUNK values, or the whole pass,
-    # so that a pass's padding past a multiple of _CHUNK is no chunk of its
-    # own (a chunk costs about 25 numpy calls, however short).
-    chunk = -(-layout.area // max(1, layout.area // _CHUNK))
-    # One allocation per call for every buffer, the scratch of the normal
-    # CDF and of the FGM step included: separate buffers of 128 KiB or more
-    # fault in again every call.
-    work = np.empty(layout.words + _NDTR_ROWS * chunk)
-    scratch = work[layout.words:].reshape(_NDTR_ROWS, chunk)
-    for first, start, z, length in layout.passes(rngs, work):
-        values = z.reshape(-1)
-        _ndtr(values, values, scratch)
-        for chain, u in enumerate(z[:, :length], first):
-            rep, coord = divmod(chain, dim)
-            out = xs[rep][start:start + length, coord]
-            if coord == 1 and theta:
-                u1 = xs[rep][start:start + length, 0]
-                for a in range(0, length, _CHUNK):
-                    _fgm_conditional(u1[a:a + _CHUNK], u[a:a + _CHUNK],
-                                     theta, scratch[:3], out[a:a + _CHUNK])
-            else:
-                out[:] = u
-    density = fgm_density(theta) if theta else uniform_density(dim)
-    return xs, density
+    _check_reps(rep_start, reps)
+    ar, theta = spec.ar_coeff, spec.copula_theta
+    designs = np.empty((reps, spec.dim, n))
+    for rep, x in enumerate(designs, rep_start):
+        np.random.default_rng((spec.seed, rep, _DESIGN_CHANNEL)) \
+            .standard_normal(out=x)
+    chains = designs.reshape(-1, n)
+    # A pass of the recursion holds every chain when they fit one span,
+    # else one chain.
+    rows = len(chains) if 0 < chains.size <= _SPAN else 1
+    w, m = _pass_blocks(min(n - 1, _SPAN), ar) if ar else (0, 0)
+    # The normal CDF's chunk: at least _CHUNK values, or the whole batch,
+    # so that no short remainder is a chunk of its own (a chunk costs
+    # about 25 numpy calls, however short).
+    values = designs.reshape(-1)
+    chunk = -(-values.size // max(1, values.size // _CHUNK)) or 1
+    # One allocation per call, shared by the recursion and then by the
+    # scratch of the normal CDF and of the FGM step: separate buffers of
+    # 128 KiB or more fault in again every call.
+    work = np.empty(max(2 * rows * m * (w + 1), _NDTR_ROWS * chunk))
+    if ar:
+        _ar1(chains, ar, rows, work)
+    scratch = work[:_NDTR_ROWS * chunk].reshape(_NDTR_ROWS, chunk)
+    _ndtr(values, values, scratch)
+    if theta:
+        # Whole replications at a time where n is short of a chunk.
+        per, step = max(1, _CHUNK // n), min(n, _CHUNK)
+        for r in range(0, reps, per):
+            for a in range(0, n, step):
+                v = designs[r:r + per, 1, a:a + step]
+                _fgm_conditional(designs[r:r + per, 0, a:a + step], v,
+                                 theta, scratch[:3], v)
+    return [x.T for x in designs], spec.density
+
+
+def _check_reps(rep_start: int, reps: int) -> None:
+    if rep_start < 0 or reps < 0:
+        raise ValueError(f"rep_start and reps must be >= 0, got "
+                         f"{rep_start} and {reps}")
 
 
 # Cephes' ndtr.c coefficients, the sets scipy.special ships: erf(x) = x
@@ -430,110 +450,74 @@ def _block_steps(ar: float) -> int:
     return math.ceil(64.0 * math.log(2.0) / -math.log(ar)) + 8
 
 
-class _Layout:
-    """How ``chains`` latent chains of ``n`` points are cut into passes.
+def _pass_blocks(length: int, ar: float) -> tuple[int, int]:
+    """Block length and blocks per row of a pass of ``length`` points:
+    blocks of ``W`` points, the last one padded, or one block where
+    ``length`` is at most ``2 * W``, since a second block's warm-up and
+    own steps would cost ``2 * W`` vectorised steps."""
+    w = _block_steps(ar)
+    return (length, 1) if length <= 2 * w else (w, -(-length // w))
 
-    A pass holds ``rows`` chains of at most ``size`` points: every chain at
-    once when ``chains * n`` fits ``_SPAN`` values, else one chain and
-    ``_SPAN`` points at a time.  With ``ar`` nonzero, a pass of ``length``
-    points cuts each row into blocks of ``W`` points, the last one padded,
-    or into one block where ``length`` is at most ``2 * W``: a second
-    block's warm-up and own steps would cost ``2 * W`` vectorised steps.
-    So its values and its steps each take less than twice ``length``
-    floats of buffer a row.  ``words`` is the number of floats ``passes``
-    needs.
+
+def _ar1(chains: np.ndarray, ar: float, rows: int,
+         work: np.ndarray) -> None:
+    """The recursion along each row of ``chains``, ``(count, n)``, in place
+    from index 1: ``y_0 = z_0`` is the value as drawn.
+
+    It runs pass by pass, ``rows`` chains (all of them, or one) and at
+    most ``_SPAN`` points at a time, each pass starting from the value
+    before it in its row.  A pass of ``length`` points is copied into
+    ``work`` as ``(rows, m * w)``, padded with zeros (``_pass_blocks``),
+    and vectorised across its ``rows * m`` blocks (lanes).  ``steps``
+    holds the inputs lane-major, one row per step and one column per
+    block, so every vectorised step is contiguous; the blocks' own steps
+    overwrite their inputs with chain values.  A row's first block starts
+    from the exact value.  Each later block first warms up: ``w`` steps
+    from 0 over the block before it, which end on that block's last value
+    but for ``2**-64`` of the chain's size when ``w`` is ``W``.  A block
+    whose warm-up state differs from the previous block's last value is
+    repaired by ``_repair``.  ``work`` holds ``2 * rows * m * (w + 1)``
+    floats for the first pass, the largest.
     """
-
-    def __init__(self, chains: int, n: int, ar: float):
-        self.chains, self.n, self.ar = chains, n, ar
-        self.rows = chains if chains * n <= _SPAN else 1
-        self.size = min(n, _SPAN)
-        self.w = _block_steps(ar) if ar else self.size
-        w, m = self.blocks(self.size)
-        self.area = self.rows * w * m
-        self.words = 2 * self.area + 2 * self.rows * m if ar else self.area
-
-    def blocks(self, length: int) -> tuple[int, int]:
-        """Block length and blocks per row of a pass of ``length``
-        points."""
-        w = self.w if length > 2 * self.w else length
-        return w, -(-length // w)
-
-    def passes(self, rngs: list, work: np.ndarray):
-        """Yield ``(first, start, z, length)`` pass by pass.
-
-        ``z`` is a contiguous ``(rows, width)`` view of ``work`` whose row
-        ``r`` holds latent AR(1) chain ``first + r`` at points ``start`` to
-        ``start + length`` in its first ``length`` columns, and finite
-        padding after them; the caller may overwrite it.  Chain ``c`` draws
-        its normals from ``rngs[c]``, chain after chain and pass after
-        pass, so chains that share a stream consume it in the order of one
-        whole-array draw, first chain first.  Rows carry their last value
-        from pass to pass.
-        """
-        rows, size, area = self.rows, self.size, self.area
-        for first in range(0, self.chains, rows):
-            prev = [0.0] * rows
-            for start in range(0, self.n, size):
-                length = min(self.n - start, size)
-                w, m = self.blocks(length)
-                z = work[:rows * w * m].reshape(rows, w * m)
-                for row, rng in zip(z, rngs[first:first + rows]):
-                    rng.standard_normal(out=row[:length])
-                if self.ar:
-                    z[:, length:] = 0.0
-                    _ar1_blocks(z, self.ar, w, prev, start == 0,
-                                work[area:area + z.size],
-                                work[2 * area:2 * area + 2 * rows * m])
-                prev = z[:, length - 1].tolist()
-                yield first, start, z, length
-
-
-def _ar1_blocks(z: np.ndarray, ar: float, w: int, prev: list, fresh: bool,
-                steps: np.ndarray, spare: np.ndarray) -> None:
-    """The recursion along each row of ``z``, ``(rows, m * w)``, in place,
-    vectorised across its ``rows * m`` blocks of ``w`` points.
-
-    ``steps`` holds the inputs lane-major, one row per step and one
-    column (lane) per block, so every vectorised step is contiguous; the
-    blocks' own steps overwrite their inputs with chain values.  Block 0
-    of each row starts from ``prev`` and is exact.  Each later block first
-    warms up: ``w`` steps from 0 over the block before it, which end on
-    that block's last value but for ``2**-64`` of the chain's size when
-    ``w`` is ``W``.  A block whose warm-up state differs from the previous
-    block's last value is repaired by ``_repair``.  ``spare`` holds two
-    lane vectors.
-    """
-    rows, width = z.shape
-    m = width // w
-    lanes = rows * m
-    blocks = z.reshape(lanes, w)
-    steps = steps.reshape(w, lanes)
+    count, n = chains.shape
     b = sqrt(1.0 - ar * ar)
-    np.multiply(blocks.T, b, out=steps)
-    if fresh:
-        steps[0, ::m] = z[:, 0]
     a = np.array(ar)
-    last, tmp = spare[:lanes], spare[lanes:]
-    warm = last[1:]
-    if m > 1:
-        warm[:] = 0.0
-        for inputs in steps[:, :-1]:
-            np.multiply(warm, a, out=warm)
-            np.add(warm, inputs, out=warm)
-    last[::m] = prev
-    for inputs in steps:
-        np.multiply(last, a, out=tmp)
-        np.add(tmp, inputs, out=inputs)
-        last = inputs
-    if m > 1:
-        # Block i's warm-up must end on block i - 1's last value; a row's
-        # block 0 started from the exact value and is not checked.
-        failed = warm != steps[-1, :-1]
-        failed[m - 1::m] = False
-        if failed.any():
-            _repair(steps, blocks, b, ar, m, np.flatnonzero(failed) + 1)
-    np.copyto(blocks, steps.T)
+    for first in range(0, count, rows):
+        for start in range(1, n, _SPAN):
+            length = min(n - start, _SPAN)
+            w, m = _pass_blocks(length, ar)
+            lanes = rows * m
+            area = lanes * w
+            chain = chains[first:first + rows, start:start + length]
+            z = work[:area].reshape(rows, m * w)
+            z[:, :length] = chain
+            z[:, length:] = 0.0
+            blocks = z.reshape(lanes, w)
+            steps = work[area:2 * area].reshape(w, lanes)
+            np.multiply(blocks.T, b, out=steps)
+            last = work[2 * area:2 * area + lanes]
+            tmp = work[2 * area + lanes:2 * (area + lanes)]
+            warm = last[1:]
+            if m > 1:
+                warm[:] = 0.0
+                for inputs in steps[:, :-1]:
+                    np.multiply(warm, a, out=warm)
+                    np.add(warm, inputs, out=warm)
+            last[::m] = chains[first:first + rows, start - 1]
+            for inputs in steps:
+                np.multiply(last, a, out=tmp)
+                np.add(tmp, inputs, out=inputs)
+                last = inputs
+            if m > 1:
+                # Block i's warm-up must end on block i - 1's last value; a
+                # row's first block started from the exact value.
+                failed = warm != steps[-1, :-1]
+                failed[m - 1::m] = False
+                if failed.any():
+                    _repair(steps, blocks, b, ar, m,
+                            np.flatnonzero(failed) + 1)
+            np.copyto(blocks, steps.T)
+            chain[...] = z[:, :length]
 
 
 def _repair(steps: np.ndarray, blocks: np.ndarray, b: float, ar: float,
@@ -569,8 +553,9 @@ def _fgm_conditional(u1, v, theta, buffers, out) -> None:
     """Inverse of the conditional CDF v = u2 (1 + A (1 - u2)), A = theta
     (1 - 2 u1), in the subtraction-free form ``2 v / (1 + A + sqrt((1 +
     A)**2 - 4 A v))``, evaluated in that order into ``out``; overwrites
-    ``v`` and the heads of the three ``buffers``."""
-    a, one_a, root = (b[:v.size] for b in buffers)
+    ``v`` and the heads of the three ``buffers``, taken in ``v``'s
+    shape."""
+    a, one_a, root = (b[:v.size].reshape(v.shape) for b in buffers)
     np.multiply(u1, 2.0, out=a)
     np.subtract(1.0, a, out=a)
     np.multiply(a, theta, out=a)
@@ -641,6 +626,7 @@ def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
     _check_dims(process, scenario)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_reps(rep_start, reps)
     batch = max(1, _SPAN // (process.dim * n))
     end = rep_start + reps
     for first in range(rep_start, end, batch):
@@ -650,10 +636,17 @@ def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
             yield Dataset(y=y, x=x, density=density)
 
 
-def _json_object(value, field: str) -> dict:
+def _json_object(value, field: str, keys: tuple | None = None) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``
+    (when given), else a ``ValueError`` that names ``field`` or the first
+    unknown key."""
     if not isinstance(value, dict):
         raise ValueError(f"field {field!r} must be a JSON object, "
                          f"got {json.dumps(value)[:40]}")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ValueError(f"{field} has unknown key {unknown[0]!r}; known "
+                         f"keys: {', '.join(keys)}")
     return value
 
 
@@ -687,7 +680,8 @@ _RESPONSE_BOUND = 1e100
 def scenario_from_config(cfg: dict) -> ScenarioSpec:
     """Build a scenario from declarative keys, naming any missing or
     malformed field."""
-    if "components" not in _json_object(cfg, "scenario"):
+    if "components" not in _json_object(
+            cfg, "scenario", ("components", "mu", "noise_halfwidth")):
         raise ValueError("scenario config is missing field 'components'")
     components = cfg["components"]
     if (not isinstance(components, (list, tuple)) or not components
@@ -706,7 +700,7 @@ def scenario_from_config(cfg: dict) -> ScenarioSpec:
 def process_from_config(cfg: dict, dim: int, seed: int) -> MixingProcessSpec:
     """Build a design process from declarative keys; ``ar_coeff`` and
     ``copula_theta`` must be finite JSON numbers in their ranges."""
-    _json_object(cfg, "process")
+    _json_object(cfg, "process", ("ar_coeff", "copula_theta"))
     return MixingProcessSpec(
         dim=dim,
         ar_coeff=_config_number(cfg.get("ar_coeff", 0.0),
@@ -776,10 +770,12 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
     if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= 4:
         raise ValueError(f"dataset field 'process' has 'dim' "
                          f"{json.dumps(dim)[:40]}, not an integer in 1..4")
-    theta = process_from_config(proc, dim, seed=0).copula_theta
-    density = fgm_density(theta) if theta != 0.0 else uniform_density(dim)
+    # The block also records the dimension and seed the data came from.
+    process = process_from_config(
+        {k: v for k, v in proc.items() if k not in ("dim", "seed")}, dim,
+        seed=0)
     data = Dataset(y=np.asarray(payload["y"], dtype=float),
                    x=np.asarray(payload["x"], dtype=float),
-                   density=density)
+                   density=process.density)
     meta = {k: payload[k] for k in payload if k not in ("y", "x")}
     return data, meta

@@ -137,6 +137,23 @@ def test_mc_rate_names_scenario_and_process_numbers(tmp_path, capsys,
     assert f"{block} field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key", [
+    (None, "kapa"), ("scenario", "noise"), ("process", "copula_thetta"),
+    ("process", "seed"), ("process", "dim")])
+def test_mc_rate_names_unknown_keys(tmp_path, capsys, monkeypatch, block,
+                                    key):
+    # A misspelt key would otherwise run with the default in its place.
+    monkeypatch.setattr(cli, "_run_cell", _no_cell)
+    payload = _base_config()
+    (payload if block is None else payload[block])[key] = 0.5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["mc-rate", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown key '{key}'" in captured.err
+
+
 @pytest.mark.parametrize("kappa", ["-1", "nan", "inf"])
 def test_mc_rate_checks_the_kappa_override(tmp_path, capsys, monkeypatch,
                                            kappa):

@@ -25,6 +25,7 @@ from addwave.simulate import (
     dataset_meta,
     fgm_density,
     gen_design,
+    gen_designs,
     gen_responses,
     process_from_config,
     read_dataset_json,
@@ -57,6 +58,22 @@ def test_process_spec_validation():
         fgm_density(math.nan)
     with pytest.raises(ValueError, match="dim == 2"):
         MixingProcessSpec(dim=1, copula_theta=0.5)
+    # The seed keys the streams; numpy would refuse -1 only at the first
+    # draw, without naming it, and takes True as 1.
+    for seed in (-1, 1.5, True, "3", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            MixingProcessSpec(dim=1, seed=seed)
+    assert MixingProcessSpec(dim=1, seed=np.int64(3)).seed == 3
+
+
+def test_replication_ranges_must_be_non_negative():
+    scen = ScenarioSpec(components=("sine", "bump"))
+    for rep_start, reps in ((-1, 2), (0, -1)):
+        with pytest.raises(ValueError, match="rep_start and reps"):
+            gen_designs(AR_PROCESS, 16, rep_start, reps)
+        with pytest.raises(ValueError, match="rep_start and reps"):
+            list(simulate_datasets(AR_PROCESS, scen, 16, rep_start, reps))
+    assert gen_designs(AR_PROCESS, 16, 3, 0)[0] == []
 
 
 def test_marginals_uniform_after_thinning():
@@ -178,6 +195,16 @@ def test_blocks_that_fail_their_check_are_repaired(monkeypatch):
             scen = ScenarioSpec(components=("sine", "bump"))
             assert np.array_equal(x, _whole_array_draw(proc, scen, n, 1)[0])
     assert sum(failed) > 1000
+    # One chain past a span: the second pass starts from the first pass's
+    # last value.  At _SPAN + 3 its two points are one block; at _SPAN + 41
+    # it has blocks of its own to repair.
+    proc = MixingProcessSpec(dim=1, ar_coeff=0.9, seed=43)
+    scen = ScenarioSpec(components=("sine",))
+    for n, passes in ((_SPAN + 3, 1), (_SPAN + 41, 2)):
+        failed.clear()
+        x, _ = gen_design(proc, n, rep=2)
+        assert np.array_equal(x, _whole_array_draw(proc, scen, n, 2)[0])
+        assert len(failed) == passes and min(failed) > 0
 
 
 def test_batched_replications_match_one_at_a_time():
@@ -358,6 +385,11 @@ def test_process_config_parsing():
                                dim=2, seed=7)
     assert proc == MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5,
                                      seed=7)
+    # A misspelt key would otherwise draw an independent design.
+    with pytest.raises(ValueError, match="unknown key 'copula_thetta'"):
+        process_from_config({"ar_coeff": 0.6, "copula_thetta": 0.5}, 2, 7)
+    with pytest.raises(ValueError, match="unknown key 'noise'"):
+        scenario_from_config({"components": ["sine"], "noise": 0.5})
 
 
 def test_dataset_meta_digest_frozen():

@@ -1,8 +1,8 @@
 """Fold benchmark records into one ``BENCH_<label>.json`` at the repo root.
 
     python3 tools/fold_bench.py --label after --seeds 701-710 \\
-        --commit "$(git rev-parse HEAD)" --tier1-s 178 --mc-rate-s 2.3 \\
-        --mc-rate-workers2-s 1.7 --import-ms 410
+        --commit "$(git rev-parse HEAD)" --tier1-s 178,171,183 \\
+        --mc-rate-s 2.3,2.4 --mc-rate-workers2-s 1.7,1.8 --import-ms 410
 
 Reads the ``<records>/<workload>-s<seed>-t0.json`` records (written by
 ``perfbench/run.py``) of the given seeds, at least one per workload, and
@@ -14,7 +14,8 @@ tree; ``--commit`` names that tree, since a record's own ``git_commit``
 is the checkout's HEAD and says nothing of uncommitted edits.  The
 Tier-1 wall time, the README ``mc-rate`` wall time (serial and with
 ``ADDWAVE_WORKERS=2``) and ``import addwave.cli`` are measured outside the
-benchmark and passed in.
+benchmark and passed in, one value per run separated by commas; each is
+kept as its count, median and quartiles.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def seed_range(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def repeats(text: str) -> list[float]:
+    """``178,171,183`` (or one value) to a list of floats."""
+    return [float(v) for v in text.split(",")]
 
 
 def summary(values: list[float]) -> dict:
@@ -70,10 +76,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=seed_range, required=True)
     ap.add_argument("--commit", required=True)
     ap.add_argument("--records", type=Path, default=ROOT / "perfbench" / "out")
-    ap.add_argument("--tier1-s", type=float, required=True)
-    ap.add_argument("--mc-rate-s", type=float, required=True)
-    ap.add_argument("--mc-rate-workers2-s", type=float, required=True)
-    ap.add_argument("--import-ms", type=float, required=True)
+    ap.add_argument("--tier1-s", type=repeats, required=True)
+    ap.add_argument("--mc-rate-s", type=repeats, required=True)
+    ap.add_argument("--mc-rate-workers2-s", type=repeats, required=True)
+    ap.add_argument("--import-ms", type=repeats, required=True)
     ns = ap.parse_args(argv)
 
     workloads, trees, machine = {}, set(), None
@@ -101,10 +107,12 @@ def main(argv=None) -> int:
         "src_sha256": machine["src_sha256"],
         "machine": machine,
         "measured_outside_benchmark": {
-            "tier1_wall_s": ns.tier1_s,
-            "mc_rate_readme_wall_s": ns.mc_rate_s,
-            "mc_rate_readme_workers2_wall_s": ns.mc_rate_workers2_s,
-            "cli_import_ms": ns.import_ms,
+            name: dict(summary(values), count=len(values))
+            for name, values in (
+                ("tier1_wall_s", ns.tier1_s),
+                ("mc_rate_readme_wall_s", ns.mc_rate_s),
+                ("mc_rate_readme_workers2_wall_s", ns.mc_rate_workers2_s),
+                ("cli_import_ms", ns.import_ms))
         },
         "workloads": workloads,
     }
