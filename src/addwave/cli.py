@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -69,8 +69,27 @@ class ExperimentConfig:
     self_test_exponent: float | None = None
 
     def __post_init__(self):
-        # Reuses the bounds of the family, table and scenario; runs before
-        # any cell, and again for command-line overrides via ``replace``.
+        # Every field is checked here, before any cell runs, for parsed,
+        # direct and ``replace``d configs (command-line overrides) alike;
+        # the bounds of the family, table and scenario are reused.
+        n_grid = self.n_grid
+        if (not isinstance(n_grid, (list, tuple)) or not n_grid
+                or not all(isinstance(n, int) and n >= 2 for n in n_grid)):
+            raise ValueError(
+                "experiment field 'n_grid' must be a list of integers >= 2")
+        if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+            raise ValueError(
+                "experiment field 'n_grid' must be strictly increasing")
+        object.__setattr__(self, "n_grid", tuple(n_grid))
+        if (isinstance(self.reps, bool) or not isinstance(self.reps, int)
+                or self.reps < 1):
+            raise ValueError("experiment field 'reps' must be an integer >= 1")
+        if self.kappa_mode not in ("fixed", "calibrated"):
+            raise ValueError("experiment field 'kappa_mode' must be 'fixed' "
+                             "or 'calibrated'")
+        if self.aggregate not in ("mean", "median"):
+            raise ValueError(
+                "experiment field 'aggregate' must be 'mean' or 'median'")
         for name in ("master_seed", "family_r", "depth", "coord", "budget"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -128,55 +147,30 @@ class ExperimentConfig:
         return out
 
 
-_CONFIG_KEYS = ("scenario", "process", "n_grid", "reps", "master_seed",
-                "kappa_mode", "kappa", "family_r", "depth", "coord",
-                "aggregate", "output_dir", "budget", "allow_over_budget",
-                "self_test_exponent")
+# The config key of each field: its name, but ``kappa`` for ``kappa_value``.
+_CONFIG_FIELDS = {("kappa" if f.name == "kappa_value" else f.name): f
+                  for f in fields(ExperimentConfig)}
 
 
 def parse_experiment_config(payload: dict) -> ExperimentConfig:
-    """Validate a declarative config, naming each offending field."""
+    """Validate a declarative config, naming each offending field: the keys
+    here, every value and default in ``ExperimentConfig``."""
     if not isinstance(payload, dict):
         raise ValueError("experiment config must be a JSON object")
-    _json_object(payload, "experiment config", _CONFIG_KEYS)
-    for field in ("scenario", "process", "n_grid", "reps", "master_seed"):
-        if field not in payload:
-            raise ValueError(f"experiment config is missing field {field!r}")
-    n_grid = payload["n_grid"]
-    if (not isinstance(n_grid, list) or not n_grid
-            or not all(isinstance(n, int) and n >= 2 for n in n_grid)):
-        raise ValueError(
-            "experiment field 'n_grid' must be a list of integers >= 2")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError(
-            "experiment field 'n_grid' must be strictly increasing")
-    reps = payload["reps"]
-    if not isinstance(reps, int) or reps < 1:
-        raise ValueError("experiment field 'reps' must be an integer >= 1")
-    mode = payload.get("kappa_mode", "fixed")
-    if mode not in ("fixed", "calibrated"):
-        raise ValueError(
-            "experiment field 'kappa_mode' must be 'fixed' or 'calibrated'")
-    aggregate = payload.get("aggregate", "mean")
-    if aggregate not in ("mean", "median"):
-        raise ValueError(
-            "experiment field 'aggregate' must be 'mean' or 'median'")
-    return ExperimentConfig(
-        scenario=payload["scenario"],
-        process=payload["process"],
-        n_grid=tuple(n_grid),
-        reps=reps,
-        master_seed=payload["master_seed"],
-        kappa_mode=mode,
-        kappa_value=payload.get("kappa", 1.0),
-        family_r=payload.get("family_r", 2),
-        depth=payload.get("depth", 12),
-        coord=payload.get("coord", 1),
-        aggregate=aggregate,
-        output_dir=payload.get("output_dir"),
-        budget=payload.get("budget", DEFAULT_BUDGET),
-        allow_over_budget=payload.get("allow_over_budget", False),
-        self_test_exponent=payload.get("self_test_exponent"))
+    _json_object(payload, "experiment config", tuple(_CONFIG_FIELDS))
+    for key, field in _CONFIG_FIELDS.items():
+        if field.default is MISSING and key not in payload:
+            raise ValueError(f"experiment config is missing field {key!r}")
+    return ExperimentConfig(**{field.name: payload[key]
+                               for key, field in _CONFIG_FIELDS.items()
+                               if key in payload})
+
+
+def _option(ns, name: str):
+    """Option ``name``, or the default of the config key of that name: a
+    command that reads no config defaults as a config does."""
+    value = getattr(ns, name)
+    return _CONFIG_FIELDS[name].default if value is None else value
 
 
 @lru_cache(maxsize=8)
@@ -347,8 +341,8 @@ def _emit(payload: dict, output: str | None) -> None:
 
 
 def cmd_basis_check(ns) -> int:
-    family_r = 2 if ns.family_r is None else ns.family_r
-    depth = 12 if ns.depth is None else ns.depth
+    family_r = _option(ns, "family_r")
+    depth = _option(ns, "depth")
     checks = basis_diagnostics(make_family(family_r), depth)
     passed = all(c["passed"] for c in checks)
     report = {"version": REPORT_FORMAT_VERSION, "family_r": family_r,
@@ -388,25 +382,26 @@ def cmd_estimate(ns) -> int:
     if ns.dataset is None:
         raise ValueError("--dataset is required for estimate")
     data, meta = read_dataset_json(ns.dataset)
-    family_r = 2 if ns.family_r is None else ns.family_r
-    depth = 12 if ns.depth is None else ns.depth
-    kappa = 1.0 if ns.kappa is None else ns.kappa
+    family_r = _option(ns, "family_r")
+    depth = _option(ns, "depth")
+    kappa = _option(ns, "kappa")
+    coord = _option(ns, "coord")
     table = _cached_table(family_r, depth)
     scenario = scenario_from_config(meta["scenario"]) \
         if "scenario" in meta else None
     est = fit_component(data, identity_rho(), table,
-                        EstimatorConfig(coord=ns.coord,
+                        EstimatorConfig(coord=coord,
                                         threshold_const=kappa))
     out_dir = Path(ns.output) if ns.output else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    est_path = out_dir / f"estimate_coord{ns.coord}.json"
+    est_path = out_dir / f"estimate_coord{coord}.json"
     est_path.write_text(est.to_json() + "\n")
     grid = (np.arange(2 ** 10) + 0.5) / 2 ** 10
     fitted = eval_estimate(est, table, grid)
     truth = None
     if scenario is not None:
-        truth = scenario.component(ns.coord)(grid)
-    table_path = out_dir / f"estimate_coord{ns.coord}.csv"
+        truth = scenario.component(coord)(grid)
+    table_path = out_dir / f"estimate_coord{coord}.csv"
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["x", "estimate"] + (["truth"] if truth is not None else [])
@@ -443,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "config": dict(help="path to a JSON experiment config"),
         "seed": dict(type=int, help="override master seed"),
         "dataset": dict(help="path to a dataset JSON file"),
-        "coord": dict(type=int, default=1, help="target coordinate (1-based)"),
+        "coord": dict(type=int, help="target coordinate (1-based)"),
         "kappa": dict(type=float, help="fixed threshold constant override"),
         "family-r": dict(type=int, dest="family_r",
                          help="vanishing moments of the wavelet family"),

@@ -13,39 +13,15 @@ Randomness is drawn from streams keyed as (seed, replication, channel), so
 any replication can be regenerated independently, in any order, with
 bit-identical output.
 
-The AR(1) chain is ``y_0 = z_0`` and ``y_i = fl(fl(ar * y_(i-1)) + fl(b *
-z_i))`` with ``b = sqrt(1 - ar**2)``: one rounding per multiply and per
-add.  That is ``scipy.signal.lfilter([b], [1, -ar])``'s own rounding for
-these taps: its transposed direct form adds ``fl(b * z_i)`` to a state
-``0 * z_(i-1) - fl(-ar * y_(i-1))``, which is ``fl(ar * y_(i-1))``
-exactly.  The recursion runs in numpy instead, vectorised across blocks
-of ``W`` steps with ``ar**(W - 8) <= 2**-64`` (W = 95 at ar = 0.6).
-Each block first warms up: ``W`` steps from 0 over the block before it,
-whose start is then forgotten but for ``2**-64`` of the chain's size, so
-the warm-up almost always ends on the previous block's exact last value.
-That is checked at every boundary: a block whose warm-up matches is exact
-by induction, since its own steps then repeat the sequential arithmetic.
-A block that does not match is rerun sequentially, in Python floats, from
-the exact value before it, until its values agree with the stored ones; a
-rerun that reaches the block's end goes on into the next block.  A pass
-takes ``2 * W`` vectorised steps, or one per point where it has at most
-``2 * W`` points, each two numpy calls: a cost per pass that grows like
-``1 / (1 - ar)`` and outweighs the arithmetic, two multiplies and two
-adds a value, where a pass has few blocks.
-
-The designs of a batch of replications are one ``(reps, d, n)`` array.
-Each replication's stream fills its ``d`` rows in order, so every value
-is bit for bit the one a whole-array draw and filter give, and each row
-is one coordinate's contiguous chain, so a design is column-major.  The
-recursion, in passes of at most ``_SPAN`` values, the normal CDF and the
-FGM step run in place on that array, with scratch carved from one
-allocation per call (3 MiB at most for n up to 2^18, d = 1 to 4 and ar
-up to 0.999); the responses are made in chunks of ``_CHUNK`` points, so
-no temporary spans all n points.
-
-The normal CDF is ``_ndtr``, a numpy port of Cephes' ``ndtr`` (Moshier's
-``ndtr.c``, the one ``scipy.special.ndtr`` runs) that gives the same
-double for every input, so the package needs no scipy.
+The designs of a batch of replications are drawn into one array, and the
+recursion, the normal CDF and the FGM step run in place on it
+(``gen_designs``), with scratch carved from one allocation per call (3 MiB
+at most for n up to 2^18, d = 1 to 4 and ar up to 0.999); the responses
+are made in chunks of ``_CHUNK`` points, so no temporary spans all n
+points.  ``_ar1`` states the recursion's rounding and why its vectorised
+blocks are exact; ``_ndtr``, a numpy port of Cephes' ``ndtr``, states why
+it equals ``scipy.special.ndtr`` for every input, so the package needs no
+scipy.
 """
 
 from __future__ import annotations
@@ -230,10 +206,9 @@ def gen_design(spec: MixingProcessSpec, n: int,
     the one a single ``(d, n)`` draw and one ``lfilter`` over whole rows
     would give, bit for bit.
 
-    Where a pass has few blocks (small n, or n past one span at large
-    ``ar``) the numpy calls of its ``2 * W`` steps dominate; batches of
-    replications from ``simulate_datasets`` give those steps more blocks.
-    CHANGES.md records measured times per call.
+    CHANGES.md records its measured cost per call; ``_ar1`` says why a
+    pass with few blocks costs more per value than a batch of
+    replications from ``simulate_datasets``.
     """
     xs, density = gen_designs(spec, n, rep, 1)
     return xs[0], density
@@ -343,7 +318,8 @@ def _horner(t, coefs, out, monic=False):
 
 def _ndtr(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """The standard normal CDF of the 1-D ``a`` into ``out``, which may be
-    ``a`` itself or strided: bit for bit ``scipy.special.ndtr``.
+    ``a`` itself or strided: bit for bit ``scipy.special.ndtr``, which runs
+    Cephes' ``ndtr`` (Moshier's ``ndtr.c``).
 
     ``scratch`` is a C-ordered ``(_NDTR_ROWS, c)`` float array; the values
     go through it ``c`` at a time.  Cephes takes ``x = a sqrt(1/2)`` and
@@ -420,7 +396,7 @@ def _ndtr_tail(xt, where, out, scratch) -> None:
     # here) minus y signed as x, each value one rounding as Cephes has it.
     np.multiply(p, 0.5, out=p)
     np.copysign(p, xt, out=p)
-    np.heaviside(xt, 0.0, out=xt)
+    np.greater(xt, 0.0, out=xt)
     np.subtract(xt, p, out=p)
     out[where] = p
 
@@ -446,7 +422,7 @@ _SPAN = 2 ** 17
 def _block_steps(ar: float) -> int:
     """Block length ``W`` of the recursion: after ``W - 8`` steps two
     starts of the chain differ by at most ``2**-64`` of their gap, and the
-    8 extra steps absorb rounding."""
+    8 extra steps absorb rounding (W = 95 at ar = 0.6)."""
     return math.ceil(64.0 * math.log(2.0) / -math.log(ar)) + 8
 
 
@@ -461,8 +437,13 @@ def _pass_blocks(length: int, ar: float) -> tuple[int, int]:
 
 def _ar1(chains: np.ndarray, ar: float, rows: int,
          work: np.ndarray) -> None:
-    """The recursion along each row of ``chains``, ``(count, n)``, in place
-    from index 1: ``y_0 = z_0`` is the value as drawn.
+    """The AR(1) recursion along each row of ``chains``, ``(count, n)``, in
+    place from index 1: ``y_0 = z_0`` is the value as drawn and ``y_i =
+    fl(fl(ar * y_(i-1)) + fl(b * z_i))`` with ``b = sqrt(1 - ar**2)``, one
+    rounding per multiply and per add.  That is ``scipy.signal.lfilter([b],
+    [1, -ar])``'s own rounding for these taps: its transposed direct form
+    adds ``fl(b * z_i)`` to a state ``0 * z_(i-1) - fl(-ar * y_(i-1))``,
+    which is ``fl(ar * y_(i-1))`` exactly.
 
     It runs pass by pass, ``rows`` chains (all of them, or one) and at
     most ``_SPAN`` points at a time, each pass starting from the value
@@ -473,11 +454,19 @@ def _ar1(chains: np.ndarray, ar: float, rows: int,
     block, so every vectorised step is contiguous; the blocks' own steps
     overwrite their inputs with chain values.  A row's first block starts
     from the exact value.  Each later block first warms up: ``w`` steps
-    from 0 over the block before it, which end on that block's last value
-    but for ``2**-64`` of the chain's size when ``w`` is ``W``.  A block
-    whose warm-up state differs from the previous block's last value is
-    repaired by ``_repair``.  ``work`` holds ``2 * rows * m * (w + 1)``
-    floats for the first pass, the largest.
+    from 0 over the block before it, whose start is then forgotten but for
+    ``2**-64`` of the chain's size when ``w`` is ``W`` (``_block_steps``),
+    so the warm-up almost always ends on that block's exact last value.
+    That is checked at every boundary: a block whose warm-up matches is
+    exact by induction, since its own steps then repeat the sequential
+    arithmetic, and one that does not is rerun by ``_repair``.  ``work``
+    holds ``2 * rows * m * (w + 1)`` floats for the first pass, the
+    largest.
+
+    A pass takes ``2 * W`` vectorised steps, or one per point where it has
+    at most ``2 * W`` points, each two numpy calls: a cost per pass that
+    grows like ``1 / (1 - ar)`` and outweighs the arithmetic, two
+    multiplies and two adds a value, where a pass has few blocks.
     """
     count, n = chains.shape
     b = sqrt(1.0 - ar * ar)
@@ -522,12 +511,12 @@ def _ar1(chains: np.ndarray, ar: float, rows: int,
 
 def _repair(steps: np.ndarray, blocks: np.ndarray, b: float, ar: float,
             m: int, failed: np.ndarray) -> None:
-    """Rerun each failed block (lane) sequentially from the exact value
-    before it, until a value agrees with the stored one: the stored values
-    after it came from it by the same arithmetic.  A rerun that changes a
-    block's last value goes on into the next block of the row, whose
-    warm-up was checked against the old value.  ``blocks`` still holds the
-    normals."""
+    """Rerun each failed block (lane) sequentially, in Python floats, from
+    the exact value before it, until a value agrees with the stored one:
+    the stored values after it came from it by the same arithmetic.  A
+    rerun that changes a block's last value goes on into the next block of
+    the row, whose warm-up was checked against the old value.  ``blocks``
+    still holds the normals."""
     done = 0
     for lane in failed.tolist():
         if lane < done:
@@ -621,7 +610,9 @@ def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
 
     Designs are drawn by ``gen_designs`` in batches of as many
     replications as fill one pass of the recursion, so at small n its
-    vectorised steps run across the blocks of every chain of a batch.
+    vectorised steps run across the blocks of every chain of a batch.  The
+    arguments are checked at the call, before the first replication is
+    asked for.
     """
     _check_dims(process, scenario)
     if n < 1:
@@ -629,11 +620,16 @@ def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
     _check_reps(rep_start, reps)
     batch = max(1, _SPAN // (process.dim * n))
     end = rep_start + reps
-    for first in range(rep_start, end, batch):
-        xs, density = gen_designs(process, n, first, min(batch, end - first))
-        for rep, x in enumerate(xs, first):
-            y = gen_responses(x, scenario, process.seed, rep)
-            yield Dataset(y=y, x=x, density=density)
+
+    def datasets():
+        for first in range(rep_start, end, batch):
+            xs, density = gen_designs(process, n, first,
+                                      min(batch, end - first))
+            for rep, x in enumerate(xs, first):
+                y = gen_responses(x, scenario, process.seed, rep)
+                yield Dataset(y=y, x=x, density=density)
+
+    return datasets()
 
 
 def _json_object(value, field: str, keys: tuple | None = None) -> dict:

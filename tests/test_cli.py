@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -92,11 +93,27 @@ def test_mc_rate_names_out_of_range_fields(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("master_seed", -1), ("master_seed", "x"), ("master_seed", 1.7),
-    ("family_r", 2.9), ("depth", 12.0), ("coord", True), ("budget", "100")])
+    ("family_r", 2.9), ("depth", 12.0), ("coord", True), ("budget", "100"),
+    ("reps", True), ("reps", 2.0)])
 def test_mc_rate_names_integer_fields(tmp_path, capsys, field, value):
     cfg = _write_config(tmp_path, **{field: value})
     assert main(["mc-rate", "--config", cfg]) == EXIT_USAGE
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_grid", (256, 128)), ("reps", 0), ("kappa_mode", "x"),
+    ("aggregate", "x")])
+def test_built_configs_are_checked_as_parsed_ones(field, value):
+    # Command-line overrides reach the config through ``replace``.
+    args = dict(scenario={"components": ["sine"]}, process={},
+                n_grid=[256, 512], reps=2, master_seed=5)
+    config = cli.ExperimentConfig(**args)
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        replace(config, **{field: value})
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        cli.ExperimentConfig(**dict(args, **{field: value}))
+    assert config.n_grid == (256, 512)
 
 
 def _no_cell(job):

@@ -72,7 +72,9 @@ def test_replication_ranges_must_be_non_negative():
         with pytest.raises(ValueError, match="rep_start and reps"):
             gen_designs(AR_PROCESS, 16, rep_start, reps)
         with pytest.raises(ValueError, match="rep_start and reps"):
-            list(simulate_datasets(AR_PROCESS, scen, 16, rep_start, reps))
+            simulate_datasets(AR_PROCESS, scen, 16, rep_start, reps)
+    with pytest.raises(ValueError, match="n must be"):
+        simulate_datasets(AR_PROCESS, scen, 0, 0, 5)
     assert gen_designs(AR_PROCESS, 16, 3, 0)[0] == []
 
 

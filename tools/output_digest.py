@@ -29,6 +29,9 @@ for r = 1..10 (``wavelet/taps``), which shows how far the filters moved
 and not only what was built from them; ``weighted_level_sums`` and
 ``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
 ``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``;
+the parsed fields and ``echo()`` of experiment configs, alone and under
+command-line options, and the error text of refused ones, some with two
+faults so that the order of the checks shows (``cli/config``);
 ``run_experiment`` reports with every ``runtime_ms`` removed; and the
 files and stdout of the ``simulate`` and ``estimate`` commands, with the
 temporary directory's name removed.  Arrays are hashed by dtype, shape
@@ -40,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -202,6 +206,67 @@ def replications(dig, aw):
             proc, scen, table, n=1024, coord=2, reps=200))
 
 
+README_CONFIG = {
+    "scenario": {"components": ["sine", "bump"], "mu": 0.3,
+                 "noise_halfwidth": 0.5},
+    "process": {"ar_coeff": 0.6, "copula_theta": 0.5},
+    "n_grid": [1024, 4096, 16384, 65536], "reps": 50, "master_seed": 21,
+    "kappa": 1.0}
+# Keys over the README config (None drops the key), each set refused;
+# where two keys are bad, the error names the one checked first.
+REFUSED = (
+    {"kapa": 1.0, "master_seed": None}, {"reps": None, "n_grid": [1]},
+    {"n_grid": "abc"}, {"n_grid": []}, {"n_grid": [True, 256]},
+    {"n_grid": [256, 256], "reps": 0}, {"reps": 1.5, "kappa_mode": "x"},
+    {"kappa_mode": "adaptive", "aggregate": "max"},
+    {"aggregate": "x", "master_seed": -1},
+    {"master_seed": "x", "family_r": 2.5},
+    {"depth": 12.0, "master_seed": -1}, {"coord": True}, {"budget": "100"},
+    {"master_seed": -1, "scenario": {"components": []}},
+    {"scenario": {"components": ["sine", "bump"], "mu": float("nan")},
+     "process": {"ar_coeff": "0.6"}},
+    {"process": {"copula_thetta": 0.5}, "family_r": 0},
+    {"family_r": 0, "depth": 40}, {"depth": 40, "coord": 5},
+    {"coord": 5, "kappa": -1.0},
+    {"kappa": float("nan"), "self_test_exponent": -1.0},
+    {"self_test_exponent": "x", "allow_over_budget": "no"},
+    {"allow_over_budget": 0, "output_dir": 3}, {"output_dir": 3})
+
+
+def experiment_configs(dig, cli):
+    parser = cli.build_parser()
+
+    def record(accept, payload, *argv):
+        ns = parser.parse_args(["mc-rate", "--config", "-", *argv])
+        try:
+            config = cli._apply_overrides(cli.parse_experiment_config(payload),
+                                          ns)
+        except ValueError as exc:
+            if accept:
+                raise
+            dig.text("cli/config", str(exc))
+            return
+        if not accept:
+            raise RuntimeError(f"config accepted: {payload} {argv}")
+        dig.json("cli/config", {"fields": dataclasses.asdict(config),
+                                "echo": config.echo()})
+
+    for extra in ({}, {"kappa_mode": "calibrated", "aggregate": "median",
+                       "family_r": 4, "depth": 10, "coord": 2},
+                  {"kappa": 2, "output_dir": "out", "budget": 10 ** 6,
+                   "allow_over_budget": True, "self_test_exponent": 0.8}):
+        for argv in ([], ["--seed", "9"], ["--kappa", "0.5"],
+                     ["--family-r", "3", "--depth", "11"]):
+            record(True, {**README_CONFIG, **extra}, *argv)
+    record(False, [])
+    for keys in REFUSED:
+        record(False, {k: v for k, v in {**README_CONFIG, **keys}.items()
+                       if v is not None})
+    for argv in (["--seed", "-1"], ["--kappa", "nan"], ["--family-r", "0"],
+                 ["--depth", "40"]):
+        record(False, README_CONFIG, *argv)
+
+
 def experiments(dig, cli):
     configs = (
         {"scenario": {"components": ["sine"], "mu": 0.3,
@@ -264,6 +329,7 @@ def collect(src: Path, sink=None) -> Digest:
     for step in (simulated, normal_cdf, filters, wavelet_sums_and_series,
                  fits, replications):
         step(dig, aw)
+    experiment_configs(dig, cli)
     experiments(dig, cli)
     commands(dig, cli)
     return dig
