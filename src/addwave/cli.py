@@ -31,12 +31,13 @@ from .estimator import (EstimatorConfig, eval_estimate, fit_component,
                         identity_rho, ise, max_detail_level, threshold_scale)
 from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
                      calibrate_threshold, rate_fit)
-from .simulate import (_config_number, _json_object, dataset_meta,
+from .simulate import (_config_number, _json_object, _shown, dataset_meta,
                        process_from_config, read_dataset_json,
-                       scenario_from_config, simulate_dataset, test_function,
-                       write_dataset_csv, write_dataset_json)
-from .wavelet import (_check_depth, basis_diagnostics, cascade_table,
-                      make_family)
+                       scenario_from_config, simulate_dataset,
+                       simulate_datasets, write_dataset_csv,
+                       write_dataset_json)
+from .wavelet import (_check_depth, _is_integer, basis_diagnostics,
+                      cascade_table, make_family)
 
 REPORT_FORMAT_VERSION = "1"
 WORKERS_ENV = "ADDWAVE_WORKERS"
@@ -74,15 +75,14 @@ class ExperimentConfig:
         # the bounds of the family, table and scenario are reused.
         n_grid = self.n_grid
         if (not isinstance(n_grid, (list, tuple)) or not n_grid
-                or not all(isinstance(n, int) and n >= 2 for n in n_grid)):
+                or not all(_is_integer(n) and n >= 2 for n in n_grid)):
             raise ValueError(
                 "experiment field 'n_grid' must be a list of integers >= 2")
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError(
                 "experiment field 'n_grid' must be strictly increasing")
-        object.__setattr__(self, "n_grid", tuple(n_grid))
-        if (isinstance(self.reps, bool) or not isinstance(self.reps, int)
-                or self.reps < 1):
+        object.__setattr__(self, "n_grid", tuple(map(int, n_grid)))
+        if not _is_integer(self.reps) or self.reps < 1:
             raise ValueError("experiment field 'reps' must be an integer >= 1")
         if self.kappa_mode not in ("fixed", "calibrated"):
             raise ValueError("experiment field 'kappa_mode' must be 'fixed' "
@@ -90,11 +90,13 @@ class ExperimentConfig:
         if self.aggregate not in ("mean", "median"):
             raise ValueError(
                 "experiment field 'aggregate' must be 'mean' or 'median'")
-        for name in ("master_seed", "family_r", "depth", "coord", "budget"):
+        for name in ("reps", "master_seed", "family_r", "depth", "coord",
+                     "budget"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_integer(value):
                 raise ValueError(f"experiment field {name!r} must be an "
                                  f"integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.master_seed < 0:
             raise ValueError(f"experiment field 'master_seed' must be >= 0, "
                              f"got {self.master_seed}")
@@ -119,11 +121,11 @@ class ExperimentConfig:
         if not isinstance(self.allow_over_budget, bool):
             raise ValueError(f"experiment field 'allow_over_budget' must be "
                              f"true or false, got "
-                             f"{json.dumps(self.allow_over_budget)[:40]}")
+                             f"{_shown(self.allow_over_budget)}")
         if self.output_dir is not None and not isinstance(self.output_dir,
                                                           str):
             raise ValueError(f"experiment field 'output_dir' must be a "
-                             f"string, got {json.dumps(self.output_dir)[:40]}")
+                             f"string, got {_shown(self.output_dir)}")
 
     def echo(self) -> dict:
         out = {
@@ -219,24 +221,20 @@ def _aggregate_report(config: ExperimentConfig, cells: list,
                           "mean_ise": float(np.mean(errs)),
                           "median_ise": float(np.median(errs))})
     key = "mean_ise" if config.aggregate == "mean" else "median_ise"
-    fit = None
-    fit_error = None
     points = [(row["n"], row[key]) for row in per_n
               if row["reps_done"] == config.reps]
-    try:
-        fit = json.loads(rate_fit(points).to_json())
-    except ValueError as exc:
-        fit_error = str(exc)
     report = {
         "version": REPORT_FORMAT_VERSION,
         "config": config.echo(),
         "kappa": kappa,
         "cells": cells,
         "per_n": per_n,
-        "fit": fit,
+        "fit": None,
     }
-    if fit_error is not None:
-        report["fit_error"] = fit_error
+    try:
+        report["fit"] = json.loads(rate_fit(points).to_json())
+    except ValueError as exc:
+        report["fit_error"] = str(exc)
     if interrupted:
         report["interrupted"] = True
     return report
@@ -363,17 +361,15 @@ def cmd_simulate(ns) -> int:
     scenario = scenario_from_config(config.scenario)
     process = process_from_config(config.process, scenario.dim,
                                   config.master_seed)
-    written = []
     for n in config.n_grid:
-        for rep in range(config.reps):
-            data = simulate_dataset(process, scenario, n, rep=rep)
+        for rep, data in enumerate(simulate_datasets(process, scenario, n, 0,
+                                                     config.reps)):
             meta = dataset_meta(process, scenario, n, rep)
             stem = f"dataset_n{n}_rep{rep}"
             write_dataset_csv(out / f"{stem}.csv", data)
             write_dataset_json(out / f"{stem}.json", data, meta)
-            written.append(stem)
     print(json.dumps({"version": REPORT_FORMAT_VERSION,
-                      "written": len(written) * 2,
+                      "written": 2 * len(config.n_grid) * config.reps,
                       "directory": str(out)}, sort_keys=True))
     return EXIT_OK
 
@@ -401,16 +397,13 @@ def cmd_estimate(ns) -> int:
     truth = None
     if scenario is not None:
         truth = scenario.component(coord)(grid)
+    columns = [grid, fitted] + ([truth] if truth is not None else [])
     table_path = out_dir / f"estimate_coord{coord}.csv"
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["x", "estimate"] + (["truth"] if truth is not None else [])
-        writer.writerow(header)
-        for i, x in enumerate(grid):
-            row = [repr(float(x)), repr(float(fitted[i]))]
-            if truth is not None:
-                row.append(repr(float(truth[i])))
-            writer.writerow(row)
+        writer.writerow(["x", "estimate", "truth"][:len(columns)])
+        writer.writerows([repr(float(v)) for v in row]
+                         for row in zip(*columns))
     summary = {"version": REPORT_FORMAT_VERSION,
                "estimate": str(est_path), "table": str(table_path),
                "kept": est.kept_count(), "j1": est.j1,

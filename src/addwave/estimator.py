@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wavelet import (_CHUNK, BasisTable, _analysis_step, _synthesis_step,
-                      evaluate_series, weighted_level_sums)
+from .wavelet import (_CHUNK, BasisTable, _analysis_step, _is_integer,
+                      _synthesis_step, evaluate_series, weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
 
@@ -129,8 +129,7 @@ class EstimatorConfig:
     threshold_const: float = 1.0
 
     def __post_init__(self):
-        if (isinstance(self.coord, bool)
-                or not isinstance(self.coord, (int, np.integer))):
+        if not _is_integer(self.coord):
             raise ValueError(f"coord must be an integer, got {self.coord!r}")
         if self.coord < 1:
             raise ValueError(f"coord {self.coord} is out of range: "

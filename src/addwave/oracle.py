@@ -287,7 +287,6 @@ def calibrate_threshold(process: MixingProcessSpec, scenario: ScenarioSpec,
         raise ValueError("quantile must be in (0.5, 1)")
     pilot = ScenarioSpec(
         components=("zero",) * scenario.dim,
-        offset=0.0,
         noise_halfwidth=math.sqrt(3.0) * scenario.response_bound())
     tau = table.family.coarsest_level
     targets = [("wavelet", j, k, coord)

@@ -22,6 +22,10 @@ points.  ``_ar1`` states the recursion's rounding and why its vectorised
 blocks are exact; ``_ndtr``, a numpy port of Cephes' ``ndtr``, states why
 it equals ``scipy.special.ndtr`` for every input, so the package needs no
 scipy.
+
+``MixingProcessSpec`` and ``ScenarioSpec`` check every field however they
+are built, with a config's messages; the config and dataset readers only
+map keys to fields, and add the config's 1e100 bound.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from math import sqrt
 import numpy as np
 
 from .estimator import Dataset, DesignDensity, RhoSpec, identity_rho
-from .wavelet import _CHUNK
+from .wavelet import _CHUNK, _is_integer
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -56,12 +60,18 @@ class MixingProcessSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # Each range check is written so that a NaN fails it.
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        # Readers' checks, numbers before ranges; stored as int and float.
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_integer(self.dim):
+            raise ValueError(
+                f"process has 'dim' {_shown(self.dim)}, not an integer")
+        for name in ("ar_coeff", "copula_theta"):
+            object.__setattr__(self, name, _config_number(
+                getattr(self, name), f"process field {name!r}"))
+        for name in ("seed", "dim"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not 1 <= self.dim <= 4:
             raise ValueError(f"dim must be in 1..4, got {self.dim}")
         if not 0.0 <= self.ar_coeff < 1.0:
@@ -146,12 +156,19 @@ class ScenarioSpec:
     noise_halfwidth: float = 0.0
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("at least one component is required")
+        # Every check of a config's scenario, named by its keys.
+        names = self.components
+        if (not isinstance(names, (list, tuple)) or not names
+                or not all(isinstance(c, str) for c in names)):
+            raise ValueError(
+                "scenario field 'components' must be a list of names")
+        object.__setattr__(self, "components", tuple(names))
+        object.__setattr__(self, "offset", _config_number(
+            self.offset, "scenario field 'mu'"))
+        object.__setattr__(self, "noise_halfwidth", _config_number(
+            self.noise_halfwidth, "scenario field 'noise_halfwidth'", low=0.0))
         for name in self.components:
             test_function(name)
-        if self.noise_halfwidth < 0:
-            raise ValueError("noise_halfwidth must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -226,9 +243,7 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
     row, the normal CDF once over the whole batch, and the FGM step in
     place on each replication's second row against its first.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_reps(rep_start, reps)
+    _check_range(n, rep_start, reps)
     ar, theta = spec.ar_coeff, spec.copula_theta
     designs = np.empty((reps, spec.dim, n))
     for rep, x in enumerate(designs, rep_start):
@@ -263,10 +278,12 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
     return [x.T for x in designs], spec.density
 
 
-def _check_reps(rep_start: int, reps: int) -> None:
-    if rep_start < 0 or reps < 0:
+def _check_range(n: int, rep_start: int, reps: int) -> None:
+    if not (_is_integer(n) and n >= 1):
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not all(_is_integer(v) and v >= 0 for v in (rep_start, reps)):
         raise ValueError(f"rep_start and reps must be >= 0, got "
-                         f"{rep_start} and {reps}")
+                         f"{rep_start!r} and {reps!r}")
 
 
 # Cephes' ndtr.c coefficients, the sets scipy.special ships: erf(x) = x
@@ -615,9 +632,7 @@ def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
     asked for.
     """
     _check_dims(process, scenario)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_reps(rep_start, reps)
+    _check_range(n, rep_start, reps)
     batch = max(1, _SPAN // (process.dim * n))
     end = rep_start + reps
 
@@ -638,7 +653,7 @@ def _json_object(value, field: str, keys: tuple | None = None) -> dict:
     unknown key."""
     if not isinstance(value, dict):
         raise ValueError(f"field {field!r} must be a JSON object, "
-                         f"got {json.dumps(value)[:40]}")
+                         f"got {_shown(value)}")
     unknown = [key for key in value if keys is not None and key not in keys]
     if unknown:
         raise ValueError(f"{field} has unknown key {unknown[0]!r}; known "
@@ -646,69 +661,60 @@ def _json_object(value, field: str, keys: tuple | None = None) -> dict:
     return value
 
 
-def _config_number(value, name: str, low: float | None = None,
-                   bound: float | None = None) -> float:
-    """``value`` as a float if it is a finite JSON number, not a bool, of
-    at least ``low`` and of magnitude at most ``bound``; else a
-    ``ValueError`` that starts with ``name``."""
+def _shown(value) -> str:
+    """``value`` in an error message: as JSON, cut to 40 characters; a
+    value JSON has no form for (a numpy scalar) as its quoted ``repr``."""
+    return json.dumps(value, default=repr)[:40]
+
+
+def _config_number(value, name: str, low: float | None = None) -> float:
+    """``value`` as a float if it is a finite real number (Python or
+    numpy), not a bool, of at least ``low``; else a ``ValueError`` that
+    starts with ``name``."""
     number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
         try:
             number = float(value)
         except OverflowError:
             pass
     if not math.isfinite(number):
         raise ValueError(f"{name} must be a finite number, "
-                         f"got {json.dumps(value)[:40]}")
+                         f"got {_shown(value)}")
     if low is not None and number < low:
         raise ValueError(f"{name} must be >= {low}, got {number}")
-    if bound is not None and abs(number) > bound:
-        raise ValueError(f"{name} must be at most {bound:g} in magnitude, "
-                         f"got {number}")
     return number
 
 
 # Largest |mu| and noise half-width a config may set: responses stay far
 # enough from overflow that their squares, and squared errors, are finite.
+# A spec may pass it: a calibration pilot's noise reaches about 3.5e100.
 _RESPONSE_BOUND = 1e100
+_SCENARIO_FIELDS = {"components": "components", "mu": "offset",
+                    "noise_halfwidth": "noise_halfwidth"}
 
 
 def scenario_from_config(cfg: dict) -> ScenarioSpec:
     """Build a scenario from declarative keys, naming any missing or
-    malformed field."""
-    if "components" not in _json_object(
-            cfg, "scenario", ("components", "mu", "noise_halfwidth")):
+    malformed field; ``ScenarioSpec`` checks the values."""
+    if "components" not in _json_object(cfg, "scenario",
+                                        tuple(_SCENARIO_FIELDS)):
         raise ValueError("scenario config is missing field 'components'")
-    components = cfg["components"]
-    if (not isinstance(components, (list, tuple)) or not components
-            or not all(isinstance(c, str) for c in components)):
-        raise ValueError("scenario field 'components' must be a list of names")
-    return ScenarioSpec(
-        components=tuple(components),
-        offset=_config_number(cfg.get("mu", 0.0), "scenario field 'mu'",
-                              bound=_RESPONSE_BOUND),
-        noise_halfwidth=_config_number(
-            cfg.get("noise_halfwidth", 0.0),
-            "scenario field 'noise_halfwidth'", low=0.0,
-            bound=_RESPONSE_BOUND))
+    scenario = ScenarioSpec(**{_SCENARIO_FIELDS[key]: value
+                               for key, value in cfg.items()})
+    for key in ("mu", "noise_halfwidth"):
+        number = getattr(scenario, _SCENARIO_FIELDS[key])
+        if abs(number) > _RESPONSE_BOUND:
+            raise ValueError(f"scenario field {key!r} must be at most "
+                             f"{_RESPONSE_BOUND:g} in magnitude, got {number}")
+    return scenario
 
 
 def process_from_config(cfg: dict, dim: int, seed: int) -> MixingProcessSpec:
-    """Build a design process from declarative keys; ``ar_coeff`` and
-    ``copula_theta`` must be finite JSON numbers in their ranges."""
-    _json_object(cfg, "process", ("ar_coeff", "copula_theta"))
+    """Build a design process from declarative keys; the spec checks them."""
     return MixingProcessSpec(
-        dim=dim,
-        ar_coeff=_config_number(cfg.get("ar_coeff", 0.0),
-                                "process field 'ar_coeff'"),
-        copula_theta=_config_number(cfg.get("copula_theta", 0.0),
-                                    "process field 'copula_theta'"),
-        seed=seed)
-
-
-def _config_digest(meta: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(meta, sort_keys=True).encode()).hexdigest()[:16]
+        dim=dim, seed=seed,
+        **_json_object(cfg, "process", ("ar_coeff", "copula_theta")))
 
 
 def dataset_meta(process: MixingProcessSpec, scenario: ScenarioSpec,
@@ -729,7 +735,8 @@ def dataset_meta(process: MixingProcessSpec, scenario: ScenarioSpec,
             "noise_halfwidth": scenario.noise_halfwidth,
         },
     }
-    meta["spec_digest"] = _config_digest(meta)
+    meta["spec_digest"] = hashlib.sha256(
+        json.dumps(meta, sort_keys=True).encode()).hexdigest()[:16]
     return meta
 
 
@@ -762,14 +769,10 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
     proc = _json_object(payload["process"], "process")
     if "dim" not in proc:
         raise ValueError("dataset field 'process' is missing 'dim'")
-    dim = proc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= 4:
-        raise ValueError(f"dataset field 'process' has 'dim' "
-                         f"{json.dumps(dim)[:40]}, not an integer in 1..4")
-    # The block also records the dimension and seed the data came from.
+    # The block also records the seed the data came from.
     process = process_from_config(
-        {k: v for k, v in proc.items() if k not in ("dim", "seed")}, dim,
-        seed=0)
+        {k: v for k, v in proc.items() if k not in ("dim", "seed")},
+        proc["dim"], seed=0)
     data = Dataset(y=np.asarray(payload["y"], dtype=float),
                    x=np.asarray(payload["x"], dtype=float),
                    density=process.density)

@@ -55,6 +55,11 @@ _MAX_DEPTH = 16
 _CHUNK = 2 ** 14
 
 
+def _is_integer(value) -> bool:
+    """An ``int`` or numpy integer, not a bool: the package's integer rule."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class WaveletFamily:
     """Compactly supported orthonormal family identified by its filter."""
@@ -127,8 +132,7 @@ def make_family(vanishing_moments: int) -> WaveletFamily:
     minimum-phase branch, which reproduces the standard published
     coefficients.  Every filter is orthonormal to a few 1e-15.
     """
-    if (isinstance(vanishing_moments, bool)
-            or not isinstance(vanishing_moments, (int, np.integer))):
+    if not _is_integer(vanishing_moments):
         raise ValueError(f"vanishing_moments must be an integer, "
                          f"got {vanishing_moments!r}")
     r = int(vanishing_moments)
@@ -174,7 +178,7 @@ def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
 
 
 def _check_depth(depth: int) -> None:
-    if not _MIN_DEPTH <= depth <= _MAX_DEPTH:
+    if not (_is_integer(depth) and _MIN_DEPTH <= depth <= _MAX_DEPTH):
         raise ValueError(f"depth must be in {_MIN_DEPTH}..{_MAX_DEPTH}, got {depth}")
 
 

@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import addwave
@@ -114,6 +115,23 @@ def test_built_configs_are_checked_as_parsed_ones(field, value):
     with pytest.raises(ValueError, match=f"'{field}'"):
         cli.ExperimentConfig(**dict(args, **{field: value}))
     assert config.n_grid == (256, 512)
+
+
+def test_built_configs_take_numpy_integers_and_echo_json():
+    # The integer rule of the specs and the wavelet family: an int or a
+    # numpy integer, never a bool.  Each is stored as an int.
+    config = cli.ExperimentConfig(
+        scenario={"components": ["sine"]}, process={},
+        n_grid=[np.int64(256), 512], reps=np.int32(2),
+        master_seed=np.int64(5), family_r=np.int64(3), coord=np.int8(1))
+    echo = config.echo()
+    assert json.loads(json.dumps(echo)) == echo
+    assert echo["n_grid"] == [256, 512] and echo["reps"] == 2
+    assert all(type(v) is int for v in (*config.n_grid, config.reps,
+                                        config.master_seed, config.family_r,
+                                        config.coord))
+    with pytest.raises(ValueError, match="'reps'"):
+        replace(config, reps=True)
 
 
 def _no_cell(job):

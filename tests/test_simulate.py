@@ -14,7 +14,8 @@ from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
 
-from addwave import MixingProcessSpec, ScenarioSpec, simulate
+from addwave import (MixingProcessSpec, ScenarioSpec, cascade_table,
+                     make_family, simulate)
 from addwave import simulate_dataset
 from addwave import test_function as catalog_fn
 from addwave.simulate import (
@@ -64,6 +65,51 @@ def test_process_spec_validation():
         with pytest.raises(ValueError, match="seed must be a non-negative"):
             MixingProcessSpec(dim=1, seed=seed)
     assert MixingProcessSpec(dim=1, seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ScenarioSpec(("sine",), noise_halfwidth=math.nan),
+     "'noise_halfwidth'"),
+    (lambda: ScenarioSpec(("sine",), noise_halfwidth=math.inf),
+     "'noise_halfwidth'"),
+    (lambda: ScenarioSpec(("sine",), offset=math.nan), "'mu'"),
+    (lambda: ScenarioSpec("sine"), "'components'"),
+    (lambda: MixingProcessSpec(dim=2.5), "'dim'"),
+    (lambda: MixingProcessSpec(dim=True), "'dim'"),
+    (lambda: MixingProcessSpec(dim=2.0), "'dim'"),
+    (lambda: MixingProcessSpec(dim=1, ar_coeff="0.5"), "'ar_coeff'"),
+    (lambda: MixingProcessSpec(dim=1, ar_coeff=None), "'ar_coeff'"),
+    (lambda: gen_design(MixingProcessSpec(dim=1), 2.5), "n must"),
+    (lambda: gen_design(MixingProcessSpec(dim=1), 8, rep=True), "rep_start"),
+    (lambda: cascade_table(make_family(2), 12.5), "depth")],
+    ids=["noise-nan", "noise-inf", "mu-nan", "components-str", "dim-float",
+         "dim-bool", "dim-integral-float", "ar-str", "ar-none",
+         "n-float", "rep-bool", "depth-float"])
+def test_direct_construction_and_calls_refuse_bad_values_by_name(build,
+                                                                 field):
+    # Built directly, each of these used to build (a NaN half-width then
+    # drew no noise, an infinite one overflowed at the first draw, and
+    # rep=True drew replication 1) or to fail with a TypeError deep inside.
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_specs_store_python_numbers():
+    proc = MixingProcessSpec(dim=np.int64(2), ar_coeff=np.float32(0.5),
+                             copula_theta=0, seed=np.int64(3))
+    assert [type(v) for v in (proc.dim, proc.ar_coeff, proc.copula_theta,
+                              proc.seed)] == [int, float, float, int]
+    scen = ScenarioSpec(["sine"], offset=1, noise_halfwidth=np.int64(0))
+    assert scen.components == ("sine",)
+    assert type(scen.offset) is float and type(scen.noise_halfwidth) is float
+    # A scenario built in the program may pass the config's 1e100 bound.
+    assert ScenarioSpec(("zero",), noise_halfwidth=3e100).noise_halfwidth \
+        == 3e100
+    # Metadata of a numpy-seeded process is JSON, with floats as a config
+    # gives them.
+    meta = dataset_meta(proc, ScenarioSpec(("sine", "bump")), 8, 0)
+    assert meta["process"]["copula_theta"] == 0.0
+    assert json.loads(json.dumps(meta)) == meta
 
 
 def test_replication_ranges_must_be_non_negative():

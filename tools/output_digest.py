@@ -24,7 +24,11 @@ The parts: simulated datasets (i.i.d., AR and AR + FGM processes, dims 1
 to 4, sizes on both sides of the simulator's and the stencil's chunk
 edges, with and without noise); the normal CDF on edge values and 2^16
 fixed draws (``simulate/ndtr``), so that a numpy whose complex ``exp``
-moves shows there first; the filters ``make_family(r).low_pass``
+moves shows there first; the stored fields of directly built process
+and scenario specs and the error text of refused ones, some with two
+faults so that the order of the checks shows, and the errors of draws
+asked for with a size or replication that is not an integer
+(``simulate/specs``); the filters ``make_family(r).low_pass``
 for r = 1..10 (``wavelet/taps``), which shows how far the filters moved
 and not only what was built from them; ``weighted_level_sums`` and
 ``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
@@ -140,6 +144,95 @@ def normal_cdf(dig, aw):
         from scipy.special import ndtr
         out = ndtr(a)
     dig.array("simulate/ndtr", out)
+
+
+NAN, INF = float("nan"), float("inf")
+# Direct constructions of the two specs: (type, keyword arguments).  Some
+# are accepted, with numpy scalars and ints among the numbers; some are
+# refused, a few with two faults so that the order of the checks shows.
+SPECS = (
+    ("process", {"dim": 2, "ar_coeff": 0.6, "copula_theta": 0.5, "seed": 7}),
+    ("process", {"dim": np.int64(2), "ar_coeff": np.float32(0.5),
+                 "copula_theta": np.float64(-0.25), "seed": np.int64(3)}),
+    ("process", {"dim": 1, "ar_coeff": 0, "copula_theta": 0}),
+    ("process", {"dim": 2.5}), ("process", {"dim": True}),
+    ("process", {"dim": 2.0}), ("process", {"dim": "2"}),
+    ("process", {"dim": 0}), ("process", {"dim": 5}),
+    ("process", {"dim": 1, "ar_coeff": "0.5"}),
+    ("process", {"dim": 1, "ar_coeff": None}),
+    ("process", {"dim": 1, "ar_coeff": True}),
+    ("process", {"dim": 1, "ar_coeff": NAN}),
+    ("process", {"dim": 1, "ar_coeff": np.float32(NAN)}),
+    ("process", {"dim": 1, "ar_coeff": 1.0}),
+    ("process", {"dim": 2, "copula_theta": INF}),
+    ("process", {"dim": 2, "copula_theta": -1.0}),
+    ("process", {"dim": 1, "copula_theta": 0.5}),
+    ("process", {"dim": 1, "seed": -1}), ("process", {"dim": 1, "seed": 1.5}),
+    ("process", {"dim": 2.5, "seed": -1}),
+    ("process", {"dim": 2.5, "ar_coeff": "x"}),
+    ("process", {"dim": 5, "ar_coeff": NAN}),
+    ("process", {"dim": 2, "ar_coeff": 1.5, "copula_theta": "x"}),
+    ("process", {"dim": 2, "ar_coeff": 1.5, "copula_theta": 2.0}),
+    ("scenario", {"components": ("sine", "bump"), "offset": 0.3,
+                  "noise_halfwidth": 0.5}),
+    ("scenario", {"components": ["sine"], "offset": np.float32(0.25),
+                  "noise_halfwidth": np.int64(1)}),
+    ("scenario", {"components": ("step",), "offset": 1, "noise_halfwidth": 0}),
+    # No magnitude bound outside a config: a calibration pilot's noise.
+    ("scenario", {"components": ("zero",), "noise_halfwidth": 3e100}),
+    ("scenario", {"components": ("sine",), "noise_halfwidth": NAN}),
+    ("scenario", {"components": ("sine",), "noise_halfwidth": INF}),
+    ("scenario", {"components": ("sine",), "noise_halfwidth": -1.0}),
+    ("scenario", {"components": ("sine",), "offset": NAN}),
+    ("scenario", {"components": ("sine",), "offset": None}),
+    ("scenario", {"components": ("sine",), "offset": True}),
+    ("scenario", {"components": "sine"}), ("scenario", {"components": ()}),
+    ("scenario", {"components": ("sine", 3)}),
+    ("scenario", {"components": ("wiggle",)}),
+    ("scenario", {"components": "sine", "offset": NAN}),
+    ("scenario", {"components": ("wiggle",), "offset": NAN}),
+    ("scenario", {"components": ("sine",), "offset": NAN,
+                  "noise_halfwidth": -1.0}),
+    ("scenario", {"components": ("wiggle",), "noise_halfwidth": -1.0}))
+
+
+def _stored(value):
+    """A stored field as its type's name and a JSON value (a ``repr``
+    where JSON has no form for it)."""
+    kind = type(value).__name__
+    try:
+        json.dumps(value)
+    except TypeError:
+        value = repr(value)
+    return [kind, value]
+
+
+def specs(dig, aw):
+    """The fields each of ``SPECS`` stored, or the error it raised, of any
+    type, so that a tree that fails deep inside shows it; then the same for
+    draws and a table asked for with a size, replication or depth that is
+    not an integer."""
+    def record(build):
+        try:
+            value = build()
+        except Exception as exc:
+            dig.text("simulate/specs", f"{type(exc).__name__}: {exc}")
+            return
+        if dataclasses.is_dataclass(value):
+            value = {f.name: _stored(getattr(value, f.name))
+                     for f in dataclasses.fields(value)}
+        dig.json("simulate/specs", value)
+
+    types = {"process": aw.MixingProcessSpec, "scenario": aw.ScenarioSpec}
+    for kind, kwargs in SPECS:
+        record(lambda: types[kind](**kwargs))
+    proc = aw.MixingProcessSpec(dim=1, ar_coeff=0.5, seed=2)
+    for args in ((2.5,), (8, True), (8, -1), (0,), ("8",)):
+        record(lambda: aw.simulate.gen_design(proc, *args)[0].tolist())
+    for args in ((8, 0, 1.5), (8, np.int64(1), np.int64(2))):
+        record(lambda: [x.tolist()
+                        for x in aw.simulate.gen_designs(proc, *args)[0]])
+    record(lambda: aw.cascade_table(aw.make_family(2), 12.5))
 
 
 def filters(dig, aw):
@@ -326,8 +419,8 @@ def collect(src: Path, sink=None) -> Digest:
     from addwave import cli
 
     dig = Digest(sink)
-    for step in (simulated, normal_cdf, filters, wavelet_sums_and_series,
-                 fits, replications):
+    for step in (simulated, normal_cdf, specs, filters,
+                 wavelet_sums_and_series, fits, replications):
         step(dig, aw)
     experiment_configs(dig, cli)
     experiments(dig, cli)
