@@ -115,10 +115,14 @@ class Dataset:
 
     def column(self, coord: int) -> np.ndarray:
         """Design values of the 1-based coordinate ``coord``."""
-        if not 1 <= coord <= self.dim:
-            raise ValueError(f"coord {coord} is out of range for a "
-                             f"{self.dim}-dimensional design")
+        _check_coord(coord, self.dim)
         return self.x[:, coord - 1]
+
+
+def _check_coord(coord: int, dim: int) -> None:
+    if not (_is_integer(coord) and 1 <= coord <= dim):
+        raise ValueError(f"coord {coord} is out of range for a "
+                         f"{dim}-dimensional design")
 
 
 @dataclass(frozen=True)

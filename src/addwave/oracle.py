@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _weights, max_detail_level, threshold_scale
+from .estimator import (_check_coord, _weights, max_detail_level,
+                        threshold_scale)
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
-from .wavelet import BasisTable, level_coeffs, weighted_level_sums
+from .wavelet import (BasisTable, _check_index, _check_kind, _is_integer,
+                      level_coeffs, weighted_level_sums)
 
 DEFAULT_BUDGET = 1_000_000_000
 
@@ -58,27 +60,23 @@ def haar_closed_form(shape: str, kind: str, level: int, shift: int) -> float:
     then up around 1/2.  Levels run 0..6; every Haar element at these
     levels sits inside [0, 1] so periodization changes nothing.
     """
-    if not 0 <= level <= 6:
+    reference_shape(shape)
+    _check_kind(kind)
+    _check_index(level, shift)
+    if level > 6:
         raise ValueError(f"level must be in 0..6, got {level}")
-    if not 0 <= shift < 2 ** level:
-        raise ValueError(f"shift must be in 0..{2 ** level - 1}, got {shift}")
-    if kind not in ("scaling", "wavelet"):
-        raise ValueError(f"kind must be scaling or wavelet, got {kind!r}")
     if shape == "constant":
         return 2.0 ** (-level / 2.0) if kind == "scaling" else 0.0
     if shape == "linear":
         if kind == "scaling":
             return 2.0 ** (-1.5 * level) * (shift + 0.5)
         return -(2.0 ** (-1.5 * level)) / 4.0
-    if shape == "step@0.5":
-        if kind == "wavelet":
-            return -1.0 if level == 0 else 0.0
-        if level == 0:
-            return 0.0
-        sign = -1.0 if shift < 2 ** (level - 1) else 1.0
-        return sign * 2.0 ** (-level / 2.0)
-    raise ValueError(
-        f"unknown reference shape {shape!r}; known: constant, linear, step@0.5")
+    if kind == "wavelet":
+        return -1.0 if level == 0 else 0.0
+    if level == 0:
+        return 0.0
+    sign = -1.0 if shift < 2 ** (level - 1) else 1.0
+    return sign * 2.0 ** (-level / 2.0)
 
 
 def expected_coeff(table: BasisTable, scenario: ScenarioSpec, kind: str,
@@ -92,6 +90,7 @@ def expected_coeff(table: BasisTable, scenario: ScenarioSpec, kind: str,
     against it, and the response offset contributes only through the
     scaling elements, whose integral is 2**(-level/2).
     """
+    _check_index(level, shift)
     g = scenario.component(coord)
     value = float(level_coeffs(table, kind, level,
                                g.samples(grid_size))[shift])
@@ -107,8 +106,9 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
     """Empirical coefficients over independent replications.
 
     ``targets`` lists (kind, level, shift, coord) tuples; the result has
-    one row per replication and one column per target.  Targets sharing
-    a (kind, level, coord) triple are evaluated in a single pass.
+    one row per replication and one column per target, each checked before
+    any draw.  Targets sharing a (kind, level, coord) triple are checked
+    once and evaluated in a single pass.
     """
     targets = list(targets)
     if not targets:
@@ -117,7 +117,11 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
     rho = scenario.rho_spec()
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for col, (kind, level, shift, coord) in enumerate(targets):
-        if not 0 <= shift < 2 ** level:
+        if (kind, level, coord) not in groups:
+            _check_kind(kind)
+            _check_index(level, 0)
+            _check_coord(coord, process.dim)
+        if not (_is_integer(shift) and 0 <= shift < 2 ** level):
             raise ValueError(f"shift {shift} out of range at level {level}")
         groups.setdefault((kind, level, coord), []).append((col, shift))
     out = np.empty((reps, len(targets)))

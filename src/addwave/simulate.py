@@ -15,13 +15,13 @@ bit-identical output.
 
 The designs of a batch of replications are drawn into one array, and the
 recursion, the normal CDF and the FGM step run in place on it
-(``gen_designs``), with scratch carved from one allocation per call (3 MiB
-at most for n up to 2^18, d = 1 to 4 and ar up to 0.999); the responses
-are made in chunks of ``_CHUNK`` points, so no temporary spans all n
-points.  ``_ar1`` states the recursion's rounding and why its vectorised
-blocks are exact; ``_ndtr``, a numpy port of Cephes' ``ndtr``, states why
-it equals ``scipy.special.ndtr`` for every input, so the package needs no
-scipy.
+(``gen_designs``), with scratch from one allocation per call (3.0 MiB at
+most for the batches ``simulate_datasets`` draws, n up to 2^18, d = 1 to
+4, ar 0.05 to 0.999); the responses are made in chunks of ``_CHUNK``
+points, so no temporary spans all n points.  ``_ar1`` states the
+recursion's rounding and why its vectorised blocks are exact; ``_ndtr``,
+a numpy port of Cephes' ``ndtr``, states why it equals
+``scipy.special.ndtr`` for every input, so the package needs no scipy.
 
 ``MixingProcessSpec`` and ``ScenarioSpec`` check every field however they
 are built, with a config's messages; the config and dataset readers only
@@ -175,7 +175,7 @@ class ScenarioSpec:
         return len(self.components)
 
     def component(self, coord: int) -> TestFunction:
-        if not 1 <= coord <= self.dim:
+        if not (_is_integer(coord) and 1 <= coord <= self.dim):
             raise ValueError(f"coord must be in 1..{self.dim}, got {coord}")
         return test_function(self.components[coord - 1])
 
@@ -250,21 +250,18 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
         np.random.default_rng((spec.seed, rep, _DESIGN_CHANNEL)) \
             .standard_normal(out=x)
     chains = designs.reshape(-1, n)
-    # A pass of the recursion holds every chain when they fit one span,
-    # else one chain.
-    rows = len(chains) if 0 < chains.size <= _SPAN else 1
-    w, m = _pass_blocks(min(n - 1, _SPAN), ar) if ar else (0, 0)
-    # The normal CDF's chunk: at least _CHUNK values, or the whole batch,
-    # so that no short remainder is a chunk of its own (a chunk costs
-    # about 25 numpy calls, however short).
+    # Every pass of the recursion holds every chain, over as many columns
+    # as fill one span; the first pass is the longest.
+    cols = max(1, _SPAN // max(1, len(chains)))
+    w, m = _pass_blocks(min(n - 1, cols), ar) if ar else (0, 0)
     values = designs.reshape(-1)
-    chunk = -(-values.size // max(1, values.size // _CHUNK)) or 1
+    chunk = min(values.size, _CHUNK) or 1
     # One allocation per call, shared by the recursion and then by the
     # scratch of the normal CDF and of the FGM step: separate buffers of
     # 128 KiB or more fault in again every call.
-    work = np.empty(max(2 * rows * m * (w + 1), _NDTR_ROWS * chunk))
+    work = np.empty(max(2 * len(chains) * m * (w + 1), _NDTR_ROWS * chunk))
     if ar:
-        _ar1(chains, ar, rows, work)
+        _ar1(chains, ar, cols, work)
     scratch = work[:_NDTR_ROWS * chunk].reshape(_NDTR_ROWS, chunk)
     _ndtr(values, values, scratch)
     if theta:
@@ -452,7 +449,7 @@ def _pass_blocks(length: int, ar: float) -> tuple[int, int]:
     return (length, 1) if length <= 2 * w else (w, -(-length // w))
 
 
-def _ar1(chains: np.ndarray, ar: float, rows: int,
+def _ar1(chains: np.ndarray, ar: float, cols: int,
          work: np.ndarray) -> None:
     """The AR(1) recursion along each row of ``chains``, ``(count, n)``, in
     place from index 1: ``y_0 = z_0`` is the value as drawn and ``y_i =
@@ -462,23 +459,23 @@ def _ar1(chains: np.ndarray, ar: float, rows: int,
     adds ``fl(b * z_i)`` to a state ``0 * z_(i-1) - fl(-ar * y_(i-1))``,
     which is ``fl(ar * y_(i-1))`` exactly.
 
-    It runs pass by pass, ``rows`` chains (all of them, or one) and at
-    most ``_SPAN`` points at a time, each pass starting from the value
-    before it in its row.  A pass of ``length`` points is copied into
-    ``work`` as ``(rows, m * w)``, padded with zeros (``_pass_blocks``),
-    and vectorised across its ``rows * m`` blocks (lanes).  ``steps``
-    holds the inputs lane-major, one row per step and one column per
-    block, so every vectorised step is contiguous; the blocks' own steps
-    overwrite their inputs with chain values.  A row's first block starts
-    from the exact value.  Each later block first warms up: ``w`` steps
-    from 0 over the block before it, whose start is then forgotten but for
-    ``2**-64`` of the chain's size when ``w`` is ``W`` (``_block_steps``),
-    so the warm-up almost always ends on that block's exact last value.
-    That is checked at every boundary: a block whose warm-up matches is
-    exact by induction, since its own steps then repeat the sequential
-    arithmetic, and one that does not is rerun by ``_repair``.  ``work``
-    holds ``2 * rows * m * (w + 1)`` floats for the first pass, the
-    largest.
+    It runs pass by pass, every chain and at most ``cols`` points of each
+    at a time, each pass starting from the value before it in its row.  A
+    pass of ``length`` points is copied into ``work`` as ``(count, m *
+    w)``, padded with zeros (``_pass_blocks``), and vectorised across its
+    ``count * m`` blocks (lanes).  ``steps`` holds the inputs lane-major,
+    one row per step and one column per block, so every vectorised step is
+    contiguous; the blocks' own steps overwrite their inputs with chain
+    values.  A row's first block starts from the exact value.  Each later
+    block first warms up: ``w`` steps from 0 over the block before it,
+    whose start is then forgotten but for ``2**-64`` of the chain's size
+    when ``w`` is ``W`` (``_block_steps``), so the warm-up almost always
+    ends on that block's exact last value.  That is checked at every
+    boundary: a block whose warm-up matches is exact by induction, since
+    its own steps then repeat the sequential arithmetic, and one that does
+    not is rerun by ``_repair``.  So every value equals the sequential
+    recursion's, however the rows are split into passes.  ``work`` holds
+    ``2 * count * m * (w + 1)`` floats for the first pass, the largest.
 
     A pass takes ``2 * W`` vectorised steps, or one per point where it has
     at most ``2 * W`` points, each two numpy calls: a cost per pass that
@@ -488,42 +485,40 @@ def _ar1(chains: np.ndarray, ar: float, rows: int,
     count, n = chains.shape
     b = sqrt(1.0 - ar * ar)
     a = np.array(ar)
-    for first in range(0, count, rows):
-        for start in range(1, n, _SPAN):
-            length = min(n - start, _SPAN)
-            w, m = _pass_blocks(length, ar)
-            lanes = rows * m
-            area = lanes * w
-            chain = chains[first:first + rows, start:start + length]
-            z = work[:area].reshape(rows, m * w)
-            z[:, :length] = chain
-            z[:, length:] = 0.0
-            blocks = z.reshape(lanes, w)
-            steps = work[area:2 * area].reshape(w, lanes)
-            np.multiply(blocks.T, b, out=steps)
-            last = work[2 * area:2 * area + lanes]
-            tmp = work[2 * area + lanes:2 * (area + lanes)]
-            warm = last[1:]
-            if m > 1:
-                warm[:] = 0.0
-                for inputs in steps[:, :-1]:
-                    np.multiply(warm, a, out=warm)
-                    np.add(warm, inputs, out=warm)
-            last[::m] = chains[first:first + rows, start - 1]
-            for inputs in steps:
-                np.multiply(last, a, out=tmp)
-                np.add(tmp, inputs, out=inputs)
-                last = inputs
-            if m > 1:
-                # Block i's warm-up must end on block i - 1's last value; a
-                # row's first block started from the exact value.
-                failed = warm != steps[-1, :-1]
-                failed[m - 1::m] = False
-                if failed.any():
-                    _repair(steps, blocks, b, ar, m,
-                            np.flatnonzero(failed) + 1)
-            np.copyto(blocks, steps.T)
-            chain[...] = z[:, :length]
+    for start in range(1, n, cols):
+        length = min(n - start, cols)
+        w, m = _pass_blocks(length, ar)
+        lanes = count * m
+        area = lanes * w
+        chain = chains[:, start:start + length]
+        z = work[:area].reshape(count, m * w)
+        z[:, :length] = chain
+        z[:, length:] = 0.0
+        blocks = z.reshape(lanes, w)
+        steps = work[area:2 * area].reshape(w, lanes)
+        np.multiply(blocks.T, b, out=steps)
+        last = work[2 * area:2 * area + lanes]
+        tmp = work[2 * area + lanes:2 * (area + lanes)]
+        warm = last[1:]
+        if m > 1:
+            warm[:] = 0.0
+            for inputs in steps[:, :-1]:
+                np.multiply(warm, a, out=warm)
+                np.add(warm, inputs, out=warm)
+        last[::m] = chains[:, start - 1]
+        for inputs in steps:
+            np.multiply(last, a, out=tmp)
+            np.add(tmp, inputs, out=inputs)
+            last = inputs
+        if m > 1:
+            # Block i's warm-up must end on block i - 1's last value; a
+            # row's first block started from the exact value.
+            failed = warm != steps[-1, :-1]
+            failed[m - 1::m] = False
+            if failed.any():
+                _repair(steps, blocks, b, ar, m, np.flatnonzero(failed) + 1)
+        np.copyto(blocks, steps.T)
+        chain[...] = z[:, :length]
 
 
 def _repair(steps: np.ndarray, blocks: np.ndarray, b: float, ar: float,

@@ -15,7 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .wavelet import BasisTable, eval_periodized
+from .wavelet import (BasisTable, _check_index, _check_kind, _is_integer,
+                      eval_periodized)
 
 _MAX_DIM = 4
 _MAX_LITERAL_TERMS = 2 ** 20
@@ -51,14 +52,9 @@ class TensorIndex:
     direction: int
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        dim = len(self.shifts)
-        direction_coords(dim, self.direction)
+        direction_coords(self.dim, self.direction)
         for k in self.shifts:
-            if not 0 <= k < 2 ** self.level:
-                raise ValueError(
-                    f"shift {k} out of range for level {self.level}")
+            _check_index(self.level, k)
 
     @property
     def dim(self) -> int:
@@ -139,22 +135,20 @@ def collapsed_sum(table: BasisTable, kind: str, level: int, shift: int,
     dim = pts.shape[-1]
     if not 1 <= dim <= _MAX_DIM:
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
-    if not 1 <= coord <= dim:
+    if not (_is_integer(coord) and 1 <= coord <= dim):
         raise ValueError(f"coord must be in 1..{dim}, got {coord}")
+    _check_kind(kind)
+    _check_index(level, shift)
     if literal:
         n_other = 2 ** (level * (dim - 1))
         if n_other > _MAX_LITERAL_TERMS:
             raise ValueError("literal sum too large at this level and dim")
         direction = 0 if kind == "scaling" else coord
         out = np.zeros(pts.shape[0])
-        other_axes = [a for a in range(dim) if a != coord - 1]
         for combo in product(range(2 ** level), repeat=dim - 1):
-            shifts = [0] * dim
-            shifts[coord - 1] = shift
-            for axis, k in zip(other_axes, combo):
-                shifts[axis] = k
+            shifts = combo[:coord - 1] + (shift,) + combo[coord - 1:]
             out += eval_tensor(
-                table, TensorIndex(level, tuple(shifts), direction), pts)
+                table, TensorIndex(level, shifts, direction), pts)
         return float(out[0]) if scalar else out
     vals = eval_periodized(table, kind, level, shift, pts[:, coord - 1])
     vals = vals * 2.0 ** (level * (dim - 1) / 2.0)
@@ -172,7 +166,7 @@ def tensor_coeff(table: BasisTable, values: np.ndarray, kind: str, level: int,
     """
     g = np.asarray(values, dtype=float)
     dim = g.ndim
-    if not 1 <= coord <= dim:
+    if not (_is_integer(coord) and 1 <= coord <= dim):
         raise ValueError(f"coord must be in 1..{dim}, got {coord}")
     m = g.shape[coord - 1]
     if m < 2 ** (level + 4):

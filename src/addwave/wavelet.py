@@ -373,9 +373,10 @@ def _check_kind(kind: str) -> None:
 
 
 def _check_index(level: int, shift: int) -> None:
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    if not 0 <= shift < 2 ** level:
+    """The package's index rule: integers level >= 0, 0 <= shift < 2**level."""
+    if not (_is_integer(level) and level >= 0):
+        raise ValueError(f"level must be an integer >= 0, got {level!r}")
+    if not (_is_integer(shift) and 0 <= shift < 2 ** level):
         raise ValueError(f"shift must be in 0..{2 ** level - 1}, got {shift}")
 
 
@@ -488,6 +489,7 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
         terms.append((level, "wavelet", np.asarray(coeffs, dtype=float)))
     evaluated = False
     for level, kind, coeffs in terms:
+        _check_index(level, 0)
         n_shifts = 2 ** level
         if coeffs.size != n_shifts:
             raise ValueError(f"level {level} expects {n_shifts} coefficients")

@@ -13,17 +13,25 @@ from addwave import (
     MixingProcessSpec,
     MomentReport,
     ScenarioSpec,
+    TensorIndex,
     calibrate_threshold,
     cascade_table,
+    collapsed_sum,
+    empirical_coeff,
+    eval_periodized,
+    evaluate_series,
     expected_coeff,
     haar_closed_form,
     make_family,
     mc_moments,
+    oracle,
     rate_fit,
     replicate_coeffs,
+    simulate_dataset,
     tail_frequency,
     tensor_coeff,
     threshold_scale,
+    weighted_level_sums,
 )
 from addwave.oracle import reference_shape
 from addwave.wavelet import level_coeffs
@@ -71,6 +79,65 @@ def test_haar_closed_form_argument_guards():
         haar_closed_form("cubic", "wavelet", 2, 1)
     with pytest.raises(ValueError, match="known"):
         reference_shape("cubic")
+
+
+_X = np.linspace(0.0, 1.0, 9)
+_DATA = simulate_dataset(IID, NOISY, 64)
+# (field the error must name, call): each index is not an integer, out of
+# range, or of an unknown kind.
+_REFUSED = (
+    ("level", lambda: eval_periodized(DB2, "wavelet", 2.5, 0, _X)),
+    ("shift", lambda: eval_periodized(DB2, "wavelet", 2, 1.5, _X)),
+    ("level", lambda: haar_closed_form("linear", "scaling", 2.5, 1)),
+    ("level", lambda: collapsed_sum(DB2, "wavelet", 2.5, 0, 1, _DATA.x)),
+    ("level", lambda: collapsed_sum(DB2, "wavelet", 2.5, 0, 1, _DATA.x,
+                                    literal=True)),
+    ("kind", lambda: collapsed_sum(DB2, "ripple", 1, 0, 1, _DATA.x,
+                                   literal=True)),
+    ("level", lambda: empirical_coeff(_DATA, NOISY.rho_spec(), DB2,
+                                      "wavelet", 2.5, 0, 1)),
+    ("shift", lambda: tensor_coeff(DB2, np.zeros((256, 256)), "wavelet", 2,
+                                   1.5, 1)),
+    ("shift", lambda: expected_coeff(DB2, NOISY, "wavelet", 3, -1, 1)),
+    ("level", lambda: TensorIndex(2.5, (0, 1), 1)),
+    ("shift", lambda: TensorIndex(2, (0, 1.0), 1)),
+    ("level", lambda: weighted_level_sums(DB2, "wavelet", 2.0, _X, _X)),
+    ("level", lambda: level_coeffs(DB2, "wavelet", 3.0, _X)),
+    ("level", lambda: evaluate_series(DB2, 2.0, np.ones(4), [], _X)),
+    ("level", lambda: evaluate_series(DB2, 2, np.ones(4),
+                                      [(2, np.ones(4)), (3.0, np.ones(8))],
+                                      _X)),
+    ("level", lambda: mc_moments(IID, NOISY, DB2, "wavelet", 2.0, 0, 1, 64,
+                                 2)),
+    ("kind", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1),
+                                                        ("ripple", 2, 0, 1)],
+                                      n=64, reps=2)),
+    ("shift", lambda: replicate_coeffs(IID, NOISY, DB2,
+                                       [("wavelet", 2, 1.0, 1)], n=64,
+                                       reps=2)),
+    ("coord", lambda: replicate_coeffs(IID, NOISY, DB2,
+                                       [("wavelet", 2, 0, 1.5)], n=64,
+                                       reps=2)),
+    ("coord", lambda: NOISY.component(1.5)),
+    ("coord", lambda: NOISY.component(True)),
+    ("coord", lambda: _DATA.column(1.5)),
+    ("coord", lambda: _DATA.column(True)),
+    ("coord", lambda: collapsed_sum(DB2, "wavelet", 2, 0, 1.0, _DATA.x)),
+    ("coord", lambda: tensor_coeff(DB2, np.zeros((256, 256)), "wavelet", 2,
+                                   1, 1.5)))
+
+
+@pytest.mark.parametrize("field, call", _REFUSED,
+                         ids=[f"{i}-{f}" for i, (f, _) in enumerate(_REFUSED)])
+def test_bad_basis_indices_and_coords_are_refused_by_name(field, call,
+                                                         monkeypatch):
+    # Replications are checked before the first one is drawn.
+    def no_draw(*args):
+        raise AssertionError("drew a replication")
+
+    monkeypatch.setattr(oracle, "simulate_datasets", no_draw)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        call()
 
 
 def test_expected_coeff_offset_enters_scaling_only():

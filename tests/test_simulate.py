@@ -274,6 +274,21 @@ def test_batched_replications_match_one_at_a_time():
                 assert data.x.flags.f_contiguous
 
 
+def test_chains_sharing_passes_shorter_than_n_match_one_at_a_time():
+    # 64 replications of n = 2^12 are 128 chains in passes of 1024 points;
+    # three past a span are 6 chains in passes of a sixth of a span.
+    scen = ScenarioSpec(components=("sine", "bump"))
+    for ar in (0.6, 0.99):
+        proc = MixingProcessSpec(dim=2, ar_coeff=ar, copula_theta=0.5,
+                                 seed=17)
+        for n, reps in ((2 ** 12, 64), (_SPAN + 5, 3)):
+            xs, _ = gen_designs(proc, n, 0, reps)
+            for rep, x in enumerate(xs):
+                assert np.array_equal(x, gen_design(proc, n, rep)[0])
+            assert np.array_equal(xs[-1], _whole_array_draw(
+                proc, scen, n, reps - 1)[0]), (ar, n)
+
+
 def test_block_repair_runs_on_into_the_next_block():
     # Block 1 starts one unit off and, at 8 steps a block, is still off at
     # its end; block 2 went on from that wrong end, as if its warm-up had

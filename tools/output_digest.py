@@ -24,16 +24,19 @@ The parts: simulated datasets (i.i.d., AR and AR + FGM processes, dims 1
 to 4, sizes on both sides of the simulator's and the stencil's chunk
 edges, with and without noise); the normal CDF on edge values and 2^16
 fixed draws (``simulate/ndtr``), so that a numpy whose complex ``exp``
-moves shows there first; the stored fields of directly built process
-and scenario specs and the error text of refused ones, some with two
-faults so that the order of the checks shows, and the errors of draws
-asked for with a size or replication that is not an integer
-(``simulate/specs``); the filters ``make_family(r).low_pass``
+moves shows there first; the stored fields of directly built process and
+scenario specs and the error text of refused ones, some with two faults
+so that the order of the checks shows, and the errors of draws asked for
+with a size or replication that is not an integer (``simulate/specs``);
+batches of designs whose chains share passes of the recursion shorter
+than n (``simulate/batches``); the values or error text of basis calls
+with an index or coord that is not an integer, out of range or of an
+unknown kind (``basis/index``); the filters ``make_family(r).low_pass``
 for r = 1..10 (``wavelet/taps``), which shows how far the filters moved
 and not only what was built from them; ``weighted_level_sums`` and
 ``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
-``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``;
-the parsed fields and ``echo()`` of experiment configs, alone and under
+``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``; the
+parsed fields and ``echo()`` of experiment configs, alone and under
 command-line options, and the error text of refused ones, some with two
 faults so that the order of the checks shows (``cli/config``);
 ``run_experiment`` reports with every ``runtime_ms`` removed; and the
@@ -235,6 +238,72 @@ def specs(dig, aw):
     record(lambda: aw.cascade_table(aw.make_family(2), 12.5))
 
 
+def batches(dig, aw):
+    """Designs drawn as one batch whose chains share passes shorter than
+    n: 64 replications of 2^12 points, and 3 just past a 2^17-value span."""
+    for ar in (0.6, 0.99):
+        proc = aw.MixingProcessSpec(dim=2, ar_coeff=ar, copula_theta=0.5,
+                                    seed=17)
+        for n, reps in ((2 ** 12, 64), (2 ** 17 + 5, 3)):
+            for x in aw.simulate.gen_designs(proc, n, 0, reps)[0]:
+                dig.array("simulate/batches", x)
+
+
+def basis_index(dig, aw):
+    """The value, or the error of any type, of basis calls given a level,
+    shift or coord that is not an integer, a negative shift, or an unknown
+    kind; a tree that returns a value or fails deep inside shows it."""
+    def record(call):
+        try:
+            value = np.asarray(call(), dtype=float).tolist()
+        except Exception as exc:
+            dig.text("basis/index", f"{type(exc).__name__}: {exc}")
+            return
+        dig.json("basis/index", value)
+
+    table = aw.cascade_table(aw.make_family(2), 12)
+    proc = aw.MixingProcessSpec(dim=2, seed=3)
+    scen = aw.ScenarioSpec(components=("sine", "bump"))
+    data = aw.simulate_dataset(proc, scen, 64)
+    x, grid = np.linspace(0.0, 1.0, 9), np.zeros((256, 256))
+    ones = np.ones(8)
+    calls = (
+        lambda: aw.eval_periodized(table, "wavelet", 2.5, 0, x),
+        lambda: aw.eval_periodized(table, "wavelet", 2, 1.5, x),
+        lambda: aw.haar_closed_form("linear", "scaling", 2.5, 1),
+        lambda: aw.haar_closed_form("linear", "ripple", 2, 1),
+        lambda: aw.collapsed_sum(table, "wavelet", 2.5, 0, 1, data.x),
+        lambda: aw.collapsed_sum(table, "wavelet", 2.5, 0, 1, data.x,
+                                 literal=True),
+        lambda: aw.collapsed_sum(table, "ripple", 1, 0, 1, data.x,
+                                 literal=True),
+        lambda: aw.collapsed_sum(table, "wavelet", 2, 0, 1.0, data.x),
+        lambda: aw.empirical_coeff(data, scen.rho_spec(), table, "wavelet",
+                                   2.5, 0, 1),
+        lambda: aw.tensor_coeff(table, grid, "wavelet", 2, 1.5, 1),
+        lambda: aw.tensor_coeff(table, grid, "wavelet", 2, 1, 1.5),
+        lambda: aw.expected_coeff(table, scen, "wavelet", 3, -1, 1),
+        lambda: aw.TensorIndex(2.5, (0, 1), 1).level,
+        lambda: aw.TensorIndex(2, (0, 1.0), 1).level,
+        lambda: aw.weighted_level_sums(table, "wavelet", 2.0, x, x),
+        lambda: aw.level_coeffs(table, "wavelet", 3.0, x),
+        lambda: aw.evaluate_series(table, 2.0, ones[:4], [], x),
+        lambda: aw.evaluate_series(table, 2, ones[:4], [(2.0, ones[:4])], x),
+        lambda: aw.mc_moments(proc, scen, table, "wavelet", 2.0, 0, 1, 64,
+                              2).mean_hat,
+        lambda: aw.replicate_coeffs(proc, scen, table, [("ripple", 2, 0, 1)],
+                                    n=64, reps=2),
+        lambda: aw.replicate_coeffs(proc, scen, table,
+                                    [("wavelet", 2, 1.0, 1)], n=64, reps=2),
+        lambda: aw.replicate_coeffs(proc, scen, table,
+                                    [("wavelet", 2, 0, 1.5)], n=64, reps=2),
+        lambda: scen.component(1.5)(x),
+        lambda: data.column(1.5),
+        lambda: data.column(True))
+    for call in calls:
+        record(call)
+
+
 def filters(dig, aw):
     for r in range(1, 11):
         dig.array("wavelet/taps", aw.make_family(r).low_pass)
@@ -419,8 +488,8 @@ def collect(src: Path, sink=None) -> Digest:
     from addwave import cli
 
     dig = Digest(sink)
-    for step in (simulated, normal_cdf, specs, filters,
-                 wavelet_sums_and_series, fits, replications):
+    for step in (simulated, normal_cdf, specs, batches, basis_index,
+                 filters, wavelet_sums_and_series, fits, replications):
         step(dig, aw)
     experiment_configs(dig, cli)
     experiments(dig, cli)
