@@ -128,24 +128,15 @@ class ExperimentConfig:
                              f"string, got {_shown(self.output_dir)}")
 
     def echo(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "process": self.process,
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "kappa_mode": self.kappa_mode,
-            "family_r": self.family_r,
-            "depth": self.depth,
-            "coord": self.coord,
-            "aggregate": self.aggregate,
-        }
-        if self.kappa_mode == "fixed":
-            out["kappa"] = self.kappa_value
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        if self.self_test_exponent is not None:
-            out["self_test_exponent"] = self.self_test_exponent
+        """The config under its keys, for the report: the budget fields
+        and unset options left out, ``kappa`` only when it is fixed."""
+        out = {key: getattr(self, f.name)
+               for key, f in _CONFIG_FIELDS.items()
+               if key not in ("budget", "allow_over_budget")
+               and getattr(self, f.name) is not None}
+        out["n_grid"] = list(self.n_grid)
+        if self.kappa_mode != "fixed":
+            del out["kappa"]
         return out
 
 

@@ -17,11 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .wavelet import (_CHUNK, BasisTable, _analysis_step, _is_integer,
-                      _synthesis_step, evaluate_series, weighted_level_sums)
+from .wavelet import (_CHUNK, BasisTable, _analysis_step, _check_coord,
+                      _is_integer, _synthesis_step, evaluate_series,
+                      weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
 
@@ -63,20 +65,9 @@ class DesignDensity:
                           dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class RhoSpec:
-    """Response transform applied before weighting."""
-
-    transform: object
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self.transform(np.asarray(y, dtype=float)),
-                          dtype=float)
-
-
-def identity_rho() -> RhoSpec:
-    """The transform that leaves responses as they are."""
-    return RhoSpec(transform=lambda y: np.asarray(y, dtype=float))
+def identity_rho():
+    """The response transform that returns the responses as floats."""
+    return partial(np.asarray, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +108,6 @@ class Dataset:
         """Design values of the 1-based coordinate ``coord``."""
         _check_coord(coord, self.dim)
         return self.x[:, coord - 1]
-
-
-def _check_coord(coord: int, dim: int) -> None:
-    if not (_is_integer(coord) and 1 <= coord <= dim):
-        raise ValueError(f"coord {coord} is out of range for a "
-                         f"{dim}-dimensional design")
 
 
 @dataclass(frozen=True)
@@ -225,7 +210,7 @@ def max_detail_level(n: int, coarsest: int) -> int:
     return max(coarsest, raw)
 
 
-def estimate_mean(data: Dataset, rho: RhoSpec) -> float:
+def estimate_mean(data: Dataset, rho) -> float:
     """Average of the transformed responses."""
     if data.n == 0:
         raise ValueError("empty dataset")
@@ -235,7 +220,7 @@ def estimate_mean(data: Dataset, rho: RhoSpec) -> float:
     return float(np.mean(vals))
 
 
-def _weights(data: Dataset, rho: RhoSpec) -> np.ndarray:
+def _weights(data: Dataset, rho) -> np.ndarray:
     """``rho(y) / density(x)``, with the density evaluated ``_CHUNK``
     points at a time so that the result is the one array of length n."""
     vals = rho(data.y)
@@ -250,7 +235,7 @@ def _weights(data: Dataset, rho: RhoSpec) -> np.ndarray:
     return w
 
 
-def empirical_coeff(data: Dataset, rho: RhoSpec, table: BasisTable, kind: str,
+def empirical_coeff(data: Dataset, rho, table: BasisTable, kind: str,
                     level: int, shift: int, coord: int,
                     literal: bool = False) -> float:
     """One empirical coefficient of the target component.
@@ -267,7 +252,7 @@ def empirical_coeff(data: Dataset, rho: RhoSpec, table: BasisTable, kind: str,
     return float(np.mean(w * h) * 2.0 ** (-level * (data.dim - 1) / 2.0))
 
 
-def fit_component(data: Dataset, rho: RhoSpec, table: BasisTable,
+def fit_component(data: Dataset, rho, table: BasisTable,
                   config: EstimatorConfig = EstimatorConfig()) -> ComponentEstimate:
     """Fit one additive component by thresholded wavelet series.
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import (_check_coord, _weights, max_detail_level,
-                        threshold_scale)
+from .estimator import _weights, max_detail_level, threshold_scale
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
-from .wavelet import (BasisTable, _check_index, _check_kind, _is_integer,
+from .wavelet import (BasisTable, _check_coord, _check_index, _check_kind,
                       level_coeffs, weighted_level_sums)
 
 DEFAULT_BUDGET = 1_000_000_000
@@ -107,8 +106,8 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
 
     ``targets`` lists (kind, level, shift, coord) tuples; the result has
     one row per replication and one column per target, each checked before
-    any draw.  Targets sharing a (kind, level, coord) triple are checked
-    once and evaluated in a single pass.
+    any draw.  Targets sharing a (kind, level, coord) triple are evaluated
+    in a single pass.
     """
     targets = list(targets)
     if not targets:
@@ -117,12 +116,9 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
     rho = scenario.rho_spec()
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for col, (kind, level, shift, coord) in enumerate(targets):
-        if (kind, level, coord) not in groups:
-            _check_kind(kind)
-            _check_index(level, 0)
-            _check_coord(coord, process.dim)
-        if not (_is_integer(shift) and 0 <= shift < 2 ** level):
-            raise ValueError(f"shift {shift} out of range at level {level}")
+        _check_kind(kind)
+        _check_index(level, shift)
+        _check_coord(coord, process.dim)
         groups.setdefault((kind, level, coord), []).append((col, shift))
     out = np.empty((reps, len(targets)))
     datasets = simulate_datasets(process, scenario, n, rep_start, reps)
@@ -156,8 +152,7 @@ class MomentReport:
     m4_hat: float
 
     def __post_init__(self):
-        if self.reps < 1000:
-            raise ValueError(f"need reps >= 1000, got {self.reps}")
+        _check_moment_reps(self.reps)
         if self.var_hat < 0:
             raise ValueError("variance cannot be negative")
         if self.m4_hat < self.var_hat ** 2 - 1e-15:
@@ -170,6 +165,11 @@ class MomentReport:
         return (self.mean_hat - self.true_value) / self.std_error()
 
 
+def _check_moment_reps(reps: int) -> None:
+    if reps < 1000:
+        raise ValueError(f"need reps >= 1000, got {reps}")
+
+
 def mc_moments(process: MixingProcessSpec, scenario: ScenarioSpec,
                table: BasisTable, kind: str, level: int, shift: int,
                coord: int, n: int, reps: int, rep_start: int = 0,
@@ -177,6 +177,7 @@ def mc_moments(process: MixingProcessSpec, scenario: ScenarioSpec,
                allow_over: bool = False) -> MomentReport:
     """Replication mean, variance, and fourth central moment of one
     empirical coefficient, with its quadrature reference value."""
+    _check_moment_reps(reps)
     vals = replicate_coeffs(process, scenario, table,
                             [(kind, level, shift, coord)], n, reps,
                             rep_start=rep_start, budget=budget,

@@ -35,14 +35,14 @@ import hashlib
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
-from .estimator import Dataset, DesignDensity, RhoSpec, identity_rho
-from .wavelet import _CHUNK, _is_integer
+from .estimator import Dataset, DesignDensity, identity_rho
+from .wavelet import _CHUNK, _check_coord, _is_integer
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -175,8 +175,7 @@ class ScenarioSpec:
         return len(self.components)
 
     def component(self, coord: int) -> TestFunction:
-        if not (_is_integer(coord) and 1 <= coord <= self.dim):
-            raise ValueError(f"coord must be in 1..{self.dim}, got {coord}")
+        _check_coord(coord, self.dim)
         return test_function(self.components[coord - 1])
 
     def response_bound(self) -> float:
@@ -185,7 +184,7 @@ class ScenarioSpec:
                 + sum(test_function(c).sup_bound for c in self.components)
                 + self.noise_halfwidth)
 
-    def rho_spec(self) -> RhoSpec:
+    def rho_spec(self):
         return identity_rho()
 
 
@@ -714,22 +713,13 @@ def process_from_config(cfg: dict, dim: int, seed: int) -> MixingProcessSpec:
 
 def dataset_meta(process: MixingProcessSpec, scenario: ScenarioSpec,
                  n: int, rep: int) -> dict:
-    meta = {
-        "version": DATASET_FORMAT_VERSION,
-        "n": n,
-        "rep": rep,
-        "process": {
-            "dim": process.dim,
-            "ar_coeff": process.ar_coeff,
-            "copula_theta": process.copula_theta,
-            "seed": process.seed,
-        },
-        "scenario": {
-            "components": list(scenario.components),
-            "mu": scenario.offset,
-            "noise_halfwidth": scenario.noise_halfwidth,
-        },
-    }
+    """The file header: every process field, every scenario field under
+    its config key (components as a JSON list), and their digest."""
+    meta = {"version": DATASET_FORMAT_VERSION, "n": n, "rep": rep,
+            "process": asdict(process),
+            "scenario": {key: getattr(scenario, name)
+                         for key, name in _SCENARIO_FIELDS.items()}}
+    meta["scenario"]["components"] = list(scenario.components)
     meta["spec_digest"] = hashlib.sha256(
         json.dumps(meta, sort_keys=True).encode()).hexdigest()[:16]
     return meta

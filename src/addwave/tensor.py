@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .wavelet import (BasisTable, _check_index, _check_kind, _is_integer,
+from .wavelet import (BasisTable, _check_coord, _check_index, _check_kind,
                       eval_periodized)
 
 _MAX_DIM = 4
@@ -135,8 +135,7 @@ def collapsed_sum(table: BasisTable, kind: str, level: int, shift: int,
     dim = pts.shape[-1]
     if not 1 <= dim <= _MAX_DIM:
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
-    if not (_is_integer(coord) and 1 <= coord <= dim):
-        raise ValueError(f"coord must be in 1..{dim}, got {coord}")
+    _check_coord(coord, dim)
     _check_kind(kind)
     _check_index(level, shift)
     if literal:
@@ -166,8 +165,7 @@ def tensor_coeff(table: BasisTable, values: np.ndarray, kind: str, level: int,
     """
     g = np.asarray(values, dtype=float)
     dim = g.ndim
-    if not (_is_integer(coord) and 1 <= coord <= dim):
-        raise ValueError(f"coord must be in 1..{dim}, got {coord}")
+    _check_coord(coord, dim)
     m = g.shape[coord - 1]
     if m < 2 ** (level + 4):
         raise ValueError(

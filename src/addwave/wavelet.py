@@ -54,10 +54,12 @@ _MAX_DEPTH = 16
 # analysis plus synthesis at n = 2**20 and for simulation at n = 2**16.
 _CHUNK = 2 ** 14
 
+_INTEGER_TYPES = (int, np.integer)
+
 
 def _is_integer(value) -> bool:
     """An ``int`` or numpy integer, not a bool: the package's integer rule."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, _INTEGER_TYPES) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,6 +380,13 @@ def _check_index(level: int, shift: int) -> None:
         raise ValueError(f"level must be an integer >= 0, got {level!r}")
     if not (_is_integer(shift) and 0 <= shift < 2 ** level):
         raise ValueError(f"shift must be in 0..{2 ** level - 1}, got {shift}")
+
+
+def _check_coord(coord: int, dim: int) -> None:
+    """The package's coord rule: an integer in 1..dim."""
+    if not (_is_integer(coord) and 1 <= coord <= dim):
+        raise ValueError(f"coord {coord} is out of range for a "
+                         f"{dim}-dimensional design")
 
 
 def _check_cells(floors: np.ndarray, level: int) -> None:

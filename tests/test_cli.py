@@ -243,6 +243,20 @@ def test_parse_config_echo_round_trip():
     assert echo["kappa"] == 1.0
     assert echo["kappa_mode"] == "fixed"
     assert parse_experiment_config({**_base_config(), **echo}).echo() == echo
+    # ``kappa`` only when fixed, unset options dropped, budget fields never.
+    calibrated = parse_experiment_config(
+        _base_config(kappa_mode="calibrated", aggregate="median"))
+    echo = calibrated.echo()
+    assert "kappa" not in echo and echo["aggregate"] == "median"
+    assert "output_dir" not in echo and "self_test_exponent" not in echo
+    assert parse_experiment_config({**_base_config(), **echo}).echo() == echo
+    full = parse_experiment_config(_base_config(
+        output_dir="out", self_test_exponent=0.5, budget=10 ** 6,
+        allow_over_budget=True))
+    echo = full.echo()
+    assert echo["output_dir"] == "out" and echo["self_test_exponent"] == 0.5
+    assert "budget" not in echo and "allow_over_budget" not in echo
+    assert parse_experiment_config({**_base_config(), **echo}).echo() == echo
 
 
 def test_basis_check_writes_passing_report(tmp_path):

@@ -108,7 +108,7 @@ _REFUSED = (
                                       [(2, np.ones(4)), (3.0, np.ones(8))],
                                       _X)),
     ("level", lambda: mc_moments(IID, NOISY, DB2, "wavelet", 2.0, 0, 1, 64,
-                                 2)),
+                                 1000)),
     ("kind", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1),
                                                         ("ripple", 2, 0, 1)],
                                       n=64, reps=2)),
@@ -124,18 +124,28 @@ _REFUSED = (
     ("coord", lambda: _DATA.column(True)),
     ("coord", lambda: collapsed_sum(DB2, "wavelet", 2, 0, 1.0, _DATA.x)),
     ("coord", lambda: tensor_coeff(DB2, np.zeros((256, 256)), "wavelet", 2,
-                                   1, 1.5)))
+                                   1, 1.5)),
+    # Equal as a group key to the first target, yet refused on its own.
+    ("level", lambda: replicate_coeffs(IID, NOISY, DB2,
+                                       [("wavelet", 2, 0, 1),
+                                        ("wavelet", 2.0, 1, True)],
+                                       n=64, reps=2)))
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any call that draws a replication."""
+    def no_draw(*args):
+        raise AssertionError("drew a replication")
+
+    monkeypatch.setattr(oracle, "simulate_datasets", no_draw)
 
 
 @pytest.mark.parametrize("field, call", _REFUSED,
                          ids=[f"{i}-{f}" for i, (f, _) in enumerate(_REFUSED)])
 def test_bad_basis_indices_and_coords_are_refused_by_name(field, call,
-                                                         monkeypatch):
+                                                         no_draws):
     # Replications are checked before the first one is drawn.
-    def no_draw(*args):
-        raise AssertionError("drew a replication")
-
-    monkeypatch.setattr(oracle, "simulate_datasets", no_draw)
     with pytest.raises(ValueError, match=f"^{field} "):
         call()
 
@@ -191,6 +201,11 @@ def test_budget_guard():
     out = replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 1, 1)],
                            n=1024, reps=10, budget=5000, allow_over=True)
     assert out.shape == (10, 1)
+
+
+def test_mc_moments_refuses_few_reps_before_drawing(no_draws):
+    with pytest.raises(ValueError, match="need reps >= 1000, got 500"):
+        mc_moments(IID, NOISY, DB2, "wavelet", 2, 0, 1, 4096, 500)
 
 
 def test_moment_report_validation():

@@ -31,7 +31,9 @@ with a size or replication that is not an integer (``simulate/specs``);
 batches of designs whose chains share passes of the recursion shorter
 than n (``simulate/batches``); the values or error text of basis calls
 with an index or coord that is not an integer, out of range or of an
-unknown kind (``basis/index``); the filters ``make_family(r).low_pass``
+unknown kind, among them a replication target that equals an earlier
+one's group key, and of ``mc_moments`` asked for too few replications
+(``basis/index``); the filters ``make_family(r).low_pass``
 for r = 1..10 (``wavelet/taps``), which shows how far the filters moved
 and not only what was built from them; ``weighted_level_sums`` and
 ``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
@@ -252,7 +254,8 @@ def batches(dig, aw):
 def basis_index(dig, aw):
     """The value, or the error of any type, of basis calls given a level,
     shift or coord that is not an integer, a negative shift, or an unknown
-    kind; a tree that returns a value or fails deep inside shows it."""
+    kind, and of ``mc_moments`` given fewer than 1000 replications; a tree
+    that returns a value or fails deep inside shows it."""
     def record(call):
         try:
             value = np.asarray(call(), dtype=float).tolist()
@@ -299,7 +302,12 @@ def basis_index(dig, aw):
                                     [("wavelet", 2, 0, 1.5)], n=64, reps=2),
         lambda: scen.component(1.5)(x),
         lambda: data.column(1.5),
-        lambda: data.column(True))
+        lambda: data.column(True),
+        lambda: aw.replicate_coeffs(proc, scen, table,
+                                    [("wavelet", 2, 0, 1),
+                                     ("wavelet", 2.0, 1, True)], n=64, reps=2),
+        lambda: aw.mc_moments(proc, scen, table, "wavelet", 2, 0, 1, 64,
+                              500).mean_hat)
     for call in calls:
         record(call)
 
