@@ -281,16 +281,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
     done = []
     interrupted = False
     try:
+        # ``extend`` keeps the cells done before an interrupt, in job order.
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(_run_cell, jobs, chunksize=4):
-                    done.append(result)
+                done.extend(pool.map(_run_cell, jobs, chunksize=4))
         else:
-            for job in jobs:
-                done.append(_run_cell(job))
+            done.extend(map(_run_cell, jobs))
     except KeyboardInterrupt:
         interrupted = True
-    done.sort(key=lambda item: (item[0], item[1]))
     cells = [cell for _, _, cell in done]
     return _aggregate_report(config, cells, kappa, interrupted), interrupted
 
@@ -384,11 +382,9 @@ def cmd_estimate(ns) -> int:
     est_path = out_dir / f"estimate_coord{coord}.json"
     est_path.write_text(est.to_json() + "\n")
     grid = (np.arange(2 ** 10) + 0.5) / 2 ** 10
-    fitted = eval_estimate(est, table, grid)
-    truth = None
+    columns = [grid, eval_estimate(est, table, grid)]
     if scenario is not None:
-        truth = scenario.component(coord)(grid)
-    columns = [grid, fitted] + ([truth] if truth is not None else [])
+        columns.append(scenario.component(coord)(grid))
     table_path = out_dir / f"estimate_coord{coord}.csv"
     with open(table_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -399,9 +395,8 @@ def cmd_estimate(ns) -> int:
                "estimate": str(est_path), "table": str(table_path),
                "kept": est.kept_count(), "j1": est.j1,
                "lambda_n": est.lambda_n, "kappa": kappa}
-    if truth is not None:
-        # The grid and formula of ``estimator.ise``, on values already made.
-        summary["ise"] = float(np.mean((fitted - truth) ** 2))
+    if scenario is not None:
+        summary["ise"] = ise(est, table, scenario.component(coord))
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

@@ -303,10 +303,12 @@ def eval_estimate(est: ComponentEstimate, table: BasisTable, x):
 def ise(est: ComponentEstimate, table: BasisTable, truth, grid_size: int = 1024):
     """Integrated squared error against a truth given on the midpoint grid.
 
-    ``truth`` may be a callable or an array of length ``grid_size``.
+    ``truth`` may be a callable or an array of length ``grid_size``, an
+    integer of at least 1024.
     """
-    if grid_size < 1024:
-        raise ValueError("grid_size must be >= 1024")
+    if not (_is_integer(grid_size) and grid_size >= 1024):
+        raise ValueError(f"grid_size must be an integer >= 1024, "
+                         f"got {grid_size!r}")
     mids = (np.arange(grid_size) + 0.5) / grid_size
     target = truth(mids) if callable(truth) else np.asarray(truth, dtype=float)
     if target.shape != mids.shape:

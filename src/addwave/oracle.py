@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .estimator import _weights, max_detail_level, threshold_scale
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
 from .wavelet import (BasisTable, _check_coord, _check_index, _check_kind,
-                      level_coeffs, weighted_level_sums)
+                      _is_integer, level_coeffs, weighted_level_sums)
 
 DEFAULT_BUDGET = 1_000_000_000
 
@@ -29,8 +29,10 @@ class BudgetError(RuntimeError):
 
 
 def _charge_budget(reps: int, n: int, budget: int, allow_over: bool) -> None:
-    if reps < 1 or n < 2:
-        raise ValueError(f"need reps >= 1 and n >= 2, got reps={reps}, n={n}")
+    for name, value, low in (("reps", reps, 1), ("n", n, 2)):
+        if not (_is_integer(value) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, "
+                             f"got {value!r}")
     cost = reps * n
     if cost > budget and not allow_over:
         raise BudgetError(
@@ -79,20 +81,19 @@ def haar_closed_form(shape: str, kind: str, level: int, shift: int) -> float:
 
 
 def expected_coeff(table: BasisTable, scenario: ScenarioSpec, kind: str,
-                   level: int, shift: int, coord: int,
-                   grid_size: int = 2 ** 16) -> float:
+                   level: int, shift: int, coord: int) -> float:
     """What one empirical coefficient estimates, by direct quadrature.
 
     The density-weighted average converges to the integral of the
     conditional response mean against the basis element of the target
-    coordinate.  Every other additive component integrates to zero
-    against it, and the response offset contributes only through the
-    scaling elements, whose integral is 2**(-level/2).
+    coordinate, taken by the midpoint rule on 2**16 points.  Every other
+    additive component integrates to zero against it, and the response
+    offset contributes only through the scaling elements, whose integral
+    is 2**(-level/2).
     """
     _check_index(level, shift)
     g = scenario.component(coord)
-    value = float(level_coeffs(table, kind, level,
-                               g.samples(grid_size))[shift])
+    value = float(level_coeffs(table, kind, level, g.samples(2 ** 16))[shift])
     if kind == "scaling":
         value += scenario.offset * 2.0 ** (-level / 2.0)
     return value
@@ -105,9 +106,9 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
     """Empirical coefficients over independent replications.
 
     ``targets`` lists (kind, level, shift, coord) tuples; the result has
-    one row per replication and one column per target, each checked before
-    any draw.  Targets sharing a (kind, level, coord) triple are evaluated
-    in a single pass.
+    one row per replication and one column per target.  Every target and
+    the integers ``reps`` and ``n`` are checked before any draw.  Targets
+    sharing a (kind, level, coord) triple are evaluated in one pass.
     """
     targets = list(targets)
     if not targets:
@@ -199,11 +200,11 @@ def tail_frequency(process: MixingProcessSpec, scenario: ScenarioSpec,
     """Frequency of a detail coefficient missing its target by at least
     half the threshold.
 
-    Requires 2**level <= n / log(n)**3, the regime in which the detail
-    level is eligible for the fit at this sample size.
+    Requires a finite kappa >= 0 and 2**level <= n / log(n)**3, the
+    regime in which the detail level is eligible for the fit at this n.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     if 2 ** level > n / math.log(n) ** 3:
         raise ValueError(
             f"level {level} violates 2**level <= n/log(n)**3 at n={n}; "
@@ -233,22 +234,19 @@ class RateFit:
     r_squared: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "sample_sizes": list(self.sample_sizes),
-            "mean_ise": list(self.mean_ise),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def rate_fit(points) -> RateFit:
     """Regress log mean ISE on log(log(n)/n).
 
     ``points`` is a sequence of (n, mean_ise) pairs with strictly
-    increasing n spanning at least two octaves; at least four pairs.
+    increasing integer n spanning at least two octaves; at least four
+    pairs.
     """
-    pts = [(int(n), float(v)) for n, v in points]
+    pts = [(n, float(v)) for n, v in points]
+    if not all(_is_integer(n) for n, _ in pts):
+        raise ValueError(f"sample sizes must be integers, got {pts}")
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points, got {len(pts)}")
     ns = np.array([p[0] for p in pts], dtype=float)
@@ -275,21 +273,18 @@ def rate_fit(points) -> RateFit:
 
 def calibrate_threshold(process: MixingProcessSpec, scenario: ScenarioSpec,
                         table: BasisTable, n: int, coord: int = 1,
-                        reps: int = 2000, quantile: float = 0.995,
-                        rep_start: int = 1 << 20,
-                        budget: int = DEFAULT_BUDGET,
+                        reps: int = 2000, budget: int = DEFAULT_BUDGET,
                         allow_over: bool = False) -> float:
     """Threshold constant from a pilot simulation with no signal.
 
     The pilot keeps the design process but replaces the response with
     pure uniform noise whose halfwidth is sqrt(3) times the scenario's
     response bound, so each pilot coefficient fluctuates at least as much
-    as any coefficient of the scenario itself can.  The constant is the
-    requested quantile of the pooled |coefficient| / threshold-scale
+    as any coefficient of the scenario itself can.  Its replications are
+    numbered from 2**20 on, apart from those a sweep draws.  The constant
+    is the 0.995 quantile of the pooled |coefficient| / threshold-scale
     values over every detail shift at the levels the fit would use.
     """
-    if not 0.5 < quantile < 1.0:
-        raise ValueError("quantile must be in (0.5, 1)")
     pilot = ScenarioSpec(
         components=("zero",) * scenario.dim,
         noise_halfwidth=math.sqrt(3.0) * scenario.response_bound())
@@ -298,6 +293,6 @@ def calibrate_threshold(process: MixingProcessSpec, scenario: ScenarioSpec,
                for j in range(tau, max_detail_level(n, tau) + 1)
                for k in range(2 ** j)]
     vals = replicate_coeffs(process, pilot, table, targets, n, reps,
-                            rep_start=rep_start, budget=budget,
+                            rep_start=1 << 20, budget=budget,
                             allow_over=allow_over)
-    return float(np.quantile(np.abs(vals) / threshold_scale(n), quantile))
+    return float(np.quantile(np.abs(vals) / threshold_scale(n), 0.995))

@@ -108,33 +108,23 @@ class TestFunction:
         return self(mids)
 
 
-def _bump_center() -> float:
-    # Integral over [0, 1] of exp(-(x - 1/2)^2 / (2 w^2)) with w = 0.1.
-    w = 0.1
-    return w * sqrt(2.0 * math.pi) * math.erf(0.5 / (w * sqrt(2.0)))
-
-
+# Integral over [0, 1] of exp(-(x - 1/2)^2 / (2 w^2)) with w = 0.1.
+_BUMP_CENTER = 0.1 * sqrt(2.0 * math.pi) * math.erf(0.5 / (0.1 * sqrt(2.0)))
 _STEP_DOWN = -1.1
 _STEP_UP = 0.9
 _STEP_AT = 0.45
 
-_CATALOG = {
-    "sine": lambda: TestFunction(
-        "sine", lambda x: np.sin(2.0 * np.pi * x), 1.0),
-    "bump": lambda: TestFunction(
-        "bump",
-        lambda x: np.exp(-(x - 0.5) ** 2 / 0.02) - _bump_center(),
-        1.0 - _bump_center()),
-    "step": lambda: TestFunction(
-        "step",
-        lambda x: np.where(x < _STEP_AT, _STEP_DOWN, _STEP_UP),
-        abs(_STEP_DOWN)),
-    "sawtooth": lambda: TestFunction(
-        "sawtooth",
-        lambda x: 2.0 * (2.0 * x - np.floor(2.0 * x)) - 1.0, 1.0),
-    "zero": lambda: TestFunction(
-        "zero", lambda x: np.zeros_like(x), 0.0),
-}
+_CATALOG = {f.name: f for f in (
+    TestFunction("sine", lambda x: np.sin(2.0 * np.pi * x), 1.0),
+    TestFunction("bump",
+                 lambda x: np.exp(-(x - 0.5) ** 2 / 0.02) - _BUMP_CENTER,
+                 1.0 - _BUMP_CENTER),
+    TestFunction("step",
+                 lambda x: np.where(x < _STEP_AT, _STEP_DOWN, _STEP_UP),
+                 abs(_STEP_DOWN)),
+    TestFunction("sawtooth",
+                 lambda x: 2.0 * (2.0 * x - np.floor(2.0 * x)) - 1.0, 1.0),
+    TestFunction("zero", lambda x: np.zeros_like(x), 0.0))}
 _ALIASES = {"sawtooth-centered": "sawtooth"}
 
 
@@ -144,7 +134,7 @@ def test_function(name: str) -> TestFunction:
     if key not in _CATALOG:
         known = ", ".join(sorted(_CATALOG))
         raise ValueError(f"unknown test function {name!r}; catalog: {known}")
-    return _CATALOG[key]()
+    return _CATALOG[key]
 
 
 @dataclass(frozen=True, eq=False)

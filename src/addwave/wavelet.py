@@ -173,7 +173,8 @@ def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
     """Tabulate the scaling function and wavelet at grid step ``2**-depth``."""
     _check_depth(depth)
     phi = _scaling_samples(family.low_pass, depth)
-    psi = _two_scale(family.high_pass, phi, depth)
+    psi = _two_scale(family.high_pass, phi, 2 * np.arange(phi.size),
+                     2 ** depth)
     table = BasisTable(family=family, depth=depth, phi_samples=phi, psi_samples=psi)
     _validate_table(table)
     return table
@@ -210,28 +211,24 @@ def _scaling_samples(taps: np.ndarray, depth: int) -> np.ndarray:
     v[1:sup] = integer_vals
     # Dyadic subdivision: even nodes copy, odd nodes apply the two-scale sum.
     for level in range(depth):
-        old_max = sup * 2 ** level
-        new = np.zeros(sup * 2 ** (level + 1) + 1)
+        new = np.zeros(2 * v.size - 1)
         new[0::2] = v
-        odd = np.arange(1, new.size, 2)
-        acc = np.zeros(odd.size)
-        for l, c in enumerate(taps):
-            src = odd - l * 2 ** level
-            ok = (src >= 0) & (src <= old_max)
-            acc[ok] += c * v[src[ok]]
-        new[odd] = SQRT2 * acc
+        new[1::2] = _two_scale(taps, v, np.arange(1, new.size, 2), 2 ** level)
         v = new
     return v
 
 
-def _two_scale(filt: np.ndarray, phi: np.ndarray, depth: int) -> np.ndarray:
-    """``sqrt(2) * sum_l filt[l] * phi(2t - l)`` on the grid of ``phi``."""
-    idx = np.arange(phi.size)
-    acc = np.zeros(phi.size)
+def _two_scale(filt: np.ndarray, values: np.ndarray, src: np.ndarray,
+               step: int) -> np.ndarray:
+    """``sqrt(2) * sum_l filt[l] * values[src - l * step]``, the terms
+    outside ``values`` left out: the two-scale sum ``sqrt(2) * sum_l
+    filt[l] * f(2t - l)`` where ``values`` samples ``f`` at ``step`` nodes
+    per unit and ``src`` holds each ``2t`` as an index of those nodes."""
+    acc = np.zeros(src.size)
     for l, c in enumerate(filt):
-        src = 2 * idx - l * 2 ** depth
-        ok = (src >= 0) & (src < phi.size)
-        acc[ok] += c * phi[src[ok]]
+        idx = src - l * step
+        ok = (idx >= 0) & (idx < values.size)
+        acc[ok] += c * values[idx[ok]]
     return SQRT2 * acc
 
 
@@ -419,18 +416,15 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
                          f"for {xa.size} points")
     n_shifts = 2 ** level
     # Row ``offset`` sums each cell's points in point order, as one
-    # ``bincount`` over all points would; rotated left by the offset it is
-    # that offset's ``bincount((floor - offset) % n_shifts)``, added here
-    # as two slices.
+    # ``bincount`` over all points would; rolled left by the offset it is
+    # that offset's ``bincount((floor - offset) % n_shifts)``.
     rows = np.zeros((table.family.support_length, n_shifts))
     for start, cell, offset, vals in _stencil(table, kind, level, xa):
         np.multiply(w[start:start + vals.size], vals, out=vals)
         np.add.at(rows[offset], cell, vals)
     acc = np.zeros(n_shifts)
     for offset, row in enumerate(rows):
-        o = offset % n_shifts
-        acc[:n_shifts - o] += row[o:]
-        acc[n_shifts - o:] += row[:o]
+        acc += np.roll(row, -offset)
     return acc * 2.0 ** (level / 2.0)
 
 
@@ -438,12 +432,10 @@ def _analysis_step(family: WaveletFamily, fine: np.ndarray):
     """Level ``j`` scaling and detail coefficients from the scaling
     coefficients ``fine`` of level ``j+1``: ``c[k] = sum_l h[l] fine[(2k+l)
     mod 2**(j+1)]`` and ``b[k]`` the same with ``g``."""
-    period = fine.size
-    even = 2 * np.arange(period // 2)
-    smooth = np.zeros(period // 2)
-    detail = np.zeros(period // 2)
+    smooth = np.zeros(fine.size // 2)
+    detail = np.zeros(fine.size // 2)
     for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
-        src = fine[(even + l) % period]
+        src = np.roll(fine, -l)[::2]
         smooth += h * src
         detail += g * src
     return smooth, detail
@@ -456,13 +448,11 @@ def _synthesis_step(family: WaveletFamily, smooth: np.ndarray,
     if detail.shape != smooth.shape:
         raise ValueError(f"level with {smooth.size} scaling coefficients "
                          f"expects as many detail coefficients, got {detail.size}")
-    period = 2 * smooth.size
-    even = 2 * np.arange(smooth.size)
-    fine = np.zeros(period)
-    # For each l the targets (2k+l) mod period are distinct, so no two
-    # terms of one update land on the same entry.
+    fine = np.zeros(2 * smooth.size)
+    term = np.zeros(fine.size)
     for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
-        fine[(even + l) % period] += h * smooth + g * detail
+        term[::2] = h * smooth + g * detail
+        fine += np.roll(term, l)
     return fine
 
 
@@ -521,12 +511,12 @@ def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
     return out if np.ndim(x) else float(out[0])
 
 
-def basis_diagnostics(family: WaveletFamily, depth: int,
-                      max_gram_level: int = 6) -> list[dict]:
+def basis_diagnostics(family: WaveletFamily, depth: int) -> list[dict]:
     """Measure the defining identities of one tabulated family.
 
     Returns one record per check with the measured error and the
-    tolerance it is held to at the default depth.
+    tolerance it is held to at the default depth.  The Gram matrix spans
+    the periodized dictionary from the coarsest level up to level 6.
     """
     table = cascade_table(family, depth)
     sup = family.support_length
@@ -534,8 +524,8 @@ def basis_diagnostics(family: WaveletFamily, depth: int,
 
     # Two-scale relation residual on the grid.
     phi = table.phi_samples
-    refinement = float(np.max(np.abs(
-        phi - _two_scale(family.low_pass, phi, depth))))
+    refinement = float(np.max(np.abs(phi - _two_scale(
+        family.low_pass, phi, 2 * np.arange(phi.size), 2 ** depth))))
     checks.append(_check("refinement_residual", refinement, 10 * 2.0 ** (-depth)))
 
     # Sum of integer translates is one everywhere.
@@ -555,14 +545,13 @@ def basis_diagnostics(family: WaveletFamily, depth: int,
                      for kind in ("scaling", "wavelet")))
     checks.append(_check("normalization", norm_err, 2.0 ** (-depth + 2) * sup))
 
-    # Gram matrix of the periodized dictionary up to max_gram_level.  The
+    # Gram matrix of the periodized dictionary up to level 6.  The
     # quadrature step is well below the table step so the rule integrates
     # the tabulated interpolants accurately and the reported deviation
     # reflects the table itself.
     start = family.coarsest_level
-    top = max(max_gram_level, start)
     labels = [("scaling", start, k) for k in range(2 ** start)]
-    for j in range(start, top + 1):
+    for j in range(start, 7):
         labels.extend(("wavelet", j, k) for k in range(2 ** j))
     quad_depth = depth + 6
     n_quad = 2 ** quad_depth

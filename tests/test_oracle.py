@@ -21,7 +21,9 @@ from addwave import (
     eval_periodized,
     evaluate_series,
     expected_coeff,
+    fit_component,
     haar_closed_form,
+    ise,
     make_family,
     mc_moments,
     oracle,
@@ -84,7 +86,8 @@ def test_haar_closed_form_argument_guards():
 _X = np.linspace(0.0, 1.0, 9)
 _DATA = simulate_dataset(IID, NOISY, 64)
 # (field the error must name, call): each index is not an integer, out of
-# range, or of an unknown kind.
+# range, or of an unknown kind; so is each size, count and threshold
+# constant at the end, or not finite.
 _REFUSED = (
     ("level", lambda: eval_periodized(DB2, "wavelet", 2.5, 0, _X)),
     ("shift", lambda: eval_periodized(DB2, "wavelet", 2, 1.5, _X)),
@@ -129,7 +132,20 @@ _REFUSED = (
     ("level", lambda: replicate_coeffs(IID, NOISY, DB2,
                                        [("wavelet", 2, 0, 1),
                                         ("wavelet", 2.0, 1, True)],
-                                       n=64, reps=2)))
+                                       n=64, reps=2)),
+    ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1,
+                                     kappa=math.nan, n=4096, reps=50)),
+    ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1,
+                                     kappa=math.inf, n=4096, reps=50)),
+    ("grid_size", lambda: ise(fit_component(_DATA, NOISY.rho_spec(), DB2),
+                              DB2, NOISY.component(1), grid_size=2048.5)),
+    ("sample sizes", lambda: rate_fit([(256, 0.1), (512, 0.05),
+                                       (1024, 0.03), (4096.9, 0.02)])),
+    ("reps", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1)],
+                                      n=64, reps=2.5)),
+    ("n", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1)],
+                                   n=64.5, reps=2)),
+    ("reps", lambda: calibrate_threshold(IID, NOISY, DB2, n=4096, reps=2.5)))
 
 
 @pytest.fixture
@@ -318,8 +334,6 @@ def test_calibrated_threshold_lands_in_expected_band():
     proc = MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=7)
     kappa = calibrate_threshold(proc, NOISY, DB2, n=4096, reps=500)
     assert 2.0 < kappa < 3.0
-    with pytest.raises(ValueError, match="quantile"):
-        calibrate_threshold(proc, NOISY, DB2, n=4096, reps=500, quantile=0.4)
     with pytest.raises(ValueError, match="out of range"):
         calibrate_threshold(proc, NOISY, DB2, n=4096, coord=0, reps=500)
 
