@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -283,6 +282,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
     try:
         # ``extend`` keeps the cells done before an interrupt, in job order.
         if workers > 1:
+            # Imported here, so that a start-up without a pool never loads it.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 done.extend(pool.map(_run_cell, jobs, chunksize=4))
         else:

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .wavelet import (_CHUNK, BasisTable, _analysis_step, _check_coord,
-                      _is_integer, _synthesis_step, evaluate_series,
+                      _check_count, _synthesis_step, evaluate_series,
                       weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
@@ -118,11 +118,7 @@ class EstimatorConfig:
     threshold_const: float = 1.0
 
     def __post_init__(self):
-        if not _is_integer(self.coord):
-            raise ValueError(f"coord must be an integer, got {self.coord!r}")
-        if self.coord < 1:
-            raise ValueError(f"coord {self.coord} is out of range: "
-                             f"coordinates are numbered from 1")
+        _check_count("coord", self.coord, 1)
         if not 0.0 <= self.threshold_const < math.inf:
             raise ValueError("threshold_const must be finite and >= 0")
 
@@ -193,18 +189,15 @@ class ComponentEstimate:
 
 def threshold_scale(n: int) -> float:
     """The level sqrt(log(n) / n) that detail coefficients are held to."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_count("n", n, 2)
     return math.sqrt(math.log(n) / n)
 
 
 def max_detail_level(n: int, coarsest: int) -> int:
     """Finest detail level: 2**j1 is the integer part of n / log(n)**3,
     never below the coarsest level."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if coarsest < 0:
-        raise ValueError("coarsest must be >= 0")
+    _check_count("n", n, 2)
+    _check_count("coarsest", coarsest, 0)
     budget = int(n / math.log(n) ** 3)
     raw = int(math.log2(budget)) if budget >= 1 else 0
     return max(coarsest, raw)
@@ -306,9 +299,7 @@ def ise(est: ComponentEstimate, table: BasisTable, truth, grid_size: int = 1024)
     ``truth`` may be a callable or an array of length ``grid_size``, an
     integer of at least 1024.
     """
-    if not (_is_integer(grid_size) and grid_size >= 1024):
-        raise ValueError(f"grid_size must be an integer >= 1024, "
-                         f"got {grid_size!r}")
+    _check_count("grid_size", grid_size, 1024)
     mids = (np.arange(grid_size) + 0.5) / grid_size
     target = truth(mids) if callable(truth) else np.asarray(truth, dtype=float)
     if target.shape != mids.shape:

@@ -18,8 +18,9 @@ import numpy as np
 
 from .estimator import _weights, max_detail_level, threshold_scale
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
-from .wavelet import (BasisTable, _check_coord, _check_index, _check_kind,
-                      _is_integer, level_coeffs, weighted_level_sums)
+from .wavelet import (BasisTable, _check_coord, _check_count, _check_index,
+                      _check_kind, _is_integer, level_coeffs,
+                      weighted_level_sums)
 
 DEFAULT_BUDGET = 1_000_000_000
 
@@ -29,10 +30,8 @@ class BudgetError(RuntimeError):
 
 
 def _charge_budget(reps: int, n: int, budget: int, allow_over: bool) -> None:
-    for name, value, low in (("reps", reps, 1), ("n", n, 2)):
-        if not (_is_integer(value) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, "
-                             f"got {value!r}")
+    _check_count("reps", reps, 1)
+    _check_count("n", n, 2)
     cost = reps * n
     if cost > budget and not allow_over:
         raise BudgetError(
@@ -153,7 +152,7 @@ class MomentReport:
     m4_hat: float
 
     def __post_init__(self):
-        _check_moment_reps(self.reps)
+        _check_count("reps", self.reps, 1000)
         if self.var_hat < 0:
             raise ValueError("variance cannot be negative")
         if self.m4_hat < self.var_hat ** 2 - 1e-15:
@@ -166,23 +165,17 @@ class MomentReport:
         return (self.mean_hat - self.true_value) / self.std_error()
 
 
-def _check_moment_reps(reps: int) -> None:
-    if reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {reps}")
-
-
 def mc_moments(process: MixingProcessSpec, scenario: ScenarioSpec,
                table: BasisTable, kind: str, level: int, shift: int,
-               coord: int, n: int, reps: int, rep_start: int = 0,
-               budget: int = DEFAULT_BUDGET,
-               allow_over: bool = False) -> MomentReport:
+               coord: int, n: int, reps: int,
+               rep_start: int = 0) -> MomentReport:
     """Replication mean, variance, and fourth central moment of one
-    empirical coefficient, with its quadrature reference value."""
-    _check_moment_reps(reps)
+    empirical coefficient, with its quadrature reference value, over
+    at least 1000 replications."""
+    _check_count("reps", reps, 1000)
     vals = replicate_coeffs(process, scenario, table,
                             [(kind, level, shift, coord)], n, reps,
-                            rep_start=rep_start, budget=budget,
-                            allow_over=allow_over)[:, 0]
+                            rep_start=rep_start)[:, 0]
     dev = vals - vals.mean()
     return MomentReport(
         kind=kind, level=level, shift=shift, coord=coord, n=n, reps=reps,
@@ -194,27 +187,25 @@ def mc_moments(process: MixingProcessSpec, scenario: ScenarioSpec,
 
 def tail_frequency(process: MixingProcessSpec, scenario: ScenarioSpec,
                    table: BasisTable, level: int, shift: int, coord: int,
-                   kappa: float, n: int, reps: int, rep_start: int = 0,
-                   budget: int = DEFAULT_BUDGET,
-                   allow_over: bool = False) -> float:
+                   kappa: float, n: int, reps: int) -> float:
     """Frequency of a detail coefficient missing its target by at least
     half the threshold.
 
-    Requires a finite kappa >= 0 and 2**level <= n / log(n)**3, the
-    regime in which the detail level is eligible for the fit at this n.
+    Requires a finite kappa >= 0, an integer n >= 2 and 2**level <=
+    n / log(n)**3, the regime in which the detail level is eligible for
+    the fit at this n.
     """
     if not 0.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    # threshold_scale checks n before the level bound takes its log.
+    cut = kappa * threshold_scale(n) / 2.0
     if 2 ** level > n / math.log(n) ** 3:
         raise ValueError(
             f"level {level} violates 2**level <= n/log(n)**3 at n={n}; "
             f"bound is {n / math.log(n) ** 3:.2f}")
     vals = replicate_coeffs(process, scenario, table,
-                            [("wavelet", level, shift, coord)], n, reps,
-                            rep_start=rep_start, budget=budget,
-                            allow_over=allow_over)[:, 0]
+                            [("wavelet", level, shift, coord)], n, reps)[:, 0]
     target = expected_coeff(table, scenario, "wavelet", level, shift, coord)
-    cut = kappa * threshold_scale(n) / 2.0
     return float(np.mean(np.abs(vals - target) >= cut))
 
 

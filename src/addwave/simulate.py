@@ -42,7 +42,7 @@ from math import sqrt
 import numpy as np
 
 from .estimator import Dataset, DesignDensity, identity_rho
-from .wavelet import _CHUNK, _check_coord, _is_integer
+from .wavelet import _CHUNK, _check_coord, _check_count, _is_integer
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -265,11 +265,9 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
 
 
 def _check_range(n: int, rep_start: int, reps: int) -> None:
-    if not (_is_integer(n) and n >= 1):
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if not all(_is_integer(v) and v >= 0 for v in (rep_start, reps)):
-        raise ValueError(f"rep_start and reps must be >= 0, got "
-                         f"{rep_start!r} and {reps!r}")
+    _check_count("n", n, 1)
+    _check_count("rep_start", rep_start, 0)
+    _check_count("reps", reps, 0)
 
 
 # Cephes' ndtr.c coefficients, the sets scipy.special ships: erf(x) = x

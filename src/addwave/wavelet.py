@@ -62,6 +62,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, _INTEGER_TYPES) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """The package's count rule: ``value`` is an integer >= ``low``."""
+    if not (_is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class WaveletFamily:
     """Compactly supported orthonormal family identified by its filter."""
@@ -373,8 +379,7 @@ def _check_kind(kind: str) -> None:
 
 def _check_index(level: int, shift: int) -> None:
     """The package's index rule: integers level >= 0, 0 <= shift < 2**level."""
-    if not (_is_integer(level) and level >= 0):
-        raise ValueError(f"level must be an integer >= 0, got {level!r}")
+    _check_count("level", level, 0)
     if not (_is_integer(shift) and 0 <= shift < 2 ** level):
         raise ValueError(f"shift must be in 0..{2 ** level - 1}, got {shift}")
 

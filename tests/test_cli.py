@@ -1,5 +1,6 @@
 """Command-line harness: config validation, determinism, exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -350,7 +351,8 @@ def test_worker_pool_is_no_wider_than_cells_or_cpus(monkeypatch):
     config = parse_experiment_config(_base_config())
     serial, _ = run_experiment(config)
     widths = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(widths))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _inline_pool(widths))
     for cpus, asked, width in ((4, "64", 4), (16, "64", 8), (16, "3", 3),
                                (16, "1", None), (1, "2", None)):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -366,7 +368,8 @@ def test_worker_pool_is_no_wider_than_cells_or_cpus(monkeypatch):
 def test_workers_env_must_be_a_positive_integer(tmp_path, monkeypatch,
                                                 capsys, value):
     widths = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _inline_pool(widths))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _inline_pool(widths))
     monkeypatch.setenv(WORKERS_ENV, value)
     cfg = _write_config(tmp_path)
     assert main(["mc-rate", "--config", cfg]) == EXIT_USAGE

@@ -390,8 +390,9 @@ def test_config_rejects_non_integer_coord():
 
 def test_fit_rejects_coord_beyond_dim():
     data = _uniform_data(128, dim=2)
-    for coord in (0, 3):
-        with pytest.raises(ValueError, match="out of range"):
+    for coord, text in ((0, "coord must be an integer >= 1"),
+                        (3, "out of range")):
+        with pytest.raises(ValueError, match=text):
             fit_component(data, RHO, DB2, EstimatorConfig(coord=coord))
         with pytest.raises(ValueError, match="out of range"):
             data.column(coord)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from addwave import (
     BudgetError,
+    EstimatorConfig,
     MixingProcessSpec,
     MomentReport,
     ScenarioSpec,
@@ -25,6 +26,7 @@ from addwave import (
     haar_closed_form,
     ise,
     make_family,
+    max_detail_level,
     mc_moments,
     oracle,
     rate_fit,
@@ -36,6 +38,7 @@ from addwave import (
     weighted_level_sums,
 )
 from addwave.oracle import reference_shape
+from addwave.simulate import gen_designs, simulate_datasets
 from addwave.wavelet import level_coeffs
 
 HAAR = cascade_table(make_family(1), depth=12)
@@ -85,9 +88,12 @@ def test_haar_closed_form_argument_guards():
 
 _X = np.linspace(0.0, 1.0, 9)
 _DATA = simulate_dataset(IID, NOISY, 64)
-# (field the error must name, call): each index is not an integer, out of
-# range, or of an unknown kind; so is each size, count and threshold
-# constant at the end, or not finite.
+_FIT = fit_component(_DATA, NOISY.rho_spec(), DB2)
+_COUNT = "%s must be an integer >= %d, got"
+# (start of the error text, up to a space, call): each index is not an
+# integer, out of range, or of an unknown kind; so is each size, count and
+# threshold constant at the end, or not finite.  A count's text states the
+# count rule in full.
 _REFUSED = (
     ("level", lambda: eval_periodized(DB2, "wavelet", 2.5, 0, _X)),
     ("shift", lambda: eval_periodized(DB2, "wavelet", 2, 1.5, _X)),
@@ -137,15 +143,36 @@ _REFUSED = (
                                      kappa=math.nan, n=4096, reps=50)),
     ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1,
                                      kappa=math.inf, n=4096, reps=50)),
-    ("grid_size", lambda: ise(fit_component(_DATA, NOISY.rho_spec(), DB2),
-                              DB2, NOISY.component(1), grid_size=2048.5)),
+    (_COUNT % ("grid_size", 1024),
+     lambda: ise(_FIT, DB2, NOISY.component(1), grid_size=2048.5)),
     ("sample sizes", lambda: rate_fit([(256, 0.1), (512, 0.05),
                                        (1024, 0.03), (4096.9, 0.02)])),
-    ("reps", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1)],
-                                      n=64, reps=2.5)),
-    ("n", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1)],
-                                   n=64.5, reps=2)),
-    ("reps", lambda: calibrate_threshold(IID, NOISY, DB2, n=4096, reps=2.5)))
+    (_COUNT % ("reps", 1), lambda: replicate_coeffs(
+        IID, NOISY, DB2, [("wavelet", 2, 0, 1)], n=64, reps=2.5)),
+    (_COUNT % ("n", 2), lambda: replicate_coeffs(
+        IID, NOISY, DB2, [("wavelet", 2, 0, 1)], n=64.5, reps=2)),
+    (_COUNT % ("reps", 1),
+     lambda: calibrate_threshold(IID, NOISY, DB2, n=4096, reps=2.5)),
+    # The sample size is checked before the level bound reads log(n).
+    (_COUNT % ("n", 2), lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1,
+                                               kappa=1.0, n=1, reps=50)),
+    (_COUNT % ("n", 2), lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1,
+                                               kappa=1.0, n=0, reps=50)),
+    (_COUNT % ("n", 2), lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1,
+                                               kappa=1.0, n=-4, reps=50)),
+    (_COUNT % ("n", 2), lambda: max_detail_level(2.5, 2)),
+    (_COUNT % ("n", 2), lambda: threshold_scale(2.5)),
+    (_COUNT % ("reps", 1000), lambda: mc_moments(IID, NOISY, DB2, "wavelet",
+                                                 2, 0, 1, 64, True)),
+    (_COUNT % ("reps", 1000), lambda: mc_moments(IID, NOISY, DB2, "wavelet",
+                                                 2, 0, 1, 64, 1000.5)),
+    (_COUNT % ("rep_start", 0), lambda: gen_designs(IID, 64, 1.5, 2)),
+    (_COUNT % ("rep_start", 0),
+     lambda: simulate_datasets(IID, NOISY, 64, True, 2)),
+    (_COUNT % ("grid_size", 1024),
+     lambda: ise(_FIT, DB2, NOISY.component(1), grid_size=True)),
+    (_COUNT % ("coord", 1), lambda: EstimatorConfig(coord=1.5)),
+    (_COUNT % ("coord", 1), lambda: EstimatorConfig(coord=True)))
 
 
 @pytest.fixture
@@ -157,12 +184,13 @@ def no_draws(monkeypatch):
     monkeypatch.setattr(oracle, "simulate_datasets", no_draw)
 
 
-@pytest.mark.parametrize("field, call", _REFUSED,
-                         ids=[f"{i}-{f}" for i, (f, _) in enumerate(_REFUSED)])
-def test_bad_basis_indices_and_coords_are_refused_by_name(field, call,
+@pytest.mark.parametrize(
+    "text, call", _REFUSED,
+    ids=[f"{i}-{t.split(' must')[0]}" for i, (t, _) in enumerate(_REFUSED)])
+def test_bad_basis_indices_and_coords_are_refused_by_name(text, call,
                                                          no_draws):
     # Replications are checked before the first one is drawn.
-    with pytest.raises(ValueError, match=f"^{field} "):
+    with pytest.raises(ValueError, match=f"^{text} "):
         call()
 
 
@@ -220,7 +248,8 @@ def test_budget_guard():
 
 
 def test_mc_moments_refuses_few_reps_before_drawing(no_draws):
-    with pytest.raises(ValueError, match="need reps >= 1000, got 500"):
+    with pytest.raises(ValueError,
+                       match="reps must be an integer >= 1000, got 500"):
         mc_moments(IID, NOISY, DB2, "wavelet", 2, 0, 1, 4096, 500)
 
 

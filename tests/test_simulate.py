@@ -114,12 +114,13 @@ def test_specs_store_python_numbers():
 
 def test_replication_ranges_must_be_non_negative():
     scen = ScenarioSpec(components=("sine", "bump"))
-    for rep_start, reps in ((-1, 2), (0, -1)):
-        with pytest.raises(ValueError, match="rep_start and reps"):
+    for rep_start, reps, text in ((-1, 2, "rep_start must be"),
+                                  (0, -1, "reps must be")):
+        with pytest.raises(ValueError, match=f"{text} an integer >= 0"):
             gen_designs(AR_PROCESS, 16, rep_start, reps)
-        with pytest.raises(ValueError, match="rep_start and reps"):
+        with pytest.raises(ValueError, match=f"{text} an integer >= 0"):
             simulate_datasets(AR_PROCESS, scen, 16, rep_start, reps)
-    with pytest.raises(ValueError, match="n must be"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         simulate_datasets(AR_PROCESS, scen, 0, 0, 5)
     assert gen_designs(AR_PROCESS, 16, 3, 0)[0] == []
 
@@ -347,19 +348,21 @@ README_SWEEP = {"scenario": {"components": ["sine", "bump"], "mu": 0.3,
                 "master_seed": 21, "kappa": 1.0}
 
 
-@pytest.mark.parametrize("code", [
-    "import addwave.cli",
-    "import addwave\n"
-    "proc = addwave.MixingProcessSpec(dim=2, ar_coeff=0.6, seed=1)\n"
-    "scen = addwave.ScenarioSpec(components=('sine', 'bump'))\n"
-    "addwave.simulate_dataset(proc, scen, 2 ** 14)",
-    "from addwave import cli\n"
-    f"cli.run_experiment(cli.parse_experiment_config({README_SWEEP!r}))"],
+# Only a pool of two or more workers needs concurrent.futures.process.
+@pytest.mark.parametrize("code, unloaded", [
+    ("import addwave.cli", ("scipy", "concurrent.futures.process")),
+    ("import addwave\n"
+     "proc = addwave.MixingProcessSpec(dim=2, ar_coeff=0.6, seed=1)\n"
+     "scen = addwave.ScenarioSpec(components=('sine', 'bump'))\n"
+     "addwave.simulate_dataset(proc, scen, 2 ** 14)", ("scipy",)),
+    ("from addwave import cli\n"
+     f"cli.run_experiment(cli.parse_experiment_config({README_SWEEP!r}))",
+     ("scipy", "concurrent.futures.process"))],
     ids=["import-cli", "ar-simulation", "readme-sweep"])
-def test_modules_left_unloaded(code):
+def test_modules_left_unloaded(code, unloaded):
     probe = (f"{code}\nimport sys\n"
-             "print(sorted(m for m in sys.modules if m == 'scipy' "
-             "or m.startswith('scipy.')))")
+             "print(sorted(m for m in sys.modules for u in "
+             f"{unloaded!r} if m == u or m.startswith(u + '.')))")
     env = {k: v for k, v in os.environ.items() if k != "ADDWAVE_WORKERS"}
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,

@@ -32,13 +32,15 @@ batches of designs whose chains share passes of the recursion shorter
 than n (``simulate/batches``); the values or error text of basis calls
 with an index or coord that is not an integer, out of range or of an
 unknown kind, among them a replication target that equals an earlier
-one's group key, of ``mc_moments`` asked for too few replications, of
-``tail_frequency`` given a NaN or infinite ``kappa``, and of ``ise``,
-``rate_fit``, ``replicate_coeffs`` and ``calibrate_threshold`` given a
-grid size, sample size, replication count or ``n`` that is not an
-integer (``basis/index``); the filters ``make_family(r).low_pass``
-for r = 1..10 (``wavelet/taps``), which shows how far the filters moved
-and not only what was built from them; ``weighted_level_sums`` and
+one's group key, of ``mc_moments`` asked for too few replications or
+for ``True`` of them, of ``tail_frequency`` given a NaN or infinite
+``kappa`` or an ``n`` of 1 or 0, of ``threshold_scale`` given an ``n``
+of 2.5, and of ``ise``, ``rate_fit``, ``replicate_coeffs`` and
+``calibrate_threshold`` given a grid size, sample size, replication
+count or ``n`` that is not an integer (``basis/index``); the filters
+``make_family(r).low_pass`` for r = 1..10 (``wavelet/taps``), which
+shows how far the filters moved and not only what was built from them;
+``weighted_level_sums`` and
 ``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
 ``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``; the
 parsed fields and ``echo()`` of experiment configs, alone and under
@@ -257,11 +259,12 @@ def batches(dig, aw):
 def basis_index(dig, aw):
     """The value, or the error of any type, of basis calls given a level,
     shift or coord that is not an integer, a negative shift, or an unknown
-    kind, of ``mc_moments`` given fewer than 1000 replications, of
-    ``tail_frequency`` given a NaN or infinite ``kappa``, and of calls
-    given a grid size, sample size, count of replications or ``n`` that is
-    not an integer; a tree that returns a value or fails deep inside shows
-    it."""
+    kind, of ``mc_moments`` given fewer than 1000 replications or
+    ``True`` of them, of ``tail_frequency`` given a NaN or infinite
+    ``kappa`` or an ``n`` of 1 or 0, and of calls given a grid size,
+    sample size, count of replications or ``n`` that is not an integer,
+    ``threshold_scale`` among them; a tree that returns a value or fails
+    deep inside shows it."""
     def record(call):
         try:
             value = np.asarray(call(), dtype=float).tolist()
@@ -326,7 +329,14 @@ def basis_index(dig, aw):
                                     n=64, reps=2.5),
         lambda: aw.replicate_coeffs(proc, scen, table, [("wavelet", 2, 0, 1)],
                                     n=64.5, reps=2),
-        lambda: aw.calibrate_threshold(proc, scen, table, n=1024, reps=2.5))
+        lambda: aw.calibrate_threshold(proc, scen, table, n=1024, reps=2.5),
+        lambda: aw.tail_frequency(proc, scen, table, 2, 1, 1, kappa=1.0,
+                                  n=1, reps=20),
+        lambda: aw.tail_frequency(proc, scen, table, 2, 1, 1, kappa=1.0,
+                                  n=0, reps=20),
+        lambda: aw.mc_moments(proc, scen, table, "wavelet", 2, 0, 1, 64,
+                              True).mean_hat,
+        lambda: aw.threshold_scale(2.5))
     for call in calls:
         record(call)
 
