@@ -30,13 +30,12 @@ from .estimator import (EstimatorConfig, eval_estimate, fit_component,
                         identity_rho, ise, max_detail_level, threshold_scale)
 from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
                      calibrate_threshold, rate_fit)
-from .simulate import (_config_number, _json_object, _shown, dataset_meta,
-                       process_from_config, read_dataset_json,
-                       scenario_from_config, simulate_dataset,
-                       simulate_datasets, write_dataset_csv,
-                       write_dataset_json)
-from .wavelet import (_check_depth, _is_integer, basis_diagnostics,
-                      cascade_table, make_family)
+from .simulate import (_json_object, dataset_meta, process_from_config,
+                       read_dataset_json, scenario_from_config,
+                       simulate_dataset, simulate_datasets,
+                       write_dataset_csv, write_dataset_json)
+from .wavelet import (_check_depth, _config_number, _is_integer, _shown,
+                      basis_diagnostics, cascade_table, make_family)
 
 REPORT_FORMAT_VERSION = "1"
 WORKERS_ENV = "ADDWAVE_WORKERS"

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .wavelet import (_CHUNK, BasisTable, _analysis_step, _check_coord,
-                      _check_count, _synthesis_step, evaluate_series,
-                      weighted_level_sums)
+                      _check_count, _config_number, _synthesis_step,
+                      evaluate_series, weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
 
@@ -119,8 +119,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_count("coord", self.coord, 1)
-        if not 0.0 <= self.threshold_const < math.inf:
-            raise ValueError("threshold_const must be finite and >= 0")
+        object.__setattr__(self, "threshold_const", _config_number(
+            self.threshold_const, "threshold_const", low=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,14 +283,13 @@ def eval_estimate(est: ComponentEstimate, table: BasisTable, x):
     """Evaluate the fitted component at points of [0, 1].
 
     The inverse filter bank carries the scaling and kept detail
-    coefficients up to scaling coefficients of level ``j1 + 1``, which are
-    gathered once at the points.
+    coefficients up to the scaling coefficients of level ``j1 + 1``, and
+    ``evaluate_series`` gathers that one level at the points.
     """
     smooth = est.a_hat
     for b, kept in zip(est.detail_values, est.detail_kept):
         smooth = _synthesis_step(table.family, smooth, b * kept)
-    return evaluate_series(table, est.j1 + 1, smooth, [], x,
-                           offset=-est.mu_hat)
+    return evaluate_series(table, est.j1 + 1, smooth, x, offset=-est.mu_hat)
 
 
 def ise(est: ComponentEstimate, table: BasisTable, truth, grid_size: int = 1024):

@@ -19,7 +19,7 @@ import numpy as np
 from .estimator import _weights, max_detail_level, threshold_scale
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
 from .wavelet import (BasisTable, _check_coord, _check_count, _check_index,
-                      _check_kind, _is_integer, level_coeffs,
+                      _check_kind, _config_number, _is_integer, level_coeffs,
                       weighted_level_sums)
 
 DEFAULT_BUDGET = 1_000_000_000
@@ -195,10 +195,8 @@ def tail_frequency(process: MixingProcessSpec, scenario: ScenarioSpec,
     n / log(n)**3, the regime in which the detail level is eligible for
     the fit at this n.
     """
-    if not 0.0 <= kappa < math.inf:
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     # threshold_scale checks n before the level bound takes its log.
-    cut = kappa * threshold_scale(n) / 2.0
+    cut = _config_number(kappa, "kappa", low=0.0) * threshold_scale(n) / 2.0
     if 2 ** level > n / math.log(n) ** 3:
         raise ValueError(
             f"level {level} violates 2**level <= n/log(n)**3 at n={n}; "

@@ -15,13 +15,14 @@ bit-identical output.
 
 The designs of a batch of replications are drawn into one array, and the
 recursion, the normal CDF and the FGM step run in place on it
-(``gen_designs``), with scratch from one allocation per call (3.0 MiB at
-most for the batches ``simulate_datasets`` draws, n up to 2^18, d = 1 to
-4, ar 0.05 to 0.999); the responses are made in chunks of ``_CHUNK``
-points, so no temporary spans all n points.  ``_ar1`` states the
-recursion's rounding and why its vectorised blocks are exact; ``_ndtr``,
-a numpy port of Cephes' ``ndtr``, states why it equals
-``scipy.special.ndtr`` for every input, so the package needs no scipy.
+(``gen_designs``); one replication is a batch of one.  Scratch is one
+allocation per call (3.0 MiB at most for the batches ``simulate_datasets``
+draws, n up to 2^18, d = 1 to 4, ar 0.05 to 0.999); the responses are
+made in chunks of ``_CHUNK`` points, so no temporary spans all n points.
+``_ar1`` states the recursion's rounding and why its vectorised blocks
+are exact; ``_ndtr``, a numpy port of Cephes' ``ndtr``, states why it
+equals ``scipy.special.ndtr`` for every input, so the package needs no
+scipy.
 
 ``MixingProcessSpec`` and ``ScenarioSpec`` check every field however they
 are built, with a config's messages; the config and dataset readers only
@@ -42,7 +43,8 @@ from math import sqrt
 import numpy as np
 
 from .estimator import Dataset, DesignDensity, identity_rho
-from .wavelet import _CHUNK, _check_coord, _check_count, _is_integer
+from .wavelet import (_CHUNK, _check_coord, _check_count, _config_number,
+                      _is_integer, _shown)
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -203,27 +205,10 @@ def fgm_density(theta: float) -> DesignDensity:
     return DesignDensity(dim=2, evaluator=evaluator, floor=1.0 - abs(theta))
 
 
-def gen_design(spec: MixingProcessSpec, n: int,
-               rep: int = 0) -> tuple[np.ndarray, DesignDensity]:
-    """Draw n design points; returns the points and their exact density.
-
-    A batch of one replication from ``gen_designs``: the points are the
-    column-major transpose of its ``(1, d, n)`` array.  Every value equals
-    the one a single ``(d, n)`` draw and one ``lfilter`` over whole rows
-    would give, bit for bit.
-
-    CHANGES.md records its measured cost per call; ``_ar1`` says why a
-    pass with few blocks costs more per value than a batch of
-    replications from ``simulate_datasets``.
-    """
-    xs, density = gen_designs(spec, n, rep, 1)
-    return xs[0], density
-
-
 def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
                 reps: int) -> tuple[list, DesignDensity]:
     """The designs of replications ``rep_start`` to ``rep_start + reps -
-    1``, drawn together; each equals ``gen_design(spec, n, rep)``.
+    1``, drawn together; a replication's design does not depend on its batch.
 
     The batch is one ``(reps, d, n)`` array.  Each replication's stream
     fills its ``d`` rows in order, as one ``(d, n)`` draw would, and
@@ -594,18 +579,15 @@ def _check_dims(process: MixingProcessSpec, scenario: ScenarioSpec) -> None:
 
 def simulate_dataset(process: MixingProcessSpec, scenario: ScenarioSpec,
                      n: int, rep: int = 0) -> Dataset:
-    """One replication of the full design-plus-response draw."""
-    _check_dims(process, scenario)
-    x, density = gen_design(process, n, rep)
-    y = gen_responses(x, scenario, process.seed, rep)
-    return Dataset(y=y, x=x, density=density)
+    """Replication ``rep`` of the design-plus-response draw, drawn alone."""
+    return next(simulate_datasets(process, scenario, n, rep, 1))
 
 
 def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
                       n: int, rep_start: int,
                       reps: int) -> Iterator[Dataset]:
     """Yield replications ``rep_start`` to ``rep_start + reps - 1`` in
-    order, each equal to ``simulate_dataset(process, scenario, n, rep)``.
+    order; a replication does not depend on its batch.
 
     Designs are drawn by ``gen_designs`` in batches of as many
     replications as fill one pass of the recursion, so at small n its
@@ -641,31 +623,6 @@ def _json_object(value, field: str, keys: tuple | None = None) -> dict:
         raise ValueError(f"{field} has unknown key {unknown[0]!r}; known "
                          f"keys: {', '.join(keys)}")
     return value
-
-
-def _shown(value) -> str:
-    """``value`` in an error message: as JSON, cut to 40 characters; a
-    value JSON has no form for (a numpy scalar) as its quoted ``repr``."""
-    return json.dumps(value, default=repr)[:40]
-
-
-def _config_number(value, name: str, low: float | None = None) -> float:
-    """``value`` as a float if it is a finite real number (Python or
-    numpy), not a bool, of at least ``low``; else a ``ValueError`` that
-    starts with ``name``."""
-    number = math.nan
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool)):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be a finite number, "
-                         f"got {_shown(value)}")
-    if low is not None and number < low:
-        raise ValueError(f"{name} must be >= {low}, got {number}")
-    return number
 
 
 # Largest |mu| and noise half-width a config may set: responses stay far

@@ -20,23 +20,25 @@ family whose samples form a step function and are looked up piecewise
 constantly so that its jumps stay exact.
 
 Analysis (``weighted_level_sums``, a scatter onto the shifts) and synthesis
-(``evaluate_series``, a gather at the points) share one stencil,
-``_stencil``.  It walks the points in chunks of ``_CHUNK`` through seven
-buffers, views of one allocation per call refilled with ufunc ``out=``,
-so the cost per point does not grow once the points outrun the L2 cache.
-Each point's table position is found once and read at every support
-offset, which interpolates at the exact argument; at each offset one
-unchecked gather from a table of neighbouring sample pairs reads both ends
-of the interpolation.  The scatter keeps one row per offset and adds each
+(``evaluate_series``, a gather of one scaling level at the points; a
+series of several levels is first carried to one by ``_synthesis_step``)
+share one stencil, ``_stencil``.  It walks the points in chunks of
+``_CHUNK`` through seven buffers, views of one allocation per call
+refilled with ufunc ``out=``, so the cost per point does not grow once
+the points outrun the L2 cache.  Each point's table position is found
+once and read at every support offset, which interpolates at the exact
+argument; at each offset one unchecked gather from a table of
+neighbouring sample pairs reads both ends of the interpolation.  The scatter keeps one row per offset and adds each
 chunk into it point by point, so every shift sums its points in the order
 one ``bincount`` over all of them would.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, comb, log2
+from math import ceil, comb, isfinite, log2
 
 import numpy as np
 
@@ -66,6 +68,31 @@ def _check_count(name: str, value, low: int) -> None:
     """The package's count rule: ``value`` is an integer >= ``low``."""
     if not (_is_integer(value) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _config_number(value, name: str, low: float | None = None) -> float:
+    """The package's number rule: ``value`` as a float if it is a finite
+    real number (Python or numpy), not a bool, of at least ``low``; else a
+    ``ValueError`` that starts with ``name``."""
+    number = float("nan")
+    if (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not isfinite(number):
+        raise ValueError(f"{name} must be a finite number, "
+                         f"got {_shown(value)}")
+    if low is not None and number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    return number
+
+
+def _shown(value) -> str:
+    """``value`` in an error message: as JSON, cut to 40 characters; a
+    value JSON has no form for (a numpy scalar) as its quoted ``repr``."""
+    return json.dumps(value, default=repr)[:40]
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,44 +502,36 @@ def level_coeffs(table: BasisTable, kind: str, level: int,
     return weighted_level_sums(table, kind, level, mids, v) / m
 
 
-def evaluate_series(table: BasisTable, start_level: int, smooth: np.ndarray,
-                    details, x, offset: float = 0.0) -> np.ndarray:
-    """Evaluate a periodized wavelet series at points ``x``.
+def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
+                    offset: float = 0.0) -> np.ndarray:
+    """``offset`` plus the scaling series ``sum_k coeffs[k] *
+    phi_(level, k)`` at points ``x``, of any shape or a scalar: the gather
+    twin of ``weighted_level_sums``.
 
-    ``details`` is an iterable of (level, coefficient array) pairs; a
-    coefficient array may contain zeros for dropped terms.  ``offset`` is
-    added to the result.  A point that is not finite, or whose cell at a
-    level overflows int64, raises ``ValueError``.
+    All-zero coefficients skip the stencil.  A point that is not finite,
+    or whose cell overflows int64, raises ``ValueError`` either way.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, float(offset))
     flat_x, flat_out = xa.reshape(-1), out.reshape(-1)
     gathered = np.empty(min(flat_x.size, _CHUNK))
-    terms = [(start_level, "scaling", np.asarray(smooth, dtype=float))]
-    for level, coeffs in details:
-        terms.append((level, "wavelet", np.asarray(coeffs, dtype=float)))
-    evaluated = False
-    for level, kind, coeffs in terms:
-        _check_index(level, 0)
-        n_shifts = 2 ** level
-        if coeffs.size != n_shifts:
-            raise ValueError(f"level {level} expects {n_shifts} coefficients")
-        if not np.any(coeffs):
-            continue
-        evaluated = True
-        # rolled[off][cell] is scale * coeffs[(cell - off) % n_shifts].
-        scaled = 2.0 ** (level / 2.0) * coeffs
-        rolled = [np.roll(scaled, off)
-                  for off in range(table.family.support_length)]
-        for start, cell, off, vals in _stencil(table, kind, level, flat_x):
-            g = gathered[:vals.size]
-            np.take(rolled[off], cell, out=g, mode="clip")
-            np.multiply(g, vals, out=g)
-            flat_out[start:start + g.size] += g
-    if not evaluated:
-        # No term read the points; check them as the stencil would.
-        top = max(level for level, _, _ in terms)
-        _check_cells(np.floor(flat_x * 2.0 ** top), top)
+    coeffs = np.asarray(coeffs, dtype=float)
+    _check_index(level, 0)
+    n_shifts = 2 ** level
+    if coeffs.size != n_shifts:
+        raise ValueError(f"level {level} expects {n_shifts} coefficients")
+    if not np.any(coeffs):
+        _check_cells(np.floor(flat_x * 2.0 ** level), level)
+        return out if np.ndim(x) else float(out[0])
+    # rolled[off][cell] is scale * coeffs[(cell - off) % n_shifts].
+    scaled = 2.0 ** (level / 2.0) * coeffs
+    rolled = [np.roll(scaled, off)
+              for off in range(table.family.support_length)]
+    for start, cell, off, vals in _stencil(table, "scaling", level, flat_x):
+        g = gathered[:vals.size]
+        np.take(rolled[off], cell, out=g, mode="clip")
+        np.multiply(g, vals, out=g)
+        flat_out[start:start + g.size] += g
     return out if np.ndim(x) else float(out[0])
 
 

@@ -237,12 +237,17 @@ def test_eval_estimate_matches_per_level_series():
                    x=noise.x, density=noise.density)
     fit = fit_component(data, RHO, DB2)
     assert 0 < fit.kept_count() < sum(k.size for k in fit.detail_kept)
+    # At these dyadic points every element is read at table nodes, where
+    # the two-scale relation holds exactly, so the one gather at level
+    # j1 + 1 matches the level-by-level series to rounding.
     mids = (np.arange(1024) + 0.5) / 1024
-    per_level = evaluate_series(
-        DB2, fit.tau, fit.a_hat,
-        [(j, b * k) for j, b, k in zip(fit.levels(), fit.detail_values,
-                                       fit.detail_kept)],
-        mids, offset=-fit.mu_hat)
+    per_level = np.full(mids.size, -fit.mu_hat)
+    for k, a in enumerate(fit.a_hat):
+        per_level += a * eval_periodized(DB2, "scaling", fit.tau, k, mids)
+    for j, b, kept in zip(fit.levels(), fit.detail_values, fit.detail_kept):
+        for k in np.flatnonzero(kept):
+            per_level += b[k] * eval_periodized(DB2, "wavelet", j, int(k),
+                                                mids)
     np.testing.assert_allclose(eval_estimate(fit, DB2, mids), per_level,
                                rtol=0, atol=1e-12)
 
@@ -362,11 +367,11 @@ def test_analysis_and_synthesis_reject_bad_points():
         with pytest.raises(ValueError, match="points must be finite"):
             weighted_level_sums(DB2, "scaling", 2, x, np.ones(3))
         with pytest.raises(ValueError, match="points must be finite"):
-            evaluate_series(DB2, 2, np.ones(4), [(2, np.ones(4))], x)
+            evaluate_series(DB2, 2, np.ones(4), x)
         with pytest.raises(ValueError, match="points must be finite"):
             eval_estimate(est, DB2, x)
         with pytest.raises(ValueError, match="points must be finite"):
-            evaluate_series(DB2, 2, np.zeros(4), [], x)
+            evaluate_series(DB2, 2, np.zeros(4), x)
     # The bound is the int64 cell: 2**level * |x| must stay below 2**63.
     big = np.array([2.0 ** 60, -(2.0 ** 60)])
     assert np.all(np.isfinite(weighted_level_sums(HAAR, "scaling", 2, big,
@@ -376,9 +381,13 @@ def test_analysis_and_synthesis_reject_bad_points():
 
 
 def test_config_rejects_non_finite_threshold():
-    for bad in (math.nan, math.inf, -1.0):
-        with pytest.raises(ValueError, match="threshold_const"):
+    for bad in (math.nan, math.inf, -1.0, True, "1", None):
+        with pytest.raises(ValueError, match="^threshold_const "):
             EstimatorConfig(threshold_const=bad)
+    # Stored as a Python float, as the specs store their numbers.
+    for good in (1, np.int64(2), np.float32(0.5)):
+        kappa = EstimatorConfig(threshold_const=good).threshold_const
+        assert type(kappa) is float and kappa == good
 
 
 def test_config_rejects_non_integer_coord():

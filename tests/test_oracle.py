@@ -112,10 +112,8 @@ _REFUSED = (
     ("shift", lambda: TensorIndex(2, (0, 1.0), 1)),
     ("level", lambda: weighted_level_sums(DB2, "wavelet", 2.0, _X, _X)),
     ("level", lambda: level_coeffs(DB2, "wavelet", 3.0, _X)),
-    ("level", lambda: evaluate_series(DB2, 2.0, np.ones(4), [], _X)),
-    ("level", lambda: evaluate_series(DB2, 2, np.ones(4),
-                                      [(2, np.ones(4)), (3.0, np.ones(8))],
-                                      _X)),
+    ("level", lambda: evaluate_series(DB2, 2.0, np.ones(4), _X)),
+    ("level", lambda: evaluate_series(DB2, True, np.ones(2), _X)),
     ("level", lambda: mc_moments(IID, NOISY, DB2, "wavelet", 2.0, 0, 1, 64,
                                  1000)),
     ("kind", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1),
@@ -172,7 +170,15 @@ _REFUSED = (
     (_COUNT % ("grid_size", 1024),
      lambda: ise(_FIT, DB2, NOISY.component(1), grid_size=True)),
     (_COUNT % ("coord", 1), lambda: EstimatorConfig(coord=1.5)),
-    (_COUNT % ("coord", 1), lambda: EstimatorConfig(coord=True)))
+    (_COUNT % ("coord", 1), lambda: EstimatorConfig(coord=True)),
+    # A threshold constant follows the number rule: a bool or a string is
+    # not a number.
+    ("threshold_const", lambda: EstimatorConfig(threshold_const=True)),
+    ("threshold_const", lambda: EstimatorConfig(threshold_const="1")),
+    ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1, kappa=True,
+                                     n=4096, reps=50)),
+    ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1, kappa="1",
+                                     n=4096, reps=50)))
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 from scipy.stats import kstest
@@ -25,7 +27,6 @@ from addwave.simulate import (
     _repair,
     dataset_meta,
     fgm_density,
-    gen_design,
     gen_designs,
     gen_responses,
     process_from_config,
@@ -39,6 +40,11 @@ from addwave.simulate import (
 
 AR_PROCESS = MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=12)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _design(process, n, rep=0):
+    """Replication ``rep``'s design, drawn as a batch of one."""
+    return gen_designs(process, n, rep, 1)[0][0]
 
 
 def test_process_spec_validation():
@@ -79,8 +85,8 @@ def test_process_spec_validation():
     (lambda: MixingProcessSpec(dim=2.0), "'dim'"),
     (lambda: MixingProcessSpec(dim=1, ar_coeff="0.5"), "'ar_coeff'"),
     (lambda: MixingProcessSpec(dim=1, ar_coeff=None), "'ar_coeff'"),
-    (lambda: gen_design(MixingProcessSpec(dim=1), 2.5), "n must"),
-    (lambda: gen_design(MixingProcessSpec(dim=1), 8, rep=True), "rep_start"),
+    (lambda: gen_designs(MixingProcessSpec(dim=1), 2.5, 0, 1), "n must"),
+    (lambda: gen_designs(MixingProcessSpec(dim=1), 8, True, 1), "rep_start"),
     (lambda: cascade_table(make_family(2), 12.5), "depth")],
     ids=["noise-nan", "noise-inf", "mu-nan", "components-str", "dim-float",
          "dim-bool", "dim-integral-float", "ar-str", "ar-none",
@@ -129,14 +135,14 @@ def test_marginals_uniform_after_thinning():
     # The KS null assumes independent draws, so the AR(0.6) chain is thinned
     # by 12 steps (0.6**12 is about 2e-3) before testing.  Measured p-values
     # at this seed: 0.4519 and 0.9864.
-    x, _ = gen_design(AR_PROCESS, 60000)
+    x = _design(AR_PROCESS, 60000)
     assert kstest(x[::12, 0], "uniform").pvalue > 0.01
     assert kstest(x[::12, 1], "uniform").pvalue > 0.01
 
 
 def test_marginals_uniform_iid_full_sample():
     proc = MixingProcessSpec(dim=2, ar_coeff=0.0, copula_theta=0.0, seed=12)
-    x, density = gen_design(proc, 60000)
+    (x,), density = gen_designs(proc, 60000, 0, 1)
     assert density is uniform_density(2)
     assert kstest(x[:, 0], "uniform").pvalue > 0.01
     assert kstest(x[:, 1], "uniform").pvalue > 0.01
@@ -145,7 +151,7 @@ def test_marginals_uniform_iid_full_sample():
 
 def test_fgm_dependence_matches_theta():
     # FGM correlation is theta / 3; measured 0.17465 against 0.16667.
-    x, density = gen_design(AR_PROCESS, 20000)
+    (x,), density = gen_designs(AR_PROCESS, 20000, 0, 1)
     corr = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
     assert corr == pytest.approx(0.5 / 3.0, abs=0.02)
     assert density is fgm_density(0.5)
@@ -156,7 +162,7 @@ def test_latent_memory_decays_geometrically():
     # Mapping the first coordinate back through the normal quantile recovers
     # the AR chain; log-autocorrelation over lags 1..5 should fall at a rate
     # near ln(0.6).  Measured slope -0.4737 against -0.5108.
-    x, _ = gen_design(AR_PROCESS, 20000)
+    x = _design(AR_PROCESS, 20000)
     z = ndtri(x[:, 0])
     acf = [float(np.corrcoef(z[:-lag], z[lag:])[0, 1]) for lag in range(1, 6)]
     slope = float(np.polyfit(np.arange(1, 6), np.log(acf), 1)[0])
@@ -240,7 +246,7 @@ def test_blocks_that_fail_their_check_are_repaired(monkeypatch):
     for ar in (0.3, 0.6, 0.9):
         proc = MixingProcessSpec(dim=2, ar_coeff=ar, seed=41)
         for n in (40, 501, 3000):
-            x, _ = gen_design(proc, n, rep=1)
+            x = _design(proc, n, 1)
             scen = ScenarioSpec(components=("sine", "bump"))
             assert np.array_equal(x, _whole_array_draw(proc, scen, n, 1)[0])
     assert sum(failed) > 1000
@@ -251,7 +257,7 @@ def test_blocks_that_fail_their_check_are_repaired(monkeypatch):
     scen = ScenarioSpec(components=("sine",))
     for n, passes in ((_SPAN + 3, 1), (_SPAN + 41, 2)):
         failed.clear()
-        x, _ = gen_design(proc, n, rep=2)
+        x = _design(proc, n, 2)
         assert np.array_equal(x, _whole_array_draw(proc, scen, n, 2)[0])
         assert len(failed) == passes and min(failed) > 0
 
@@ -275,6 +281,29 @@ def test_batched_replications_match_one_at_a_time():
                 assert data.x.flags.f_contiguous
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([MixingProcessSpec(dim=1, seed=5), AR_PROCESS,
+                        MixingProcessSpec(dim=3, ar_coeff=0.3, seed=4)]),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=-1, max_value=1),
+       st.integers(min_value=0, max_value=2 ** 20),
+       st.integers(min_value=1, max_value=7))
+def test_batched_replications_match_one_at_a_time_property(proc, per, edge,
+                                                           rep_start, reps):
+    # n on either side of the size at which ``per`` replications fill a
+    # span, where the batch size steps down, and up to 7 replications,
+    # which cross batch edges.
+    n = _SPAN // (proc.dim * per) + edge
+    scen = ScenarioSpec(components=("sine", "bump", "step")[:proc.dim],
+                        noise_halfwidth=0.5)
+    batch = list(simulate_datasets(proc, scen, n, rep_start, reps))
+    assert len(batch) == reps
+    for rep, data in enumerate(batch, rep_start):
+        one = simulate_dataset(proc, scen, n, rep)
+        assert np.array_equal(data.x, one.x)
+        assert np.array_equal(data.y, one.y)
+
+
 def test_chains_sharing_passes_shorter_than_n_match_one_at_a_time():
     # 64 replications of n = 2^12 are 128 chains in passes of 1024 points;
     # three past a span are 6 chains in passes of a sixth of a span.
@@ -285,7 +314,7 @@ def test_chains_sharing_passes_shorter_than_n_match_one_at_a_time():
         for n, reps in ((2 ** 12, 64), (_SPAN + 5, 3)):
             xs, _ = gen_designs(proc, n, 0, reps)
             for rep, x in enumerate(xs):
-                assert np.array_equal(x, gen_design(proc, n, rep)[0])
+                assert np.array_equal(x, _design(proc, n, rep))
             assert np.array_equal(xs[-1], _whole_array_draw(
                 proc, scen, n, reps - 1)[0]), (ar, n)
 
@@ -373,7 +402,7 @@ def test_modules_left_unloaded(code, unloaded):
 def test_noiseless_responses_are_exact_sums():
     scen = ScenarioSpec(components=("sine", "bump"), offset=0.3,
                         noise_halfwidth=0.0)
-    x, _ = gen_design(AR_PROCESS, 500)
+    x = _design(AR_PROCESS, 500)
     y = gen_responses(x, scen, AR_PROCESS.seed)
     manual = (0.3 + catalog_fn("sine")(x[:, 0])
               + catalog_fn("bump")(x[:, 1]))

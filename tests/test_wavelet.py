@@ -136,19 +136,38 @@ def test_level_coeffs_against_direct_dot():
     assert float(np.max(np.abs(got - direct))) < 1e-12
 
 
+def _term_sum(table, level, coeffs, x, offset):
+    """``offset`` plus ``coeffs[k]`` times each scaling element, one
+    ``eval_periodized`` call per shift."""
+    return offset + sum(c * eval_periodized(table, "scaling", level, k, x)
+                        for k, c in enumerate(coeffs))
+
+
+# The one-level gather against its term sum, at any points.
+SERIES_TOL = 1e-10
+
+
 def test_evaluate_series_matches_term_sum():
     rng = np.random.default_rng(11)
     grid = (np.arange(2 ** 12) + 0.5) / 2 ** 12
-    smooth = rng.normal(size=4)
-    details = [(2, rng.normal(size=4)), (3, rng.normal(size=8))]
-    fast = evaluate_series(DB2, 2, smooth, details, grid, offset=-0.7)
-    slow = np.full(grid.shape, -0.7)
-    for k in range(4):
-        slow += smooth[k] * eval_periodized(DB2, "scaling", 2, k, grid)
-    for j, c in details:
-        for k in range(2 ** j):
-            slow += c[k] * eval_periodized(DB2, "wavelet", j, k, grid)
-    assert float(np.max(np.abs(fast - slow))) < 1e-10
+    coeffs = rng.normal(size=8)
+    fast = evaluate_series(DB2, 3, coeffs, grid, offset=-0.7)
+    slow = _term_sum(DB2, 3, coeffs, grid, -0.7)
+    assert float(np.max(np.abs(fast - slow))) < SERIES_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(TABLES)),
+       st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_evaluate_series_matches_term_sum_property(r, level, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random(300)
+    coeffs = rng.normal(size=2 ** level)
+    offset = float(rng.normal())
+    fast = evaluate_series(TABLES[r], level, coeffs, x, offset=offset)
+    slow = _term_sum(TABLES[r], level, coeffs, x, offset)
+    assert float(np.max(np.abs(fast - slow))) < SERIES_TOL
 
 
 def _brute_sums(table, kind, level, x, w):
@@ -169,11 +188,10 @@ def test_stencil_across_chunk_boundaries(table):
         fast = weighted_level_sums(table, kind, 3, x, w)
         brute = _brute_sums(table, kind, 3, x, w)
         assert float(np.max(np.abs(fast - brute))) / n < 1e-12
-    details = [(3, rng.normal(size=8)), (4, rng.normal(size=16))]
-    smooth = rng.normal(size=8)
-    whole = evaluate_series(table, 3, smooth, details, x, offset=0.25)
+    coeffs = rng.normal(size=16)
+    whole = evaluate_series(table, 4, coeffs, x, offset=0.25)
     half = n // 2
-    parts = [evaluate_series(table, 3, smooth, details, part, offset=0.25)
+    parts = [evaluate_series(table, 4, coeffs, part, offset=0.25)
              for part in (x[:half], x[half:])]
     assert np.array_equal(whole, np.concatenate(parts))
 
@@ -198,10 +216,8 @@ def test_stencil_edge_points(level):
             brute = _brute_sums(table, kind, level, x, w)
             assert float(np.max(np.abs(fast - brute))) < 1e-12
         coeffs = np.linspace(-1.0, 1.0, 2 ** level)
-        fast = evaluate_series(table, level, coeffs, [(level, coeffs[::-1])], x)
-        slow = sum(c * eval_periodized(table, "scaling", level, k, x)
-                   + d * eval_periodized(table, "wavelet", level, k, x)
-                   for k, (c, d) in enumerate(zip(coeffs, coeffs[::-1])))
+        fast = evaluate_series(table, level, coeffs, x)
+        slow = _term_sum(table, level, coeffs, x, 0.0)
         assert float(np.max(np.abs(fast - slow))) < 1e-12
 
 
@@ -216,13 +232,18 @@ def test_pair_tables_hold_neighbouring_samples(table):
         assert getattr(table, attr) is pairs
 
 
-def _unit_series(table, kind, level, shift, x):
-    unit = np.zeros(2 ** level)
-    unit[shift] = 1.0
+def _stencil_reads(table, kind, level, x):
+    """Each element's value at each point as the stencil reads it, one
+    ``(points, shifts)`` array per path: the scatter of a unit weight at
+    one point and, for the scaling kind, the gather of a unit
+    coefficient."""
+    reads = [np.array([weighted_level_sums(table, kind, level, x[i:i + 1],
+                                           np.ones(1))
+                       for i in range(x.size)])]
     if kind == "scaling":
-        return evaluate_series(table, level, unit, [], x)
-    return evaluate_series(table, level, np.zeros(2 ** level),
-                           [(level, unit)], x)
+        reads.append(np.column_stack([evaluate_series(table, level, unit, x)
+                                      for unit in np.eye(2 ** level)]))
+    return reads
 
 
 def _exact_interpolants(table, kind, level, x):
@@ -269,28 +290,29 @@ def test_stencil_evaluates_at_exact_argument(r):
                 else table.psi_samples
             tol = Fraction(2.0 * np.spacing(scale * np.max(np.abs(samples))))
             exact = _exact_interpolants(table, kind, level, x)
-            for shift in range(2 ** level):
-                fast = _unit_series(table, kind, level, shift, x)
-                for value, row in zip(fast, exact):
-                    assert abs(Fraction(float(value))
-                               - Fraction(scale) * row[shift]) <= tol
-                assert np.array_equal(
-                    _unit_series(table, kind, level, shift, dyadic),
-                    eval_periodized(table, kind, level, shift, dyadic))
+            reads = zip(_stencil_reads(table, kind, level, x),
+                        _stencil_reads(table, kind, level, dyadic))
+            for fast, at_dyadic in reads:
+                for shift in range(2 ** level):
+                    for value, row in zip(fast[:, shift], exact):
+                        assert abs(Fraction(float(value))
+                                   - Fraction(scale) * row[shift]) <= tol
+                    assert np.array_equal(
+                        at_dyadic[:, shift],
+                        eval_periodized(table, kind, level, shift, dyadic))
 
 
 def test_evaluate_series_point_shapes():
     rng = np.random.default_rng(23)
     x = rng.uniform(0.0, 1.0, (6, 5))
-    smooth = rng.normal(size=4)
-    details = [(2, rng.normal(size=4)), (3, rng.normal(size=8))]
-    flat = evaluate_series(DB2, 2, smooth, details, x.ravel(), offset=0.5)
-    grid = evaluate_series(DB2, 2, smooth, details, x, offset=0.5)
+    coeffs = rng.normal(size=8)
+    flat = evaluate_series(DB2, 3, coeffs, x.ravel(), offset=0.5)
+    grid = evaluate_series(DB2, 3, coeffs, x, offset=0.5)
     assert grid.shape == (6, 5)
     assert np.array_equal(grid, flat.reshape(6, 5))
-    transposed = evaluate_series(DB2, 2, smooth, details, x.T, offset=0.5)
+    transposed = evaluate_series(DB2, 3, coeffs, x.T, offset=0.5)
     assert np.array_equal(transposed, flat.reshape(6, 5).T)
-    point = evaluate_series(DB2, 2, smooth, details, float(x[1, 2]), offset=0.5)
+    point = evaluate_series(DB2, 3, coeffs, float(x[1, 2]), offset=0.5)
     assert isinstance(point, float)
     assert point == flat[7]
 
@@ -299,9 +321,13 @@ def test_smooth_reconstruction_error():
     m = 2 ** 16
     mids = (np.arange(m) + 0.5) / m
     vals = np.sin(2 * np.pi * mids)
-    smooth = level_coeffs(DB2, "scaling", 2, vals)
-    details = [(j, level_coeffs(DB2, "wavelet", j, vals)) for j in range(2, 7)]
-    recon = evaluate_series(DB2, 2, smooth, details, mids)
+    # Level 2's scaling coefficients and the details of levels 2..6, carried
+    # by the filter bank to level 7 and gathered there.
+    fine = level_coeffs(DB2, "scaling", 2, vals)
+    for j in range(2, 7):
+        fine = _synthesis_step(DB2.family, fine,
+                               level_coeffs(DB2, "wavelet", j, vals))
+    recon = evaluate_series(DB2, 7, fine, mids)
     err = float(np.mean((recon - vals) ** 2))
     print("sine reconstruction ISE through level 6:", err)
     assert err < 2e-7
@@ -318,10 +344,9 @@ def test_partition_of_unity_property(x, level):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(TABLES)),
-       st.sampled_from(["scaling", "wavelet"]),
        st.integers(min_value=0, max_value=9),
        st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_analysis_synthesis_adjoint_property(r, kind, level, seed):
+def test_analysis_synthesis_adjoint_property(r, level, seed):
     # Analysis scatters w onto the shifts and synthesis gathers c back at
     # the points over the same stencil: <A w, c> = <w, S c>.  The bound is
     # relative to the sum of absolute terms, so an inner product that
@@ -331,12 +356,8 @@ def test_analysis_synthesis_adjoint_property(r, kind, level, seed):
     w = rng.normal(size=200)
     c = rng.normal(size=2 ** level)
     table = TABLES[r]
-    analysis = weighted_level_sums(table, kind, level, x, w)
-    if kind == "scaling":
-        synthesis = evaluate_series(table, level, c, [], x)
-    else:
-        synthesis = evaluate_series(table, level, np.zeros(2 ** level),
-                                    [(level, c)], x)
+    analysis = weighted_level_sums(table, "scaling", level, x, w)
+    synthesis = evaluate_series(table, level, c, x)
     lhs = float(np.dot(analysis, c))
     rhs = float(np.dot(w, synthesis))
     scale = max(float(np.abs(analysis) @ np.abs(c)),

@@ -40,8 +40,9 @@ of 2.5, and of ``ise``, ``rate_fit``, ``replicate_coeffs`` and
 count or ``n`` that is not an integer (``basis/index``); the filters
 ``make_family(r).low_pass`` for r = 1..10 (``wavelet/taps``), which
 shows how far the filters moved and not only what was built from them;
-``weighted_level_sums`` and
-``evaluate_series`` for R in {1, 2, 4, 10}; ``fit_component`` JSON and
+``weighted_level_sums`` and the one-level gather of ``evaluate_series``
+(of a series of levels 3 to 6 carried by the filter bank to level 7, and
+of a level-7 one) for R in {1, 2, 4, 10}; ``fit_component`` JSON and
 ``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``; the
 parsed fields and ``echo()`` of experiment configs, alone and under
 command-line options, and the error text of refused ones, some with two
@@ -50,6 +51,12 @@ faults so that the order of the checks shows (``cli/config``);
 files and stdout of the ``simulate`` and ``estimate`` commands, with the
 temporary directory's name removed.  Arrays are hashed by dtype, shape
 and bytes, reports as sorted JSON.  A run takes a few seconds.
+
+A tree may draw one replication through ``simulate.gen_design`` or as a
+batch of one from ``gen_designs``, and its ``evaluate_series`` may take
+a list of detail levels or gather one level; ``_one_design`` and
+``_gather`` call whichever the tree has, so the two trees of
+``--against`` are asked for the same values.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import multiprocessing
@@ -114,6 +122,20 @@ class Digest:
         for name in sorted(self.parts):
             h.update(f"{name}:{self.parts[name].hexdigest()}\n".encode())
         return h.hexdigest()
+
+
+def _one_design(aw, process, n, rep=0):
+    """Replication ``rep``'s design, drawn alone."""
+    if hasattr(aw.simulate, "gen_design"):
+        return aw.simulate.gen_design(process, n, rep)[0]
+    return aw.simulate.gen_designs(process, n, rep, 1)[0][0]
+
+
+def _gather(aw, table, level, coeffs, x, offset=0.0):
+    """``evaluate_series`` of one scaling level."""
+    if "details" in inspect.signature(aw.evaluate_series).parameters:
+        return aw.evaluate_series(table, level, coeffs, [], x, offset=offset)
+    return aw.evaluate_series(table, level, coeffs, x, offset=offset)
 
 
 def _strip_runtimes(value):
@@ -238,7 +260,7 @@ def specs(dig, aw):
         record(lambda: types[kind](**kwargs))
     proc = aw.MixingProcessSpec(dim=1, ar_coeff=0.5, seed=2)
     for args in ((2.5,), (8, True), (8, -1), (0,), ("8",)):
-        record(lambda: aw.simulate.gen_design(proc, *args)[0].tolist())
+        record(lambda: _one_design(aw, proc, *args).tolist())
     for args in ((8, 0, 1.5), (8, np.int64(1), np.int64(2))):
         record(lambda: [x.tolist()
                         for x in aw.simulate.gen_designs(proc, *args)[0]])
@@ -299,8 +321,7 @@ def basis_index(dig, aw):
         lambda: aw.TensorIndex(2, (0, 1.0), 1).level,
         lambda: aw.weighted_level_sums(table, "wavelet", 2.0, x, x),
         lambda: aw.level_coeffs(table, "wavelet", 3.0, x),
-        lambda: aw.evaluate_series(table, 2.0, ones[:4], [], x),
-        lambda: aw.evaluate_series(table, 2, ones[:4], [(2.0, ones[:4])], x),
+        lambda: _gather(aw, table, 2.0, ones[:4], x),
         lambda: aw.mc_moments(proc, scen, table, "wavelet", 2.0, 0, 1, 64,
                               2).mean_hat,
         lambda: aw.replicate_coeffs(proc, scen, table, [("ripple", 2, 0, 1)],
@@ -362,10 +383,12 @@ def wavelet_sums_and_series(dig, aw):
                 dig.array(name, aw.weighted_level_sums(table, kind, level,
                                                        x, w),
                           scale=np.sum(np.abs(w)) * 2.0 ** (level / 2) * peak)
-        details = [(j, coeffs[:2 ** j]) for j in range(3, 7)]
-        dig.array(name, aw.evaluate_series(table, 3, coeffs[:8], details, x,
-                                           offset=0.25))
-        dig.array(name, aw.evaluate_series(table, 7, coeffs, [], x[:1000]))
+        fine = coeffs[:8]
+        for j in range(3, 7):
+            fine = aw.wavelet._synthesis_step(table.family, fine,
+                                              coeffs[:2 ** j])
+        dig.array(name, _gather(aw, table, 7, fine, x, offset=0.25))
+        dig.array(name, _gather(aw, table, 7, coeffs, x[:1000]))
 
 
 def fits(dig, aw):
