@@ -127,16 +127,14 @@ _CATALOG = {f.name: f for f in (
     TestFunction("sawtooth",
                  lambda x: 2.0 * (2.0 * x - np.floor(2.0 * x)) - 1.0, 1.0),
     TestFunction("zero", lambda x: np.zeros_like(x), 0.0))}
-_ALIASES = {"sawtooth-centered": "sawtooth"}
 
 
 def test_function(name: str) -> TestFunction:
     """Look up a catalog function; each integrates to zero over [0, 1]."""
-    key = _ALIASES.get(name, name)
-    if key not in _CATALOG:
+    if name not in _CATALOG:
         known = ", ".join(sorted(_CATALOG))
         raise ValueError(f"unknown test function {name!r}; catalog: {known}")
-    return _CATALOG[key]
+    return _CATALOG[name]
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,10 @@ maps the scaling coefficients of level ``j+1`` to the scaling and detail
 coefficients of level ``j``; ``_synthesis_step`` is its transpose and, the
 periodic filter bank being orthogonal, its inverse.
 
-Evaluation between grid nodes interpolates linearly, except for the two-tap
-family whose samples form a step function and are looked up piecewise
-constantly so that its jumps stay exact.
+Evaluation between grid nodes interpolates linearly.  The two-tap family's
+samples form a step function, which ``_sample`` looks up piecewise
+constantly and the stencil reads from pairs that repeat each sample, so
+its jumps stay exact.
 
 Analysis (``weighted_level_sums``, a scatter onto the shifts) and synthesis
 (``evaluate_series``, a gather of one scaling level at the points; a
@@ -28,9 +29,10 @@ refilled with ufunc ``out=``, so the cost per point does not grow once
 the points outrun the L2 cache.  Each point's table position is found
 once and read at every support offset, which interpolates at the exact
 argument; at each offset one unchecked gather from a table of
-neighbouring sample pairs reads both ends of the interpolation.  The scatter keeps one row per offset and adds each
-chunk into it point by point, so every shift sums its points in the order
-one ``bincount`` over all of them would.
+neighbouring sample pairs reads both ends of the interpolation.  The
+scatter keeps one row per offset and adds each chunk into it point by
+point, so every shift sums its points in the order one ``bincount`` over
+all of them would.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ SQRT2 = float(np.sqrt(2.0))
 
 _MIN_DEPTH = 6
 _MAX_DEPTH = 16
+# The index rule's finest level: DB2's scatter rows there take 384 MiB,
+# and a fit of up to 2**32 points scatters at level 19 at most.
+_MAX_LEVEL = 24
 # Points per pass of the stencil, the simulator and the density weights.
 # Their buffers of this length (six 8-byte ones and one 16-byte one for
 # the stencil plus one that synthesis gathers into, 1.125 MiB; three for
@@ -133,8 +138,8 @@ class BasisTable:
         Values of the scaling function and wavelet on that grid.
     phi_pairs, psi_pairs : ndarray
         Each node's sample and its right neighbour's (zero past the last
-        node), as one complex number; built on first use, for the
-        stencil's interpolation.
+        node; the node's own for the two-tap family), as one complex
+        number; built on first use, for the stencil's interpolation.
     """
 
     family: WaveletFamily
@@ -144,18 +149,21 @@ class BasisTable:
 
     @cached_property
     def phi_pairs(self) -> np.ndarray:
-        return _pair_table(self.phi_samples)
+        return _pair_table(self.family, self.phi_samples)
 
     @cached_property
     def psi_pairs(self) -> np.ndarray:
-        return _pair_table(self.psi_samples)
+        return _pair_table(self.family, self.psi_samples)
 
 
-def _pair_table(samples: np.ndarray) -> np.ndarray:
+def _pair_table(family: WaveletFamily, samples: np.ndarray) -> np.ndarray:
     """``samples[i] + 1j * samples[i + 1]`` for each node ``i``, zero past
-    the last, so one gather reads a node and its right neighbour."""
+    the last, so one gather reads a node and its right neighbour; for the
+    two-tap family ``samples[i]`` twice, whose interpolation ``(1 - t) * s
+    + t * s`` is exactly ``s``, as its samples are -1, 0 and 1."""
+    right = samples if family.vanishing_moments == 1 else samples[1:]
     pairs = np.zeros(samples.size, np.complex128)
-    pairs.real, pairs.imag[:-1] = samples, samples[1:]
+    pairs.real, pairs.imag[:right.size] = samples, right
     return pairs
 
 
@@ -322,8 +330,8 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     2**depth`` on, then ``(1 - t) * s[i] + t * s[i+1]``, is ``_sample``'s
     interpolation at the exact ``frac + o``, not its rounded sum.  The pairs
     are built once per table and kind, 16 bytes per sample (192 KiB for DB2
-    at depth 12, 19 MiB for R = 10 at depth 16).  The two-tap step table
-    is read unpaired.
+    at depth 12, 19 MiB for R = 10 at depth 16).  The two-tap family's
+    pairs hold each node's sample twice, so it reads its step value.
 
     The gathers use ``mode='clip'``, which never changes an index here, in
     place of a bounds check per element: ``cell`` is masked into ``[0,
@@ -336,16 +344,12 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     ``ValueError`` before it yields.
     """
     step = 2 ** table.depth
-    linear = table.family.vanishing_moments > 1
-    if linear:
-        source = table.phi_pairs if kind == "scaling" else table.psi_pairs
-    else:
-        source = table.phi_samples if kind == "scaling" else table.psi_samples
+    source = table.phi_pairs if kind == "scaling" else table.psi_pairs
     size = min(x.size, _CHUNK)
     # One allocation per call: glibc hands seven separate buffers of 128
     # KiB or more back to the system on return, and the next call faults
     # them in again.
-    buffers = np.empty(size * (8 if linear else 6))
+    buffers = np.empty(size * 8)
     frac, pos, low, vals, cell, node = buffers[:6 * size].reshape(6, size)
     cell, node = cell.view(np.int64), node.view(np.int64)
     both = buffers[6 * size:].view(np.complex128)
@@ -362,17 +366,15 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
         np.multiply(f, step, out=f)
         np.floor(f, out=p)
         k[...] = p
-        if linear:
-            # From here on f holds t and p holds 1 - t.
-            np.subtract(f, p, out=f)
-            np.subtract(1.0, f, out=p)
+        # From here on f holds t and p holds 1 - t.
+        np.subtract(f, p, out=f)
+        np.subtract(1.0, f, out=p)
         for offset in range(table.family.support_length):
-            np.take(source[offset * step:(offset + 1) * step + 1], k,
-                    out=b if linear else v, mode="clip")
-            if linear:
-                np.multiply(f, b.imag, out=lo)
-                np.multiply(p, b.real, out=v)
-                np.add(v, lo, out=v)
+            np.take(source[offset * step:(offset + 1) * step + 1], k, out=b,
+                    mode="clip")
+            np.multiply(f, b.imag, out=lo)
+            np.multiply(p, b.real, out=v)
+            np.add(v, lo, out=v)
             yield start, c, offset, v
 
 
@@ -405,8 +407,11 @@ def _check_kind(kind: str) -> None:
 
 
 def _check_index(level: int, shift: int) -> None:
-    """The package's index rule: integers level >= 0, 0 <= shift < 2**level."""
+    """The package's index rule: integers 0 <= level <= ``_MAX_LEVEL``,
+    0 <= shift < 2**level."""
     _check_count("level", level, 0)
+    if level > _MAX_LEVEL:
+        raise ValueError(f"level must be <= {_MAX_LEVEL}, got {level}")
     if not (_is_integer(shift) and 0 <= shift < 2 ** level):
         raise ValueError(f"shift must be in 0..{2 ** level - 1}, got {shift}")
 
@@ -506,10 +511,8 @@ def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
                     offset: float = 0.0) -> np.ndarray:
     """``offset`` plus the scaling series ``sum_k coeffs[k] *
     phi_(level, k)`` at points ``x``, of any shape or a scalar: the gather
-    twin of ``weighted_level_sums``.
-
-    All-zero coefficients skip the stencil.  A point that is not finite,
-    or whose cell overflows int64, raises ``ValueError`` either way.
+    twin of ``weighted_level_sums``.  A point that is not finite, or
+    whose cell overflows int64, raises ``ValueError``.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, float(offset))
@@ -520,9 +523,6 @@ def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
     n_shifts = 2 ** level
     if coeffs.size != n_shifts:
         raise ValueError(f"level {level} expects {n_shifts} coefficients")
-    if not np.any(coeffs):
-        _check_cells(np.floor(flat_x * 2.0 ** level), level)
-        return out if np.ndim(x) else float(out[0])
     # rolled[off][cell] is scale * coeffs[(cell - off) % n_shifts].
     scaled = 2.0 ** (level / 2.0) * coeffs
     rolled = [np.roll(scaled, off)

@@ -90,6 +90,7 @@ _X = np.linspace(0.0, 1.0, 9)
 _DATA = simulate_dataset(IID, NOISY, 64)
 _FIT = fit_component(_DATA, NOISY.rho_spec(), DB2)
 _COUNT = "%s must be an integer >= %d, got"
+_DEEP = "level must be <= 24, got"
 # (start of the error text, up to a space, call): each index is not an
 # integer, out of range, or of an unknown kind; so is each size, count and
 # threshold constant at the end, or not finite.  A count's text states the
@@ -178,7 +179,17 @@ _REFUSED = (
     ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1, kappa=True,
                                      n=4096, reps=50)),
     ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1, kappa="1",
-                                     n=4096, reps=50)))
+                                     n=4096, reps=50)),
+    # A level past the index rule's bound is refused before an array of
+    # 2**level shifts is made or a replication drawn.
+    (_DEEP, lambda: eval_periodized(DB2, "wavelet", 25, 0, _X)),
+    (_DEEP, lambda: weighted_level_sums(DB2, "wavelet", 40, _X, _X)),
+    (_DEEP, lambda: weighted_level_sums(DB2, "wavelet", 64, _X, _X)),
+    (_DEEP, lambda: evaluate_series(DB2, 64, np.ones(4), _X)),
+    (_DEEP, lambda: expected_coeff(DB2, NOISY, "wavelet", 45, 0, 1)),
+    (_DEEP, lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1),
+                                                       ("wavelet", 40, 0, 1)],
+                                     n=64, reps=2)))
 
 
 @pytest.fixture

@@ -455,11 +455,13 @@ def test_catalog_sup_bounds_hold():
 
 
 def test_catalog_lookup_and_alias():
+    # The catalog holds exactly the README's names; there is no alias.
     with pytest.raises(ValueError, match="sine"):
         catalog_fn("wiggle")
-    mids = (np.arange(64) + 0.5) / 64
-    assert np.array_equal(catalog_fn("sawtooth-centered")(mids),
-                          catalog_fn("sawtooth")(mids))
+    with pytest.raises(ValueError, match="unknown test function "
+                                         "'sawtooth-centered'; catalog: "
+                                         "bump, sawtooth, sine, step, zero$"):
+        catalog_fn("sawtooth-centered")
 
 
 def test_scenario_config_parsing():

@@ -205,9 +205,9 @@ def test_stencil_edge_points(level):
     # below 2**depth at x = 1 - 2**-53, where frac + 2 would round up to
     # the table's last node 3.0, and equal to 2**depth only at x = -2**-60,
     # where frac itself rounds up to 1.0.  Each offset's slice holds
-    # entries 0 .. 2**depth, so that node is in range: with weight 0 on
-    # its right neighbour (past the last node, a zero pair entry) for the
-    # interpolated tables, and as entry 2**depth of the Haar step table.
+    # entries 0 .. 2**depth, so that node is in range, with weight 0 on
+    # the pair's right entry: past the last node, a zero, for the
+    # interpolated tables, and the last node's zero again for Haar's.
     x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60])
     w = np.array([1.0, -2.0, 3.0, 0.5, -1.5])
     for table in (HAAR, DB2, DB10):
@@ -221,14 +221,18 @@ def test_stencil_edge_points(level):
         assert float(np.max(np.abs(fast - slow))) < 1e-12
 
 
-@pytest.mark.parametrize("table", [DB2, DB10], ids=["R2", "R10"])
+@pytest.mark.parametrize("table", [HAAR, DB2, DB10],
+                         ids=["R1", "R2", "R10"])
 def test_pair_tables_hold_neighbouring_samples(table):
+    # The two-tap family's pairs hold each node's sample twice, so the
+    # stencil's interpolation reads its step value.
     for samples, attr in ((table.phi_samples, "phi_pairs"),
                           (table.psi_samples, "psi_pairs")):
         pairs = getattr(table, attr)
         assert pairs.dtype == np.complex128 and pairs.flags.c_contiguous
         assert np.array_equal(pairs.real, samples)
-        assert np.array_equal(pairs.imag, np.append(samples[1:], 0.0))
+        right = samples if table is HAAR else np.append(samples[1:], 0.0)
+        assert np.array_equal(pairs.imag, right)
         assert getattr(table, attr) is pairs
 
 
@@ -248,9 +252,10 @@ def _stencil_reads(table, kind, level, x):
 
 def _exact_interpolants(table, kind, level, x):
     """Per point and shift, in exact arithmetic, ``_sample``'s linear
-    interpolant at ``frac + offset`` summed over the offsets that land on
-    the shift; ``frac`` is the float ``2**level * x - floor(2**level * x)``,
-    which is exact for ``x >= 0`` and rounds up to 1 for a tiny negative x."""
+    interpolant at ``frac + offset`` (for the two-tap step table, the
+    sample at its node) summed over the offsets that land on the shift;
+    ``frac`` is the float ``2**level * x - floor(2**level * x)``, which is
+    exact for ``x >= 0`` and rounds up to 1 for a tiny negative x."""
     samples = table.phi_samples if kind == "scaling" else table.psi_samples
     step, period = 2 ** table.depth, 2 ** level
     rows = []
@@ -261,6 +266,10 @@ def _exact_interpolants(table, kind, level, x):
         row = [Fraction(0)] * period
         for offset in range(table.family.support_length):
             pos = (frac + offset) * step
+            if table.family.vanishing_moments == 1:
+                row[(cell - offset) % period] += Fraction(
+                    float(samples[math.floor(pos)]))
+                continue
             node = min(math.floor(pos), samples.size - 2)
             t = pos - node
             row[(cell - offset) % period] += (
@@ -270,7 +279,7 @@ def _exact_interpolants(table, kind, level, x):
     return rows
 
 
-@pytest.mark.parametrize("r", [2, 4, 10])
+@pytest.mark.parametrize("r", [1, 2, 4, 10])
 def test_stencil_evaluates_at_exact_argument(r):
     # The stencil interpolates the table at frac + offset exactly, not at
     # its rounded sum: each value is within 2 ulp of 2**(level/2) *
