@@ -169,22 +169,28 @@ class ComponentEstimate:
 
     @staticmethod
     def from_json(text: str) -> "ComponentEstimate":
+        """The estimate ``to_json`` wrote; a missing field raises
+        ``ValueError`` naming it."""
         payload = json.loads(text)
-        values, kept = [], []
-        for entry in payload["levels"]:
-            coeffs = sorted(entry["coeffs"], key=lambda c: c["k"])
-            values.append(np.array([c["value"] for c in coeffs]))
-            kept.append(np.array([bool(c["kept"]) for c in coeffs]))
-        return ComponentEstimate(
-            mu_hat=float(payload["mu_hat"]),
-            tau=int(payload["tau"]),
-            j1=int(payload["j1"]),
-            lambda_n=float(payload["lambda_n"]),
-            kappa=float(payload["kappa"]),
-            a_hat=np.array([float(v) for v in payload["a_hat"]]),
-            detail_values=values,
-            detail_kept=kept,
-        )
+        try:
+            values, kept = [], []
+            for entry in payload["levels"]:
+                coeffs = sorted(entry["coeffs"], key=lambda c: c["k"])
+                values.append(np.array([c["value"] for c in coeffs]))
+                kept.append(np.array([bool(c["kept"]) for c in coeffs]))
+            return ComponentEstimate(
+                mu_hat=float(payload["mu_hat"]),
+                tau=int(payload["tau"]),
+                j1=int(payload["j1"]),
+                lambda_n=float(payload["lambda_n"]),
+                kappa=float(payload["kappa"]),
+                a_hat=np.array([float(v) for v in payload["a_hat"]]),
+                detail_values=values,
+                detail_kept=kept,
+            )
+        except KeyError as missing:
+            raise ValueError(f"estimate JSON lacks the field "
+                             f"{missing.args[0]!r}") from None
 
 
 def threshold_scale(n: int) -> float:

@@ -26,13 +26,14 @@ series of several levels is first carried to one by ``_synthesis_step``)
 share one stencil, ``_stencil``.  It walks the points in chunks of
 ``_CHUNK`` through seven buffers, views of one allocation per call
 refilled with ufunc ``out=``, so the cost per point does not grow once
-the points outrun the L2 cache.  Each point's table position is found
-once and read at every support offset, which interpolates at the exact
-argument; at each offset one unchecked gather from a table of
-neighbouring sample pairs reads both ends of the interpolation.  The
-scatter keeps one row per offset and adds each chunk into it point by
-point, so every shift sums its points in the order one ``bincount`` over
-all of them would.
+the points outrun the L2 cache.  Each point's table position is one
+integer, ``floor(x * 2**(level + depth))``, whose high bits are its cell
+and low bits its node; it is found once and read at every support
+offset, which interpolates at the exact argument.  At each offset one
+unchecked gather from a table of neighbouring sample pairs reads both
+ends of the interpolation.  The scatter keeps one row per offset and
+adds each chunk into it point by point, so every shift sums its points
+in the order one ``bincount`` over all of them would.
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ class BasisTable:
     phi_samples, psi_samples : ndarray
         Values of the scaling function and wavelet on that grid.
     phi_pairs, psi_pairs : ndarray
-        Each node's sample and its right neighbour's (zero past the last
-        node; the node's own for the two-tap family), as one complex
-        number; built on first use, for the stencil's interpolation.
+        Each node's sample and its right neighbour's (the node's own for
+        the two-tap family), as one complex number, for every node but
+        the last; built on first use, for the stencil's interpolation.
     """
 
     family: WaveletFamily
@@ -157,14 +158,12 @@ class BasisTable:
 
 
 def _pair_table(family: WaveletFamily, samples: np.ndarray) -> np.ndarray:
-    """``samples[i] + 1j * samples[i + 1]`` for each node ``i``, zero past
-    the last, so one gather reads a node and its right neighbour; for the
+    """``samples[i] + 1j * samples[i + 1]`` for each node ``i`` but the
+    last, so one gather reads a node and its right neighbour; for the
     two-tap family ``samples[i]`` twice, whose interpolation ``(1 - t) * s
     + t * s`` is exactly ``s``, as its samples are -1, 0 and 1."""
-    right = samples if family.vanishing_moments == 1 else samples[1:]
-    pairs = np.zeros(samples.size, np.complex128)
-    pairs.real, pairs.imag[:right.size] = samples, right
-    return pairs
+    right = samples[:-1] if family.vanishing_moments == 1 else samples[1:]
+    return np.stack([samples[:-1], right], axis=1).view(np.complex128).ravel()
 
 
 def make_family(vanishing_moments: int) -> WaveletFamily:
@@ -324,24 +323,28 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     from one allocation per call and refilled in place, so a chunk's
     working set stays in L2 however many points there are; the caller may
     overwrite ``vals``.
-    A point's table position ``q = frac * 2**depth`` (exact), node
-    ``floor(q)`` and weight ``t = q - node`` serve every offset ``o``: one
-    gather at the node from the table's pairs ``(s[i], s[i+1])`` from ``o *
-    2**depth`` on, then ``(1 - t) * s[i] + t * s[i+1]``, is ``_sample``'s
-    interpolation at the exact ``frac + o``, not its rounded sum.  The pairs
-    are built once per table and kind, 16 bytes per sample (192 KiB for DB2
-    at depth 12, 19 MiB for R = 10 at depth 16).  The two-tap family's
-    pairs hold each node's sample twice, so it reads its step value.
+    A point's table position is the integer ``K = floor(x * 2**(level +
+    depth))``: ``cell`` is ``K >> depth`` masked as above, its node is
+    ``K & (2**depth - 1)``, and its weight is ``t = x * 2**(level + depth)
+    - K``.  The product is exact, as a power of two, and so is ``t``,
+    except for a point in ``(-2**-(level + depth), 0)``, whose ``t = 1 +
+    x * 2**(level + depth)`` may round, to at most 1, so that its read is
+    within rounding of the exact value.  The node and ``t`` serve every
+    offset ``o``: one gather at the node from the table's pairs ``(s[i],
+    s[i+1])`` from ``o * 2**depth`` on, then ``(1 - t) * s[i] + t *
+    s[i+1]``, is ``_sample``'s interpolation at the exact ``frac + o``,
+    ``frac`` the point's offset in its cell, not at their rounded sum.
+    The pairs are built once per table and kind, 16 bytes per sample (192
+    KiB for DB2 at depth 12, 19 MiB for R = 10 at depth 16).  The two-tap
+    family's pairs hold each node's sample twice, so it reads its step
+    value.
 
     The gathers use ``mode='clip'``, which never changes an index here, in
     place of a bounds check per element: ``cell`` is masked into ``[0,
-    2**level - 1]``, and ``frac`` lies in ``[0, 1]``, so the node lies in
-    ``[0, 2**depth]``, and each offset's slice holds entries ``0 ..
-    2**depth``.  The node reaches ``2**depth`` only for a tiny negative
-    point, whose ``frac`` rounds to 1; there ``t = 0``, and the last
-    offset reads the zero pair past the table's last node.  A chunk with
-    a point that is not finite, or whose cell overflows int64, raises
-    ``ValueError`` before it yields.
+    2**level - 1]`` and the node into ``[0, 2**depth - 1]``, and each
+    offset's slice holds ``2**depth`` pairs.  A chunk with a point that is
+    not finite, or whose position overflows int64, raises ``ValueError``
+    before it yields.
     """
     step = 2 ** table.depth
     source = table.phi_pairs if kind == "scaling" else table.psi_pairs
@@ -357,20 +360,18 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
         m = min(x.size - start, _CHUNK)
         f, p, lo, v, c, k, b = (a[:m] for a in (frac, pos, low, vals, cell,
                                                 node, both))
-        np.multiply(x[start:start + m], 2.0 ** level, out=f)
+        np.multiply(x[start:start + m], 2.0 ** (level + table.depth), out=f)
         np.floor(f, out=p)
-        _check_cells(p, level)
-        np.subtract(f, p, out=f)
-        c[...] = p
-        np.bitwise_and(c, 2 ** level - 1, out=c)
-        np.multiply(f, step, out=f)
-        np.floor(f, out=p)
+        _check_cells(p, level, table.depth)
         k[...] = p
+        np.right_shift(k, table.depth, out=c)
+        np.bitwise_and(c, 2 ** level - 1, out=c)
+        np.bitwise_and(k, step - 1, out=k)
         # From here on f holds t and p holds 1 - t.
         np.subtract(f, p, out=f)
         np.subtract(1.0, f, out=p)
         for offset in range(table.family.support_length):
-            np.take(source[offset * step:(offset + 1) * step + 1], k, out=b,
+            np.take(source[offset * step:(offset + 1) * step], k, out=b,
                     mode="clip")
             np.multiply(f, b.imag, out=lo)
             np.multiply(p, b.real, out=v)
@@ -383,11 +384,13 @@ def eval_periodized(table: BasisTable, kind: str, level: int, shift: int, x):
 
     The element is the sum over all integer translates of the scaled
     function, so values at x and x+1 coincide.  ``x`` may be a scalar or
-    an array of any shape.
+    an array of any shape, of finite points.
     """
     _check_kind(kind)
     _check_index(level, shift)
     xa = np.asarray(x, dtype=float)
+    if not np.isfinite(xa).all():
+        raise ValueError("points must be finite")
     scalar = xa.ndim == 0
     period = 2 ** level
     u = np.mod(2.0 ** level * xa - shift, period)
@@ -423,16 +426,17 @@ def _check_coord(coord: int, dim: int) -> None:
                          f"{dim}-dimensional design")
 
 
-def _check_cells(floors: np.ndarray, level: int) -> None:
-    """Refuse points whose cell ``floor(2**level * x)``, given as
-    ``floors``, is not an int64: a non-finite point, or one at or past
-    ``2**(63 - level)`` in magnitude.  ``min`` and ``max`` propagate NaN,
-    so the one comparison catches it without a boolean array."""
-    if floors.size and not (-2.0 ** 63 <= floors.min()
+def _check_cells(floors: np.ndarray, level: int, depth: int) -> None:
+    """Refuse points whose table position ``floor(x * 2**(level +
+    depth))``, given as ``floors``, is not an int64 of magnitude below
+    ``2**63``: a non-finite point, or one at or past ``2**(63 - level -
+    depth)`` in magnitude.  ``min`` and ``max`` propagate NaN, so the one
+    comparison catches it without a boolean array."""
+    if floors.size and not (-2.0 ** 63 < floors.min()
                             and floors.max() < 2.0 ** 63):
         raise ValueError(f"points must be finite and below "
-                         f"{2.0 ** (63 - level):.3g} in magnitude at level "
-                         f"{level}")
+                         f"{2.0 ** (63 - level - depth):.3g} in magnitude "
+                         f"at level {level} and depth {depth}")
 
 
 def weighted_level_sums(table: BasisTable, kind: str, level: int,
@@ -442,7 +446,8 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
     Returns one entry per shift.  Work is linear in the number of points
     regardless of the level; each point touches only the shifts whose
     support contains it, with periodic wrapping folded in.  A point that
-    is not finite, or whose cell overflows int64, raises ``ValueError``.
+    is not finite, or whose table position overflows int64, raises
+    ``ValueError``.
     """
     _check_kind(kind)
     _check_index(level, 0)
@@ -503,6 +508,8 @@ def level_coeffs(table: BasisTable, kind: str, level: int,
     """
     v = np.asarray(values, dtype=float)
     m = v.size
+    if m == 0:
+        raise ValueError("values must hold at least one sample")
     mids = (np.arange(m) + 0.5) / m
     return weighted_level_sums(table, kind, level, mids, v) / m
 
@@ -512,7 +519,7 @@ def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
     """``offset`` plus the scaling series ``sum_k coeffs[k] *
     phi_(level, k)`` at points ``x``, of any shape or a scalar: the gather
     twin of ``weighted_level_sums``.  A point that is not finite, or
-    whose cell overflows int64, raises ``ValueError``.
+    whose table position overflows int64, raises ``ValueError``.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, float(offset))

@@ -1,6 +1,7 @@
 """Component estimator: thresholding, serialization, and exact invariances."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from addwave import (
     MixingProcessSpec,
     ScenarioSpec,
     cascade_table,
+    collapsed_sum,
     empirical_coeff,
     estimate_mean,
     eval_estimate,
@@ -360,7 +362,9 @@ def test_dataset_rejects_non_finite_responses():
 
 def test_analysis_and_synthesis_reject_bad_points():
     # Unchecked, NaN dies with an IndexError from the stencil's int64 cast
-    # and 1e300 at level 2 lands silently in a wrapped-around cell.
+    # and 1e300 at level 2 lands silently in a wrapped-around cell; the
+    # reference evaluation's NaN, inf and -inf die with an IndexError in
+    # its table lookup.
     est = fit_component(_uniform_data(1024), RHO, DB2, EstimatorConfig())
     for bad in (math.nan, math.inf, -math.inf, 1e300, -1e300):
         x = np.array([0.5, bad, 0.25])
@@ -372,12 +376,29 @@ def test_analysis_and_synthesis_reject_bad_points():
             eval_estimate(est, DB2, x)
         with pytest.raises(ValueError, match="points must be finite"):
             evaluate_series(DB2, 2, np.zeros(4), x)
-    # The bound is the int64 cell: 2**level * |x| must stay below 2**63.
-    big = np.array([2.0 ** 60, -(2.0 ** 60)])
-    assert np.all(np.isfinite(weighted_level_sums(HAAR, "scaling", 2, big,
-                                                  np.ones(2))))
-    with pytest.raises(ValueError, match="points must be finite"):
-        weighted_level_sums(HAAR, "scaling", 3, big, np.ones(2))
+    for bad in (math.nan, math.inf, -math.inf):
+        x = np.array([0.5, bad, 0.25])
+        with pytest.raises(ValueError, match="^points must be finite"):
+            eval_periodized(DB2, "wavelet", 2, 1, x)
+        with pytest.raises(ValueError, match="^points must be finite"):
+            eval_periodized(DB2, "scaling", 0, 0, bad)
+        pts = np.full((3, 2), 0.5)
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="^points must be finite"):
+            collapsed_sum(DB2, "wavelet", 2, 1, 1, pts)
+    # The bound is the int64 table position: |x| * 2**(level + depth) must
+    # stay below 2**63, so at level 2 and depth 12 |x| = 2**48 is the
+    # largest power of two accepted.
+    for bound in (2.0 ** 48, -(2.0 ** 48)):
+        big = np.array([bound, 0.5])
+        assert np.all(np.isfinite(weighted_level_sums(HAAR, "scaling", 2,
+                                                      big, np.ones(2))))
+        assert np.all(np.isfinite(evaluate_series(HAAR, 2, np.ones(4), big)))
+        with pytest.raises(ValueError, match="points must be finite and "
+                           "below 5.63e"):
+            weighted_level_sums(HAAR, "scaling", 2, 2 * big, np.ones(2))
+        with pytest.raises(ValueError, match="at level 2 and depth 12"):
+            evaluate_series(HAAR, 2, np.ones(4), 2 * big)
 
 
 def test_config_rejects_non_finite_threshold():
@@ -437,6 +458,21 @@ def test_serialization_round_trip_is_bit_exact():
         detail_kept=[k[:1] for k in back.detail_kept])
     with pytest.raises(ValueError, match="detail coefficients"):
         eval_estimate(short, DB2, 0.5)
+
+
+def test_estimate_json_refuses_a_missing_field_by_name():
+    fit = fit_component(_uniform_data(512, seed=8), RHO, DB2)
+    payload = json.loads(fit.to_json())
+    for field in ("levels", "mu_hat", "tau", "j1", "lambda_n", "kappa",
+                  "a_hat"):
+        short = {k: v for k, v in payload.items() if k != field}
+        with pytest.raises(ValueError, match=f"lacks the field '{field}'"):
+            ComponentEstimate.from_json(json.dumps(short))
+    payload["levels"][0]["coeffs"][0].pop("kept")
+    with pytest.raises(ValueError, match="lacks the field 'kept'"):
+        ComponentEstimate.from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match="lacks the field 'levels'"):
+        ComponentEstimate.from_json("{}")
 
 
 def test_ise_zero_against_own_evaluation_and_offset_shift():

@@ -189,7 +189,9 @@ _REFUSED = (
     (_DEEP, lambda: expected_coeff(DB2, NOISY, "wavelet", 45, 0, 1)),
     (_DEEP, lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0, 1),
                                                        ("wavelet", 40, 0, 1)],
-                                     n=64, reps=2)))
+                                     n=64, reps=2)),
+    # Midpoint samples of a function: there must be at least one.
+    ("values", lambda: level_coeffs(DB2, "wavelet", 2, np.array([]))))
 
 
 @pytest.fixture
@@ -279,6 +281,13 @@ def test_moment_report_validation():
         MomentReport(reps=1000, var_hat=1.0, m4_hat=0.5, **kwargs)
     with pytest.raises(ValueError, match="negative"):
         MomentReport(reps=1000, var_hat=-1.0, m4_hat=3.0, **kwargs)
+    # NaN fails both checks, each by its field's name.
+    with pytest.raises(ValueError, match="^var_hat must"):
+        MomentReport(reps=1000, var_hat=math.nan, m4_hat=math.nan, **kwargs)
+    with pytest.raises(ValueError, match="^var_hat must"):
+        MomentReport(reps=1000, var_hat=math.nan, m4_hat=3.0, **kwargs)
+    with pytest.raises(ValueError, match="^m4_hat must"):
+        MomentReport(reps=1000, var_hat=1.0, m4_hat=math.nan, **kwargs)
     rep = MomentReport(reps=1000, var_hat=0.04, m4_hat=0.01, **kwargs)
     assert rep.std_error() == pytest.approx(math.sqrt(0.04 / 1000))
 

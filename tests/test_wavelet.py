@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addwave import (
@@ -196,42 +196,19 @@ def test_stencil_across_chunk_boundaries(table):
     assert np.array_equal(whole, np.concatenate(parts))
 
 
-@pytest.mark.parametrize("level", [0, 5])
-def test_stencil_edge_points(level):
-    # The stencil's gathers clip indices instead of checking them, so these
-    # points pin why every index is in range.  The cell is masked into
-    # [0, 2**level - 1].  frac = 2**level x - floor(2**level x) lies in
-    # [0, 1], so the node floor(frac * 2**depth) lies in [0, 2**depth]:
-    # below 2**depth at x = 1 - 2**-53, where frac + 2 would round up to
-    # the table's last node 3.0, and equal to 2**depth only at x = -2**-60,
-    # where frac itself rounds up to 1.0.  Each offset's slice holds
-    # entries 0 .. 2**depth, so that node is in range, with weight 0 on
-    # the pair's right entry: past the last node, a zero, for the
-    # interpolated tables, and the last node's zero again for Haar's.
-    x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60])
-    w = np.array([1.0, -2.0, 3.0, 0.5, -1.5])
-    for table in (HAAR, DB2, DB10):
-        for kind in ("scaling", "wavelet"):
-            fast = weighted_level_sums(table, kind, level, x, w)
-            brute = _brute_sums(table, kind, level, x, w)
-            assert float(np.max(np.abs(fast - brute))) < 1e-12
-        coeffs = np.linspace(-1.0, 1.0, 2 ** level)
-        fast = evaluate_series(table, level, coeffs, x)
-        slow = _term_sum(table, level, coeffs, x, 0.0)
-        assert float(np.max(np.abs(fast - slow))) < 1e-12
-
-
 @pytest.mark.parametrize("table", [HAAR, DB2, DB10],
                          ids=["R1", "R2", "R10"])
 def test_pair_tables_hold_neighbouring_samples(table):
-    # The two-tap family's pairs hold each node's sample twice, so the
-    # stencil's interpolation reads its step value.
+    # One pair per node but the last; the two-tap family's pairs hold each
+    # node's sample twice, so the stencil's interpolation reads its step
+    # value.
     for samples, attr in ((table.phi_samples, "phi_pairs"),
                           (table.psi_samples, "psi_pairs")):
         pairs = getattr(table, attr)
         assert pairs.dtype == np.complex128 and pairs.flags.c_contiguous
-        assert np.array_equal(pairs.real, samples)
-        right = samples if table is HAAR else np.append(samples[1:], 0.0)
+        assert pairs.size == samples.size - 1
+        assert np.array_equal(pairs.real, samples[:-1])
+        right = samples[:-1] if table is HAAR else samples[1:]
         assert np.array_equal(pairs.imag, right)
         assert getattr(table, attr) is pairs
 
@@ -250,33 +227,74 @@ def _stencil_reads(table, kind, level, x):
     return reads
 
 
-def _exact_interpolants(table, kind, level, x):
-    """Per point and shift, in exact arithmetic, ``_sample``'s linear
-    interpolant at ``frac + offset`` (for the two-tap step table, the
-    sample at its node) summed over the offsets that land on the shift;
-    ``frac`` is the float ``2**level * x - floor(2**level * x)``, which is
-    exact for ``x >= 0`` and rounds up to 1 for a tiny negative x."""
+def _exact_reads(table, kind, level, point):
+    """In exact arithmetic, the cell ``floor(2**level * point)`` and, per
+    support offset, ``_sample``'s linear interpolant at ``frac + offset``
+    (for the two-tap step table, the sample at its node), where ``frac =
+    Fraction(point) * 2**level mod 1``."""
     samples = table.phi_samples if kind == "scaling" else table.psi_samples
-    step, period = 2 ** table.depth, 2 ** level
+    scaled = Fraction(float(point)) * 2 ** level
+    cell = math.floor(scaled)
+    values = []
+    for offset in range(table.family.support_length):
+        pos = (scaled - cell + offset) * 2 ** table.depth
+        node = math.floor(pos)
+        if table.family.vanishing_moments == 1:
+            values.append(Fraction(float(samples[node])))
+            continue
+        t = pos - node
+        values.append((1 - t) * Fraction(float(samples[node]))
+                      + t * Fraction(float(samples[node + 1])))
+    return cell, values
+
+
+def _exact_interpolants(table, kind, level, x):
+    """Per point and shift, ``_exact_reads``'s values summed over the
+    offsets that land on the shift."""
+    period = 2 ** level
     rows = []
     for point in x:
-        scaled = np.float64(point) * period
-        cell = math.floor(scaled)
-        frac = Fraction(float(scaled - np.floor(scaled)))
+        cell, values = _exact_reads(table, kind, level, point)
         row = [Fraction(0)] * period
-        for offset in range(table.family.support_length):
-            pos = (frac + offset) * step
-            if table.family.vanishing_moments == 1:
-                row[(cell - offset) % period] += Fraction(
-                    float(samples[math.floor(pos)]))
-                continue
-            node = min(math.floor(pos), samples.size - 2)
-            t = pos - node
-            row[(cell - offset) % period] += (
-                (1 - t) * Fraction(float(samples[node]))
-                + t * Fraction(float(samples[node + 1])))
+        for offset, value in enumerate(values):
+            row[(cell - offset) % period] += value
         rows.append(row)
     return rows
+
+
+def _read_tolerance(table, kind, scale=1.0):
+    """Two ulp of ``scale * max|table|``: how far a stencil read may sit
+    from the exact interpolant."""
+    samples = table.phi_samples if kind == "scaling" else table.psi_samples
+    return Fraction(2.0 * np.spacing(scale * np.max(np.abs(samples))))
+
+
+def _assert_reads_exact(table, kind, level, x):
+    """Both of the stencil's paths read the exact interpolants at ``x``."""
+    scale = 2.0 ** (level / 2.0)
+    tol = _read_tolerance(table, kind, scale)
+    exact = _exact_interpolants(table, kind, level, x)
+    for fast in _stencil_reads(table, kind, level, x):
+        for shift in range(2 ** level):
+            for value, row in zip(fast[:, shift], exact):
+                assert abs(Fraction(float(value))
+                           - Fraction(scale) * row[shift]) <= tol
+
+
+@pytest.mark.parametrize("level", [0, 5])
+def test_stencil_edge_points(level):
+    # The stencil's gathers clip indices instead of checking them, so these
+    # points pin why every index is in range.  A point's position is K =
+    # floor(x * 2**(level + depth)); the cell K >> depth is masked into
+    # [0, 2**level - 1] and the node K & (2**depth - 1) lies in [0,
+    # 2**depth - 1], inside each offset's slice of 2**depth pairs.  At x =
+    # 1 - 2**-53, frac + 2 would round up to the table's last node 3.0;
+    # at x = -2**-60, frac = 1 - 2**-60 * 2**level would round up to 1,
+    # where Haar's phi reads 0 and not the exact 1.
+    x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60])
+    for table in (HAAR, DB2, DB10):
+        for kind in ("scaling", "wavelet"):
+            _assert_reads_exact(table, kind, level, x)
 
 
 @pytest.mark.parametrize("r", [1, 2, 4, 10])
@@ -293,22 +311,41 @@ def test_stencil_evaluates_at_exact_argument(r):
     dyadic = rng.integers(0, 2 ** 20, 40) / 2.0 ** 20
     for level in (table.family.coarsest_level,
                   table.family.coarsest_level + 2):
-        scale = 2.0 ** (level / 2.0)
         for kind in ("scaling", "wavelet"):
-            samples = table.phi_samples if kind == "scaling" \
-                else table.psi_samples
-            tol = Fraction(2.0 * np.spacing(scale * np.max(np.abs(samples))))
-            exact = _exact_interpolants(table, kind, level, x)
-            reads = zip(_stencil_reads(table, kind, level, x),
-                        _stencil_reads(table, kind, level, dyadic))
-            for fast, at_dyadic in reads:
+            _assert_reads_exact(table, kind, level, x)
+            for at_dyadic in _stencil_reads(table, kind, level, dyadic):
                 for shift in range(2 ** level):
-                    for value, row in zip(fast[:, shift], exact):
-                        assert abs(Fraction(float(value))
-                                   - Fraction(scale) * row[shift]) <= tol
                     assert np.array_equal(
                         at_dyadic[:, shift],
                         eval_periodized(table, kind, level, shift, dyadic))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(TABLES)),
+       st.sampled_from(("scaling", "wavelet")),
+       st.integers(min_value=0, max_value=9),
+       st.floats(min_value=-1.0, max_value=1.0, exclude_min=True,
+                 exclude_max=True),
+       st.integers(min_value=-80, max_value=63))
+@example(1, "scaling", 0, -0.5, -47)
+def test_stencil_places_each_point_exactly_property(r, kind, level, unit,
+                                                    exponent):
+    # x = unit * 2**(exponent - level - depth) is any finite point the
+    # stencil accepts, |x| * 2**(level + depth) < 2**63: negative or not,
+    # tiny, or just inside the bound.  At every offset the stencil yields
+    # the exact cell and reads the exact interpolant there.  The example
+    # is x = -2**-60, whose offset in its cell, 1 - 2**-60, rounds to 1 as
+    # a float.
+    table = TABLES[r]
+    x = np.array([math.ldexp(unit, exponent - level - table.depth)])
+    cell, exact = _exact_reads(table, kind, level, x[0])
+    tol = _read_tolerance(table, kind)
+    offsets = []
+    for _, cells, offset, vals in wavelet._stencil(table, kind, level, x):
+        assert cells[0] == cell % 2 ** level
+        assert abs(Fraction(float(vals[0])) - exact[offset]) <= tol
+        offsets.append(offset)
+    assert offsets == list(range(table.family.support_length))
 
 
 def test_evaluate_series_point_shapes():

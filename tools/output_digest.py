@@ -42,7 +42,9 @@ count or ``n`` that is not an integer (``basis/index``); the filters
 shows how far the filters moved and not only what was built from them;
 ``weighted_level_sums`` and the one-level gather of ``evaluate_series``
 (of a series of levels 3 to 6 carried by the filter bank to level 7, and
-of a level-7 one) for R in {1, 2, 4, 10}; ``fit_component`` JSON and
+of a level-7 one) for R in {1, 2, 4, 10}; the same two at points off
+the unit interval, each class alone: negative, tiny positive and beyond
+1 (``wavelet/offunit``); ``fit_component`` JSON and
 ``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``; the
 parsed fields and ``echo()`` of experiment configs, alone and under
 command-line options, and the error text of refused ones, some with two
@@ -367,6 +369,16 @@ def filters(dig, aw):
         dig.array("wavelet/taps", aw.make_family(r).low_pass)
 
 
+def _level_sums(dig, name, aw, table, x, w, levels):
+    """``weighted_level_sums`` of both kinds at each of ``levels``."""
+    for kind in ("scaling", "wavelet"):
+        peak = np.max(np.abs(table.phi_samples if kind == "scaling"
+                             else table.psi_samples))
+        for level in levels:
+            dig.array(name, aw.weighted_level_sums(table, kind, level, x, w),
+                      scale=np.sum(np.abs(w)) * 2.0 ** (level / 2) * peak)
+
+
 def wavelet_sums_and_series(dig, aw):
     proc = aw.MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=9)
     scen = aw.ScenarioSpec(components=("sine", "bump"), noise_halfwidth=0.5)
@@ -376,19 +388,35 @@ def wavelet_sums_and_series(dig, aw):
     for r in (1, 2, 4, 10):
         table = aw.cascade_table(aw.make_family(r), 12)
         name = f"wavelet/R{r}"
-        for kind in ("scaling", "wavelet"):
-            peak = np.max(np.abs(table.phi_samples if kind == "scaling"
-                                 else table.psi_samples))
-            for level in (0, 3, 7, 12):
-                dig.array(name, aw.weighted_level_sums(table, kind, level,
-                                                       x, w),
-                          scale=np.sum(np.abs(w)) * 2.0 ** (level / 2) * peak)
+        _level_sums(dig, name, aw, table, x, w, (0, 3, 7, 12))
         fine = coeffs[:8]
         for j in range(3, 7):
             fine = aw.wavelet._synthesis_step(table.family, fine,
                                               coeffs[:2 ** j])
         dig.array(name, _gather(aw, table, 7, fine, x, offset=0.25))
         dig.array(name, _gather(aw, table, 7, coeffs, x[:1000]))
+
+
+# Points that no fit produces, by class: the stencil's position at each
+# is exact, or within rounding of it for a point just below 0.
+OFF_UNIT = (
+    np.array([-0.3, -1.7, -0.5 - 2.0 ** -54, -2.0 ** -20, -2.0 ** -60,
+              -5e-324]),
+    np.array([2.0 ** -20, 2.0 ** -60, 2.0 ** -1022, 5e-324]),
+    np.array([1.25, 1.0 + 2.0 ** -52, 2.0 + 2.0 ** -51, 3.3, 1e6 + 0.1]))
+
+
+def off_unit(dig, aw):
+    rng = np.random.default_rng(13)
+    coeffs = rng.standard_normal(2 ** 7)
+    for r in (1, 2, 4, 10):
+        table = aw.cascade_table(aw.make_family(r), 12)
+        for x in OFF_UNIT:
+            _level_sums(dig, "wavelet/offunit", aw, table, x,
+                        rng.standard_normal(x.size), (0, 3, 7))
+            for level in (0, 7):
+                dig.array("wavelet/offunit",
+                          _gather(aw, table, level, coeffs[:2 ** level], x))
 
 
 def fits(dig, aw):
@@ -549,7 +577,8 @@ def collect(src: Path, sink=None) -> Digest:
 
     dig = Digest(sink)
     for step in (simulated, normal_cdf, specs, batches, basis_index,
-                 filters, wavelet_sums_and_series, fits, replications):
+                 filters, wavelet_sums_and_series, off_unit, fits,
+                 replications):
         step(dig, aw)
     experiment_configs(dig, cli)
     experiments(dig, cli)
