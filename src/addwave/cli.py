@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,13 @@ from .estimator import (EstimatorConfig, eval_estimate, fit_component,
                         identity_rho, ise, max_detail_level, threshold_scale)
 from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
                      calibrate_threshold, rate_fit)
-from .simulate import (_json_object, dataset_meta, process_from_config,
-                       read_dataset_json, scenario_from_config,
-                       simulate_dataset, simulate_datasets,
-                       write_dataset_csv, write_dataset_json)
-from .wavelet import (_check_depth, _config_number, _is_integer, _shown,
-                      basis_diagnostics, cascade_table, make_family)
+from .simulate import (dataset_meta, process_from_config, read_dataset_json,
+                       scenario_from_config, simulate_dataset,
+                       simulate_datasets, write_dataset_csv,
+                       write_dataset_json)
+from .wavelet import (_check_depth, _config_number, _is_integer,
+                      _json_object, _shown, basis_diagnostics, cascade_table,
+                      make_family)
 
 REPORT_FORMAT_VERSION = "1"
 WORKERS_ENV = "ADDWAVE_WORKERS"
@@ -49,7 +50,13 @@ EXIT_INTERRUPTED = 130
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed sweep configuration for simulate and mc-rate runs."""
+    """Parsed sweep configuration for simulate and mc-rate runs.
+
+    ``specs``, the ``(ScenarioSpec, MixingProcessSpec)`` pair the
+    ``scenario`` and ``process`` dicts and ``master_seed`` describe, is
+    built once, when the fields are checked, and not a field: equality,
+    ``asdict``, ``echo`` and ``replace`` see only the config's keys.
+    """
 
     scenario: dict
     process: dict
@@ -98,8 +105,7 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError(f"experiment field 'master_seed' must be >= 0, "
                              f"got {self.master_seed}")
-        scenario = scenario_from_config(self.scenario)
-        process_from_config(self.process, scenario.dim, self.master_seed)
+        scenario, _ = self.specs
         for name, check in (("family_r", make_family),
                             ("depth", _check_depth),
                             ("coord", scenario.component)):
@@ -124,6 +130,12 @@ class ExperimentConfig:
                                                           str):
             raise ValueError(f"experiment field 'output_dir' must be a "
                              f"string, got {_shown(self.output_dir)}")
+
+    @cached_property
+    def specs(self) -> tuple:
+        scenario = scenario_from_config(self.scenario)
+        return scenario, process_from_config(self.process, scenario.dim,
+                                             self.master_seed)
 
     def echo(self) -> dict:
         """The config under its keys, for the report: the budget fields
@@ -260,9 +272,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
                                    kappa=config.kappa_value,
                                    interrupted=False)
         return report, False
-    scenario = scenario_from_config(config.scenario)
-    process = process_from_config(config.process, scenario.dim,
-                                  config.master_seed)
+    scenario, process = config.specs
     table = _cached_table(config.family_r, config.depth)
     if config.kappa_mode == "calibrated":
         kappa = calibrate_threshold(process, scenario, table,
@@ -347,9 +357,7 @@ def cmd_simulate(ns) -> int:
         raise ValueError("simulate needs --output or config 'output_dir'")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenario = scenario_from_config(config.scenario)
-    process = process_from_config(config.process, scenario.dim,
-                                  config.master_seed)
+    scenario, process = config.specs
     for n in config.n_grid:
         for rep, data in enumerate(simulate_datasets(process, scenario, n, 0,
                                                      config.reps)):

@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .wavelet import (_CHUNK, BasisTable, _analysis_step, _check_coord,
-                      _check_count, _config_number, _synthesis_step,
-                      evaluate_series, weighted_level_sums)
+                      _check_count, _config_number, _json_object, _shown,
+                      _synthesis_step, evaluate_series, weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
 
@@ -46,19 +46,20 @@ class DesignDensity:
         if not self.floor > 0:
             raise ValueError(f"density floor must be positive, "
                              f"got {self.floor}")
-        if self.dim <= 3:
-            side = {1: 4096, 2: 64, 3: 24}[self.dim]
-            axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * self.dim,
-                               indexing="ij")
-            pts = np.column_stack([a.ravel() for a in axes])
-            vals = self.evaluator(pts)
-            total = float(np.mean(vals))
-            if not abs(total - 1.0) <= 1e-3:
-                raise ValueError(
-                    f"density evaluator integrates to {total:.5f}, not 1")
-            if not float(np.min(vals)) >= self.floor - 1e-9:
-                raise ValueError(
-                    "density evaluator dips below its declared floor")
+        _check_count("dim", self.dim, 1)
+        if self.dim > 4:
+            raise ValueError(f"dim must be in 1..4, got {self.dim}")
+        # One midpoint grid of 4096 points: a side of 4096, 64, 16 or 8.
+        side = round(4096 ** (1 / self.dim))
+        axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * self.dim,
+                           indexing="ij")
+        vals = self.evaluator(np.column_stack([a.ravel() for a in axes]))
+        total = float(np.mean(vals))
+        if not abs(total - 1.0) <= 1e-3:
+            raise ValueError(
+                f"density evaluator integrates to {total:.5f}, not 1")
+        if not float(np.min(vals)) >= self.floor - 1e-9:
+            raise ValueError("density evaluator dips below its declared floor")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(pts, dtype=float)),
@@ -169,28 +170,48 @@ class ComponentEstimate:
 
     @staticmethod
     def from_json(text: str) -> "ComponentEstimate":
-        """The estimate ``to_json`` wrote; a missing field raises
-        ``ValueError`` naming it."""
-        payload = json.loads(text)
-        try:
-            values, kept = [], []
-            for entry in payload["levels"]:
-                coeffs = sorted(entry["coeffs"], key=lambda c: c["k"])
-                values.append(np.array([c["value"] for c in coeffs]))
-                kept.append(np.array([bool(c["kept"]) for c in coeffs]))
-            return ComponentEstimate(
-                mu_hat=float(payload["mu_hat"]),
-                tau=int(payload["tau"]),
-                j1=int(payload["j1"]),
-                lambda_n=float(payload["lambda_n"]),
-                kappa=float(payload["kappa"]),
-                a_hat=np.array([float(v) for v in payload["a_hat"]]),
-                detail_values=values,
-                detail_kept=kept,
-            )
-        except KeyError as missing:
-            raise ValueError(f"estimate JSON lacks the field "
-                             f"{missing.args[0]!r}") from None
+        """The estimate ``to_json`` wrote; JSON that is not an object, and
+        a missing or mistyped field, raise ``ValueError`` naming it."""
+        payload = _json_object(json.loads(text), "estimate")
+        values, kept = [], []
+        for entry in _estimate_field(payload, "levels", list):
+            coeffs = _estimate_field(_json_object(entry, "levels entry"),
+                                     "coeffs", list)
+            coeffs = [_json_object(c, "coeffs entry") for c in coeffs]
+            coeffs.sort(key=lambda c: _estimate_field(c, "k", int))
+            values.append(np.array([_estimate_field(c, "value", float)
+                                    for c in coeffs]))
+            kept.append(np.array([_estimate_field(c, "kept", bool)
+                                  for c in coeffs]))
+        return ComponentEstimate(
+            mu_hat=_estimate_field(payload, "mu_hat", float),
+            tau=_estimate_field(payload, "tau", int),
+            j1=_estimate_field(payload, "j1", int),
+            lambda_n=_estimate_field(payload, "lambda_n", float),
+            kappa=_estimate_field(payload, "kappa", float),
+            a_hat=np.array([_config_number(v, "estimate field 'a_hat'")
+                            for v in _estimate_field(payload, "a_hat",
+                                                     list)]),
+            detail_values=values,
+            detail_kept=kept,
+        )
+
+
+def _estimate_field(obj: dict, key: str, kind: type):
+    """``obj[key]`` of an estimate's JSON as ``kind``: a ``float`` by the
+    number rule, an ``int`` by the count rule from 0, else a value of that
+    type; a ``ValueError`` naming ``key`` if it is missing or mistyped."""
+    if key not in obj:
+        raise ValueError(f"estimate JSON lacks the field {key!r}")
+    value, name = obj[key], f"estimate field {key!r}"
+    if kind is float:
+        return _config_number(value, name)
+    if kind is int:
+        _check_count(name, value, 0)
+    elif not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, "
+                         f"got {_shown(value)}")
+    return value
 
 
 def threshold_scale(n: int) -> float:

@@ -153,13 +153,15 @@ class MomentReport:
 
     def __post_init__(self):
         _check_count("reps", self.reps, 1000)
-        # Written so that NaN fails them.
-        if not self.var_hat >= 0:
-            raise ValueError(f"var_hat must be a variance, not negative or "
-                             f"NaN, got {self.var_hat}")
-        if not self.m4_hat >= self.var_hat ** 2 - 1e-15:
+        for name in ("true_value", "mean_hat", "var_hat", "m4_hat"):
+            object.__setattr__(self, name,
+                               _config_number(getattr(self, name), name))
+        if self.var_hat < 0:
+            raise ValueError(f"var_hat must be a variance, not negative, "
+                             f"got {self.var_hat}")
+        if self.m4_hat < self.var_hat ** 2 - 1e-15:
             raise ValueError(f"m4_hat must be a fourth moment, not below "
-                             f"var_hat**2 or NaN, got {self.m4_hat}")
+                             f"var_hat**2, got {self.m4_hat}")
 
     def std_error(self) -> float:
         return math.sqrt(self.var_hat / self.reps)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .estimator import Dataset, DesignDensity, identity_rho
 from .wavelet import (_CHUNK, _check_coord, _check_count, _config_number,
-                      _is_integer, _shown)
+                      _is_integer, _json_object, _shown)
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -204,16 +204,17 @@ def fgm_density(theta: float) -> DesignDensity:
 
 
 def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
-                reps: int) -> tuple[list, DesignDensity]:
+                reps: int) -> np.ndarray:
     """The designs of replications ``rep_start`` to ``rep_start + reps -
-    1``, drawn together; a replication's design does not depend on its batch.
+    1``, drawn together as one ``(reps, d, n)`` array; a replication's
+    design does not depend on its batch.
 
-    The batch is one ``(reps, d, n)`` array.  Each replication's stream
-    fills its ``d`` rows in order, as one ``(d, n)`` draw would, and
-    ``designs[r].T`` is the column-major ``(n, d)`` design returned for
-    replication ``rep_start + r``.  The recursion runs in place along every
-    row, the normal CDF once over the whole batch, and the FGM step in
-    place on each replication's second row against its first.
+    Each replication's stream fills its ``d`` rows in order, as one ``(d,
+    n)`` draw would, so ``designs[r].T`` is the column-major ``(n, d)``
+    design of replication ``rep_start + r``, whose density is
+    ``spec.density``.  The recursion runs in place along every row, the
+    normal CDF once over the whole batch, and the FGM step in place on
+    each replication's second row against its first.
     """
     _check_range(n, rep_start, reps)
     ar, theta = spec.ar_coeff, spec.copula_theta
@@ -244,7 +245,7 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
                 v = designs[r:r + per, 1, a:a + step]
                 _fgm_conditional(designs[r:r + per, 0, a:a + step], v,
                                  theta, scratch[:3], v)
-    return [x.T for x in designs], spec.density
+    return designs
 
 
 def _check_range(n: int, rep_start: int, reps: int) -> None:
@@ -569,12 +570,6 @@ def gen_responses(x: np.ndarray, scenario: ScenarioSpec, seed: int,
     return y
 
 
-def _check_dims(process: MixingProcessSpec, scenario: ScenarioSpec) -> None:
-    if scenario.dim != process.dim:
-        raise ValueError(
-            f"scenario has {scenario.dim} components, process dim is {process.dim}")
-
-
 def simulate_dataset(process: MixingProcessSpec, scenario: ScenarioSpec,
                      n: int, rep: int = 0) -> Dataset:
     """Replication ``rep`` of the design-plus-response draw, drawn alone."""
@@ -589,38 +584,27 @@ def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
 
     Designs are drawn by ``gen_designs`` in batches of as many
     replications as fill one pass of the recursion, so at small n its
-    vectorised steps run across the blocks of every chain of a batch.  The
-    arguments are checked at the call, before the first replication is
-    asked for.
+    vectorised steps run across the blocks of every chain of a batch; each
+    replication's design is its ``designs[r].T`` view, and every dataset
+    shares the one ``process.density``.  The arguments are checked at the
+    call, before the first replication is asked for.
     """
-    _check_dims(process, scenario)
+    if scenario.dim != process.dim:
+        raise ValueError(f"scenario has {scenario.dim} components, "
+                         f"process dim is {process.dim}")
     _check_range(n, rep_start, reps)
     batch = max(1, _SPAN // (process.dim * n))
     end = rep_start + reps
+    density = process.density
 
     def datasets():
         for first in range(rep_start, end, batch):
-            xs, density = gen_designs(process, n, first,
-                                      min(batch, end - first))
-            for rep, x in enumerate(xs, first):
-                y = gen_responses(x, scenario, process.seed, rep)
-                yield Dataset(y=y, x=x, density=density)
+            designs = gen_designs(process, n, first, min(batch, end - first))
+            for rep, x in enumerate(designs, first):
+                y = gen_responses(x.T, scenario, process.seed, rep)
+                yield Dataset(y=y, x=x.T, density=density)
 
     return datasets()
-
-
-def _json_object(value, field: str, keys: tuple | None = None) -> dict:
-    """``value`` if it is a JSON object with no key outside ``keys``
-    (when given), else a ``ValueError`` that names ``field`` or the first
-    unknown key."""
-    if not isinstance(value, dict):
-        raise ValueError(f"field {field!r} must be a JSON object, "
-                         f"got {_shown(value)}")
-    unknown = [key for key in value if keys is not None and key not in keys]
-    if unknown:
-        raise ValueError(f"{field} has unknown key {unknown[0]!r}; known "
-                         f"keys: {', '.join(keys)}")
-    return value
 
 
 # Largest |mu| and noise half-width a config may set: responses stay far

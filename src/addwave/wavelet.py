@@ -33,7 +33,8 @@ offset, which interpolates at the exact argument.  At each offset one
 unchecked gather from a table of neighbouring sample pairs reads both
 ends of the interpolation.  The scatter keeps one row per offset and
 adds each chunk into it point by point, so every shift sums its points
-in the order one ``bincount`` over all of them would.
+in the order one ``bincount`` over all of them would; the rows are then
+added into the shifts, each as two slices.
 """
 
 from __future__ import annotations
@@ -99,6 +100,20 @@ def _shown(value) -> str:
     """``value`` in an error message: as JSON, cut to 40 characters; a
     value JSON has no form for (a numpy scalar) as its quoted ``repr``."""
     return json.dumps(value, default=repr)[:40]
+
+
+def _json_object(value, field: str, keys: tuple | None = None) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``
+    (when given), else a ``ValueError`` that names ``field`` or the first
+    unknown key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"field {field!r} must be a JSON object, "
+                         f"got {_shown(value)}")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ValueError(f"{field} has unknown key {unknown[0]!r}; known "
+                         f"keys: {', '.join(keys)}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +231,13 @@ def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
     psi = _two_scale(family.high_pass, phi, 2 * np.arange(phi.size),
                      2 ** depth)
     table = BasisTable(family=family, depth=depth, phi_samples=phi, psi_samples=psi)
-    _validate_table(table)
+    error, tol = _normalization(table)
+    zero = _support_integral(table, "wavelet", 0)
+    if error > tol or abs(zero) > tol:
+        raise RuntimeError(
+            "cascade iteration produced an inconsistent table: "
+            f"normalization error {error:.3e}, wavelet integral {zero:.3e}, "
+            f"tolerance {tol:.3e}")
     return table
 
 
@@ -272,18 +293,14 @@ def _two_scale(filt: np.ndarray, values: np.ndarray, src: np.ndarray,
     return SQRT2 * acc
 
 
-def _validate_table(table: BasisTable) -> None:
-    tol = 2.0 ** (-table.depth + 2) * table.family.support_length
-    one = _support_integral(table, "scaling", 0)
-    zero = _support_integral(table, "wavelet", 0)
-    phi_sq = _support_integral(table, "scaling", square=True)
-    psi_sq = _support_integral(table, "wavelet", square=True)
-    if (abs(one - 1.0) > tol or abs(zero) > tol
-            or abs(phi_sq - 1.0) > tol or abs(psi_sq - 1.0) > tol):
-        raise RuntimeError(
-            "cascade iteration produced an inconsistent table: "
-            f"integral={one:.3e}, wavelet integral={zero:.3e}, "
-            f"norms=({phi_sq:.6f}, {psi_sq:.6f})")
+def _normalization(table: BasisTable) -> tuple[float, float]:
+    """The largest miss of ``int phi = 1``, ``int phi**2 = 1`` and ``int
+    psi**2 = 1`` by the table's midpoint rule, and the tolerance a table
+    is held to, ``2**(2 - depth) * support_length``."""
+    error = max(abs(_support_integral(table, "scaling", 0) - 1.0),
+                *(abs(_support_integral(table, kind, square=True) - 1.0)
+                  for kind in ("scaling", "wavelet")))
+    return error, 2.0 ** (-table.depth + 2) * table.family.support_length
 
 
 def _support_integral(table: BasisTable, kind: str, power: int = 0,
@@ -445,9 +462,11 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
 
     Returns one entry per shift.  Work is linear in the number of points
     regardless of the level; each point touches only the shifts whose
-    support contains it, with periodic wrapping folded in.  A point that
-    is not finite, or whose table position overflows int64, raises
-    ``ValueError``.
+    support contains it, with periodic wrapping folded in.  The points are
+    scattered into one row of cells per support offset, and each row is
+    then added into the shifts as two slices cut at ``offset % 2**level``,
+    offset by offset.  A point that is not finite, or whose table position
+    overflows int64, raises ``ValueError``.
     """
     _check_kind(kind)
     _check_index(level, 0)
@@ -458,15 +477,19 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
                          f"for {xa.size} points")
     n_shifts = 2 ** level
     # Row ``offset`` sums each cell's points in point order, as one
-    # ``bincount`` over all points would; rolled left by the offset it is
-    # that offset's ``bincount((floor - offset) % n_shifts)``.
+    # ``bincount`` over all points would; read from ``offset`` on, with
+    # wrap-around, it is that offset's ``bincount((floor - offset) %
+    # n_shifts)``.  Where n_shifts is below the support length, an offset
+    # may pass it.
     rows = np.zeros((table.family.support_length, n_shifts))
     for start, cell, offset, vals in _stencil(table, kind, level, xa):
         np.multiply(w[start:start + vals.size], vals, out=vals)
         np.add.at(rows[offset], cell, vals)
     acc = np.zeros(n_shifts)
     for offset, row in enumerate(rows):
-        acc += np.roll(row, -offset)
+        cut = offset % n_shifts
+        acc[:n_shifts - cut] += row[cut:]
+        acc[n_shifts - cut:] += row[:cut]
     return acc * 2.0 ** (level / 2.0)
 
 
@@ -550,7 +573,6 @@ def basis_diagnostics(family: WaveletFamily, depth: int) -> list[dict]:
     the periodized dictionary from the coarsest level up to level 6.
     """
     table = cascade_table(family, depth)
-    sup = family.support_length
     checks = []
 
     # Two-scale relation residual on the grid.
@@ -571,10 +593,7 @@ def basis_diagnostics(family: WaveletFamily, depth: int) -> list[dict]:
     checks.append(_check("vanishing_moments", worst, 1e-6))
 
     # Normalization of both tabulated functions.
-    norm_err = max(abs(_support_integral(table, "scaling", 0) - 1.0),
-                   *(abs(_support_integral(table, kind, square=True) - 1.0)
-                     for kind in ("scaling", "wavelet")))
-    checks.append(_check("normalization", norm_err, 2.0 ** (-depth + 2) * sup))
+    checks.append(_check("normalization", *_normalization(table)))
 
     # Gram matrix of the periodized dictionary up to level 6.  The
     # quadrature step is well below the table step so the rule integrates

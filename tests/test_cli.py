@@ -80,6 +80,8 @@ def test_parse_config_rejects_bad_values():
         parse_experiment_config(_base_config(kappa_mode="adaptive"))
     with pytest.raises(ValueError, match="aggregate"):
         parse_experiment_config(_base_config(aggregate="max"))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        parse_experiment_config([])
 
 
 def test_mc_rate_names_out_of_range_fields(tmp_path, capsys):
@@ -292,6 +294,14 @@ def test_missing_or_invalid_config_files(tmp_path, capsys):
     bad.write_text("{\n  broken\n")
     assert main(["mc-rate", "--config", str(bad)]) == EXIT_USAGE
     assert "line 2" in capsys.readouterr().err
+    # A missing input or output is named before any work.
+    for argv, text in ((["mc-rate"], "--config is required"),
+                       (["simulate"], "--config is required"),
+                       (["estimate"], "--dataset is required"),
+                       (["simulate", "--config", _write_config(tmp_path)],
+                        "simulate needs --output")):
+        assert main(argv) == EXIT_USAGE
+        assert text in capsys.readouterr().err
 
 
 def test_budget_exceeded_exit_code(tmp_path, capsys):
@@ -399,6 +409,21 @@ def test_seed_override_changes_results(tmp_path):
     assert rep_a["config"]["master_seed"] == 5
     assert rep_b["config"]["master_seed"] == 99
     assert rep_a["cells"][0]["ise"] != rep_b["cells"][0]["ise"]
+
+
+def test_calibrated_mc_rate_prints_its_report(tmp_path, capsys):
+    # With no --output the report goes to stdout; its kappa is the pilot's
+    # at the largest n, and the config echo leaves the fixed kappa out.
+    over = dict(n_grid=[32, 64], reps=1, kappa_mode="calibrated")
+    assert main(["mc-rate", "--config", _write_config(tmp_path, **over)]) \
+        == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    scenario, process = parse_experiment_config(_base_config(**over)).specs
+    table = addwave.cascade_table(addwave.make_family(2), 12)
+    assert report["kappa"] == addwave.calibrate_threshold(process, scenario,
+                                                          table, n=64)
+    assert "kappa" not in report["config"]
+    assert [cell["n"] for cell in report["cells"]] == [32, 64]
 
 
 def test_simulate_writes_identical_files_per_seed(tmp_path, capsys):

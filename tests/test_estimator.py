@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_density_unit_mass_checked_at_construction():
         DesignDensity(dim=1,
                       evaluator=lambda p: np.full(len(p), math.nan),
                       floor=0.5)
+    # Every dimension is checked on one grid of 4096 points; dims outside
+    # 1..4 are refused by name before it is built.
+    sizes = []
+
+    def twice(p):
+        sizes.append(len(p))
+        return np.full(len(p), 2.0)
+
+    for dim in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match="integrates to 2.00000"):
+            DesignDensity(dim=dim, evaluator=twice, floor=0.5)
+    assert sizes == [4096] * 4
+    for dim, text in ((0, "dim must be an integer >= 1, got 0"),
+                      (5, "dim must be in 1..4, got 5"),
+                      (2.0, "dim must be an integer >= 1, got 2.0")):
+        with pytest.raises(ValueError, match=text):
+            DesignDensity(dim=dim, evaluator=twice, floor=0.5)
+    with pytest.raises(ValueError, match="^dim must be an integer"):
+        uniform_density(0)
 
 
 def test_empirical_coeff_literal_matches_collapsed():
@@ -473,6 +493,33 @@ def test_estimate_json_refuses_a_missing_field_by_name():
         ComponentEstimate.from_json(json.dumps(payload))
     with pytest.raises(ValueError, match="lacks the field 'levels'"):
         ComponentEstimate.from_json("{}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "field 'estimate' must be a JSON object, got []"),
+    ('{"levels": 3}', "field 'levels' must be a list, got 3"),
+    ('{"levels": [3]}', "field 'levels entry' must be a JSON object"),
+    ('{"levels": [{"coeffs": {}}]}', "field 'coeffs' must be a list"),
+    ('{"levels": [{"coeffs": [1]}]}', "field 'coeffs entry' must be a JSON"),
+    ('{"levels": [{"coeffs": [{"k": "0", "value": 1.0, "kept": true}]}]}',
+     "field 'k' must be an integer >= 0"),
+    ('{"levels": [{"coeffs": [{"k": 0, "value": "1", "kept": true}]}]}',
+     "field 'value' must be a finite number"),
+    ('{"levels": [{"coeffs": [{"k": 0, "value": 1.0, "kept": 1}]}]}',
+     "field 'kept' must be a bool, got 1"),
+    ('{"levels": [], "mu_hat": null}', "field 'mu_hat' must be a finite"),
+    ('{"levels": [], "mu_hat": 0.0, "tau": 2.5}',
+     "field 'tau' must be an integer >= 0, got 2.5"),
+    ('{"levels": [], "mu_hat": 0.0, "tau": 2, "j1": 3, "lambda_n": 0.1, '
+     '"kappa": 1.0, "a_hat": [0.5, "x"]}', "field 'a_hat' must be a finite"),
+    ('{"levels": [], "mu_hat": 0.0, "tau": 2, "j1": 3, "lambda_n": 0.1, '
+     '"kappa": 1.0, "a_hat": 4}', "field 'a_hat' must be a list")],
+    ids=["array", "levels", "level", "coeffs", "coeff", "k", "value", "kept",
+         "mu_hat", "tau", "a_hat-entry", "a_hat"])
+def test_estimate_json_refuses_a_mistyped_field_by_name(text, message):
+    # Each of these used to die with a TypeError that named no field.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ComponentEstimate.from_json(text)
 
 
 def test_ise_zero_against_own_evaluation_and_offset_shift():

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addwave import (
+    AdditiveFunction,
     BudgetError,
+    Dataset,
     EstimatorConfig,
     MixingProcessSpec,
     MomentReport,
@@ -19,7 +21,9 @@ from addwave import (
     cascade_table,
     collapsed_sum,
     empirical_coeff,
+    estimate_mean,
     eval_periodized,
+    eval_tensor,
     evaluate_series,
     expected_coeff,
     fit_component,
@@ -35,10 +39,11 @@ from addwave import (
     tail_frequency,
     tensor_coeff,
     threshold_scale,
+    uniform_density,
     weighted_level_sums,
 )
 from addwave.oracle import reference_shape
-from addwave.simulate import gen_designs, simulate_datasets
+from addwave.simulate import gen_designs, gen_responses, simulate_datasets
 from addwave.wavelet import level_coeffs
 
 HAAR = cascade_table(make_family(1), depth=12)
@@ -191,7 +196,45 @@ _REFUSED = (
                                                        ("wavelet", 40, 0, 1)],
                                      n=64, reps=2)),
     # Midpoint samples of a function: there must be at least one.
-    ("values", lambda: level_coeffs(DB2, "wavelet", 2, np.array([]))))
+    ("values", lambda: level_coeffs(DB2, "wavelet", 2, np.array([]))),
+    # Shapes and sizes at each layer's boundary.
+    ("need", lambda: Dataset(y=np.zeros(3), x=np.zeros((4, 2)),
+                             density=uniform_density(2))),
+    ("design", lambda: Dataset(y=np.zeros(4), x=np.zeros((4, 3)),
+                               density=uniform_density(2))),
+    ("empty", lambda: estimate_mean(Dataset(
+        y=np.zeros(0), x=np.zeros((0, 2)), density=uniform_density(2)),
+        NOISY.rho_spec())),
+    ("need", lambda: fit_component(Dataset(
+        y=np.zeros(1), x=np.full((1, 2), 0.5), density=uniform_density(2)),
+        NOISY.rho_spec(), DB2)),
+    ("truth", lambda: ise(_FIT, DB2, np.zeros(1000))),
+    ("need", lambda: replicate_coeffs(IID, NOISY, DB2, [], n=64, reps=2)),
+    ("design", lambda: gen_responses(np.zeros((4, 3)), NOISY, 0)),
+    ("scenario", lambda: simulate_datasets(IID, ScenarioSpec(("sine",)), 64,
+                                           0, 2)),
+    ("level", lambda: evaluate_series(DB2, 2, np.ones(3), _X)),
+    ("threshold_const", lambda: EstimatorConfig(threshold_const=10 ** 400)),
+    ("need", lambda: AdditiveFunction(0.0, ())),
+    ("components", lambda: AdditiveFunction(0.0, (np.zeros(4),
+                                                  np.zeros(8)))),
+    ("tabulation", lambda: AdditiveFunction(
+        0.0, (np.zeros(2 ** 13), np.zeros(2 ** 13))).tabulate()),
+    ("points", lambda: eval_tensor(DB2, TensorIndex(2, (0, 1), 1),
+                                   np.zeros((4, 3)))),
+    ("dim", lambda: collapsed_sum(DB2, "wavelet", 2, 0, 1,
+                                  np.zeros((4, 5)))),
+    ("literal", lambda: collapsed_sum(DB2, "wavelet", 11, 0, 1,
+                                      np.zeros((4, 3)), literal=True)),
+    ("axis", lambda: tensor_coeff(DB2, np.zeros((64, 64)), "wavelet", 3, 0,
+                                  1)),
+    # Each moment of a report follows the number rule.
+    *((name, lambda name=name: MomentReport(
+        kind="wavelet", level=2, shift=1, coord=1, n=256, reps=1000,
+        **{"true_value": 0.0, "mean_hat": 0.0, "var_hat": 1.0,
+           "m4_hat": 3.0, name: bad}))
+      for name in ("true_value", "mean_hat", "var_hat", "m4_hat")
+      for bad in (math.nan, math.inf, True)))
 
 
 @pytest.fixture
@@ -281,7 +324,7 @@ def test_moment_report_validation():
         MomentReport(reps=1000, var_hat=1.0, m4_hat=0.5, **kwargs)
     with pytest.raises(ValueError, match="negative"):
         MomentReport(reps=1000, var_hat=-1.0, m4_hat=3.0, **kwargs)
-    # NaN fails both checks, each by its field's name.
+    # NaN fails the number rule, by its field's name.
     with pytest.raises(ValueError, match="^var_hat must"):
         MomentReport(reps=1000, var_hat=math.nan, m4_hat=math.nan, **kwargs)
     with pytest.raises(ValueError, match="^var_hat must"):

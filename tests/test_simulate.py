@@ -44,7 +44,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def _design(process, n, rep=0):
     """Replication ``rep``'s design, drawn as a batch of one."""
-    return gen_designs(process, n, rep, 1)[0][0]
+    return gen_designs(process, n, rep, 1)[0].T
 
 
 def test_process_spec_validation():
@@ -128,7 +128,7 @@ def test_replication_ranges_must_be_non_negative():
             simulate_datasets(AR_PROCESS, scen, 16, rep_start, reps)
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         simulate_datasets(AR_PROCESS, scen, 0, 0, 5)
-    assert gen_designs(AR_PROCESS, 16, 3, 0)[0] == []
+    assert gen_designs(AR_PROCESS, 16, 3, 0).shape == (0, 2, 16)
 
 
 def test_marginals_uniform_after_thinning():
@@ -142,8 +142,8 @@ def test_marginals_uniform_after_thinning():
 
 def test_marginals_uniform_iid_full_sample():
     proc = MixingProcessSpec(dim=2, ar_coeff=0.0, copula_theta=0.0, seed=12)
-    (x,), density = gen_designs(proc, 60000, 0, 1)
-    assert density is uniform_density(2)
+    x = _design(proc, 60000)
+    assert proc.density is uniform_density(2)
     assert kstest(x[:, 0], "uniform").pvalue > 0.01
     assert kstest(x[:, 1], "uniform").pvalue > 0.01
     assert float(np.var(x[:, 0])) == pytest.approx(1.0 / 12.0, abs=2e-3)
@@ -151,11 +151,11 @@ def test_marginals_uniform_iid_full_sample():
 
 def test_fgm_dependence_matches_theta():
     # FGM correlation is theta / 3; measured 0.17465 against 0.16667.
-    (x,), density = gen_designs(AR_PROCESS, 20000, 0, 1)
+    x = _design(AR_PROCESS, 20000)
     corr = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
     assert corr == pytest.approx(0.5 / 3.0, abs=0.02)
-    assert density is fgm_density(0.5)
-    assert density.floor == 0.5
+    assert AR_PROCESS.density is fgm_density(0.5)
+    assert AR_PROCESS.density.floor == 0.5
 
 
 def test_latent_memory_decays_geometrically():
@@ -312,10 +312,10 @@ def test_chains_sharing_passes_shorter_than_n_match_one_at_a_time():
         proc = MixingProcessSpec(dim=2, ar_coeff=ar, copula_theta=0.5,
                                  seed=17)
         for n, reps in ((2 ** 12, 64), (_SPAN + 5, 3)):
-            xs, _ = gen_designs(proc, n, 0, reps)
-            for rep, x in enumerate(xs):
-                assert np.array_equal(x, _design(proc, n, rep))
-            assert np.array_equal(xs[-1], _whole_array_draw(
+            designs = gen_designs(proc, n, 0, reps)
+            for rep, x in enumerate(designs):
+                assert np.array_equal(x.T, _design(proc, n, rep))
+            assert np.array_equal(designs[-1].T, _whole_array_draw(
                 proc, scen, n, reps - 1)[0]), (ar, n)
 
 

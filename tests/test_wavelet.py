@@ -126,6 +126,30 @@ def test_weighted_level_sums_needs_one_weight_per_point():
             weighted_level_sums(DB2, "scaling", 2, x, w)
 
 
+@pytest.mark.parametrize("r", [4, 10])
+def test_offset_rows_fold_as_rolled_rows(r):
+    # At levels 0 to 2 the support offsets run past 2**level; the fold
+    # must wrap them as ``np.roll`` does, adding the same rows in the same
+    # order, so the sums match a rolled fold bit for bit.
+    table = {4: TABLES[4], 10: DB10}[r]
+    rng = np.random.default_rng(r)
+    x = rng.uniform(-0.5, 1.5, 500)
+    w = rng.normal(size=500)
+    for kind in ("scaling", "wavelet"):
+        for level in (0, 1, 2):
+            rows = np.zeros((table.family.support_length, 2 ** level))
+            for start, cell, offset, vals in wavelet._stencil(table, kind,
+                                                              level, x):
+                np.add.at(rows[offset], cell,
+                          w[start:start + vals.size] * vals)
+            acc = np.zeros(2 ** level)
+            for offset, row in enumerate(rows):
+                acc += np.roll(row, -offset)
+            assert np.array_equal(
+                weighted_level_sums(table, kind, level, x, w),
+                acc * 2.0 ** (level / 2.0)), (kind, level)
+
+
 def test_level_coeffs_against_direct_dot():
     m = 2 ** 14
     mids = (np.arange(m) + 0.5) / m

@@ -54,11 +54,10 @@ files and stdout of the ``simulate`` and ``estimate`` commands, with the
 temporary directory's name removed.  Arrays are hashed by dtype, shape
 and bytes, reports as sorted JSON.  A run takes a few seconds.
 
-A tree may draw one replication through ``simulate.gen_design`` or as a
-batch of one from ``gen_designs``, and its ``evaluate_series`` may take
-a list of detail levels or gather one level; ``_one_design`` and
-``_gather`` call whichever the tree has, so the two trees of
-``--against`` are asked for the same values.
+A tree's ``gen_designs`` may return the ``(reps, d, n)`` batch array or
+a list of its ``(n, d)`` designs together with their density;
+``_designs`` reads either form, so the two trees of ``--against`` are
+asked for the same values.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import multiprocessing
@@ -126,18 +124,13 @@ class Digest:
         return h.hexdigest()
 
 
-def _one_design(aw, process, n, rep=0):
-    """Replication ``rep``'s design, drawn alone."""
-    if hasattr(aw.simulate, "gen_design"):
-        return aw.simulate.gen_design(process, n, rep)[0]
-    return aw.simulate.gen_designs(process, n, rep, 1)[0][0]
-
-
-def _gather(aw, table, level, coeffs, x, offset=0.0):
-    """``evaluate_series`` of one scaling level."""
-    if "details" in inspect.signature(aw.evaluate_series).parameters:
-        return aw.evaluate_series(table, level, coeffs, [], x, offset=offset)
-    return aw.evaluate_series(table, level, coeffs, x, offset=offset)
+def _designs(aw, process, n, rep_start, reps):
+    """The ``(n, d)`` designs of replications ``rep_start`` on, drawn as
+    one batch, from either form of ``gen_designs``."""
+    batch = aw.simulate.gen_designs(process, n, rep_start, reps)
+    if isinstance(batch, tuple):
+        return batch[0]
+    return [x.T for x in batch]
 
 
 def _strip_runtimes(value):
@@ -164,19 +157,13 @@ def simulated(dig, aw):
 
 
 def normal_cdf(dig, aw):
-    """The simulator's normal CDF on edge values and 2^16 fixed draws.  A
-    tree without ``simulate._ndtr`` gets ``scipy.special.ndtr``'s values,
-    so ``--against`` such a tree compares the port with scipy."""
+    """The simulator's normal CDF on edge values and 2^16 fixed draws."""
     edges = [0.0, 1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 38.0, 40.0, np.inf]
     a = np.concatenate([edges, np.negative(edges),
                         np.random.default_rng(14).standard_normal(2 ** 16)])
     sim = aw.simulate
-    if hasattr(sim, "_ndtr"):
-        out = np.empty_like(a)
-        sim._ndtr(a, out, np.empty((sim._NDTR_ROWS, sim._CHUNK)))
-    else:
-        from scipy.special import ndtr
-        out = ndtr(a)
+    out = np.empty_like(a)
+    sim._ndtr(a, out, np.empty((sim._NDTR_ROWS, sim._CHUNK)))
     dig.array("simulate/ndtr", out)
 
 
@@ -261,11 +248,10 @@ def specs(dig, aw):
     for kind, kwargs in SPECS:
         record(lambda: types[kind](**kwargs))
     proc = aw.MixingProcessSpec(dim=1, ar_coeff=0.5, seed=2)
-    for args in ((2.5,), (8, True), (8, -1), (0,), ("8",)):
-        record(lambda: _one_design(aw, proc, *args).tolist())
+    for args in ((2.5, 0), (8, True), (8, -1), (0, 0), ("8", 0)):
+        record(lambda: _designs(aw, proc, *args, 1)[0].tolist())
     for args in ((8, 0, 1.5), (8, np.int64(1), np.int64(2))):
-        record(lambda: [x.tolist()
-                        for x in aw.simulate.gen_designs(proc, *args)[0]])
+        record(lambda: [x.tolist() for x in _designs(aw, proc, *args)])
     record(lambda: aw.cascade_table(aw.make_family(2), 12.5))
 
 
@@ -276,7 +262,7 @@ def batches(dig, aw):
         proc = aw.MixingProcessSpec(dim=2, ar_coeff=ar, copula_theta=0.5,
                                     seed=17)
         for n, reps in ((2 ** 12, 64), (2 ** 17 + 5, 3)):
-            for x in aw.simulate.gen_designs(proc, n, 0, reps)[0]:
+            for x in _designs(aw, proc, n, 0, reps):
                 dig.array("simulate/batches", x)
 
 
@@ -323,7 +309,7 @@ def basis_index(dig, aw):
         lambda: aw.TensorIndex(2, (0, 1.0), 1).level,
         lambda: aw.weighted_level_sums(table, "wavelet", 2.0, x, x),
         lambda: aw.level_coeffs(table, "wavelet", 3.0, x),
-        lambda: _gather(aw, table, 2.0, ones[:4], x),
+        lambda: aw.evaluate_series(table, 2.0, ones[:4], x),
         lambda: aw.mc_moments(proc, scen, table, "wavelet", 2.0, 0, 1, 64,
                               2).mean_hat,
         lambda: aw.replicate_coeffs(proc, scen, table, [("ripple", 2, 0, 1)],
@@ -393,8 +379,8 @@ def wavelet_sums_and_series(dig, aw):
         for j in range(3, 7):
             fine = aw.wavelet._synthesis_step(table.family, fine,
                                               coeffs[:2 ** j])
-        dig.array(name, _gather(aw, table, 7, fine, x, offset=0.25))
-        dig.array(name, _gather(aw, table, 7, coeffs, x[:1000]))
+        dig.array(name, aw.evaluate_series(table, 7, fine, x, offset=0.25))
+        dig.array(name, aw.evaluate_series(table, 7, coeffs, x[:1000]))
 
 
 # Points that no fit produces, by class: the stencil's position at each
@@ -416,7 +402,8 @@ def off_unit(dig, aw):
                         rng.standard_normal(x.size), (0, 3, 7))
             for level in (0, 7):
                 dig.array("wavelet/offunit",
-                          _gather(aw, table, level, coeffs[:2 ** level], x))
+                          aw.evaluate_series(table, level,
+                                             coeffs[:2 ** level], x))
 
 
 def fits(dig, aw):
