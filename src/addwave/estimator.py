@@ -21,11 +21,16 @@ from functools import partial
 
 import numpy as np
 
-from .wavelet import (_CHUNK, BasisTable, _analysis_step, _check_coord,
-                      _check_count, _config_number, _json_object, _shown,
-                      _synthesis_step, evaluate_series, weighted_level_sums)
+from .wavelet import (_CHUNK, _MAX_LEVEL, BasisTable, _analysis_step,
+                      _check_coord, _check_count, _config_number,
+                      _json_object, _shown, _synthesis_step, evaluate_series,
+                      weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
+# The largest response magnitude a dataset may hold: sums and squares of
+# responses stay finite past it, and a calibration pilot's noise reaches
+# about 3.5e100.
+_MAX_RESPONSE = 1e120
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +93,11 @@ class Dataset:
         if x.shape[1] != self.density.dim:
             raise ValueError(
                 f"design has {x.shape[1]} coordinates, density expects {self.density.dim}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("responses must be finite")
-        # Written so that a NaN fails it: min and max propagate NaN.
+        # Each written so that a NaN fails it: min and max propagate NaN.
+        if y.size and not (y.min() >= -_MAX_RESPONSE
+                           and y.max() <= _MAX_RESPONSE):
+            raise ValueError(f"responses must be finite and at most "
+                             f"{_MAX_RESPONSE:g} in magnitude")
         if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
             raise ValueError(
                 "design points must be finite and lie in the unit cube")
@@ -170,20 +177,23 @@ class ComponentEstimate:
 
     @staticmethod
     def from_json(text: str) -> "ComponentEstimate":
-        """The estimate ``to_json`` wrote; JSON that is not an object, and
-        a missing or mistyped field, raise ``ValueError`` naming it."""
+        """The estimate ``to_json`` wrote; JSON that is not an object, a
+        missing or mistyped field, and a field whose length or index does
+        not match ``tau`` and ``j1``, raise ``ValueError`` naming it."""
         payload = _json_object(json.loads(text), "estimate")
-        values, kept = [], []
+        values, kept, levels = [], [], []
         for entry in _estimate_field(payload, "levels", list):
-            coeffs = _estimate_field(_json_object(entry, "levels entry"),
-                                     "coeffs", list)
-            coeffs = [_json_object(c, "coeffs entry") for c in coeffs]
+            entry = _json_object(entry, "levels entry")
+            coeffs = [_json_object(c, "coeffs entry")
+                      for c in _estimate_field(entry, "coeffs", list)]
             coeffs.sort(key=lambda c: _estimate_field(c, "k", int))
             values.append(np.array([_estimate_field(c, "value", float)
                                     for c in coeffs]))
             kept.append(np.array([_estimate_field(c, "kept", bool)
                                   for c in coeffs]))
-        return ComponentEstimate(
+            levels.append((_estimate_field(entry, "j", int),
+                           [c["k"] for c in coeffs]))
+        estimate = ComponentEstimate(
             mu_hat=_estimate_field(payload, "mu_hat", float),
             tau=_estimate_field(payload, "tau", int),
             j1=_estimate_field(payload, "j1", int),
@@ -195,6 +205,22 @@ class ComponentEstimate:
             detail_values=values,
             detail_kept=kept,
         )
+        tau, size = estimate.tau, estimate.a_hat.size
+        if tau > _MAX_LEVEL or size != 2 ** tau:
+            raise ValueError(f"estimate field 'a_hat' must hold 2**tau "
+                             f"values at tau {tau}, got {size}")
+        if len(levels) != estimate.j1 - tau + 1:
+            raise ValueError(f"estimate field 'levels' must hold j1 - tau + "
+                             f"1 = {estimate.j1 - tau + 1} levels, got "
+                             f"{len(levels)}")
+        for j, (level, ks) in enumerate(levels, start=tau):
+            if level != j:
+                raise ValueError(f"estimate field 'j' must be {j} at levels "
+                                 f"entry {j - tau}, got {level}")
+            if len(ks) != 2 ** j or ks != list(range(len(ks))):
+                raise ValueError(f"estimate field 'k' must run over "
+                                 f"0..{2 ** j - 1} once each at level {j}")
+        return estimate
 
 
 def _estimate_field(obj: dict, key: str, kind: type):

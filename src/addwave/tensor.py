@@ -15,8 +15,8 @@ from itertools import product
 
 import numpy as np
 
-from .wavelet import (BasisTable, _check_coord, _check_index, _check_kind,
-                      eval_periodized)
+from .wavelet import (BasisTable, _check_coord, _check_count, _check_index,
+                      _check_kind, eval_periodized)
 
 _MAX_DIM = 4
 _MAX_LITERAL_TERMS = 2 ** 20
@@ -30,9 +30,11 @@ def direction_coords(dim: int, direction: int) -> tuple[int, ...]:
     subsets of two or more coordinates, ordered by their binary mask
     (bit v-1 set means coordinate v is included).
     """
-    if not 1 <= dim <= _MAX_DIM:
+    _check_count("dim", dim, 1)
+    if dim > _MAX_DIM:
         raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
-    if not 0 <= direction < 2 ** dim:
+    _check_count("direction", direction, 0)
+    if direction >= 2 ** dim:
         raise ValueError(f"direction must be in 0..{2 ** dim - 1}, got {direction}")
     if direction == 0:
         return ()
@@ -80,7 +82,7 @@ class AdditiveFunction:
             raise ValueError("components must share one grid size")
         for i, c in enumerate(self.components):
             mean = float(np.mean(np.asarray(c, dtype=float)))
-            if abs(mean) > 1e-8:
+            if not abs(mean) <= 1e-8:
                 raise ValueError(
                     f"component {i + 1} has grid mean {mean:.2e}, not centered")
 
@@ -163,6 +165,8 @@ def tensor_coeff(table: BasisTable, values: np.ndarray, kind: str, level: int,
     collapsed sum are constant, so the contraction reduces to the marginal
     mean along ``coord``; every grid cell still enters the quadrature.
     """
+    _check_kind(kind)
+    _check_index(level, shift)
     g = np.asarray(values, dtype=float)
     dim = g.ndim
     _check_coord(coord, dim)

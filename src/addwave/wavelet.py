@@ -15,6 +15,13 @@ maps the scaling coefficients of level ``j+1`` to the scaling and detail
 coefficients of level ``j``; ``_synthesis_step`` is its transpose and, the
 periodic filter bank being orthogonal, its inverse.
 
+Every periodic shift in this module is one read, ``a.take(np.arange(start,
+start + a.size, step), mode="wrap")``: entry ``i`` is ``a[(start + i *
+step) mod a.size]``.  Wrap mode takes any integer, so a negative start,
+or a support offset past ``2**level`` at levels 0 to 2, needs no special
+case.  The scatter's fold, both filter-bank steps and the gather's
+shifted coefficients all read this way.
+
 Evaluation between grid nodes interpolates linearly.  The two-tap family's
 samples form a step function, which ``_sample`` looks up piecewise
 constantly and the stencil reads from pairs that repeat each sample, so
@@ -33,8 +40,8 @@ offset, which interpolates at the exact argument.  At each offset one
 unchecked gather from a table of neighbouring sample pairs reads both
 ends of the interpolation.  The scatter keeps one row per offset and
 adds each chunk into it point by point, so every shift sums its points
-in the order one ``bincount`` over all of them would; the rows are then
-added into the shifts, each as two slices.
+in the order one ``bincount`` over all of them would; each row is then
+read from its offset on, with wrap-around, and added into the shifts.
 """
 
 from __future__ import annotations
@@ -463,10 +470,10 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
     Returns one entry per shift.  Work is linear in the number of points
     regardless of the level; each point touches only the shifts whose
     support contains it, with periodic wrapping folded in.  The points are
-    scattered into one row of cells per support offset, and each row is
-    then added into the shifts as two slices cut at ``offset % 2**level``,
-    offset by offset.  A point that is not finite, or whose table position
-    overflows int64, raises ``ValueError``.
+    scattered into one row of cells per support offset, and each row,
+    read from its offset on with wrap-around, is then added into the
+    shifts, offset by offset.  A point that is not finite, or whose table
+    position overflows int64, raises ``ValueError``.
     """
     _check_kind(kind)
     _check_index(level, 0)
@@ -479,17 +486,14 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
     # Row ``offset`` sums each cell's points in point order, as one
     # ``bincount`` over all points would; read from ``offset`` on, with
     # wrap-around, it is that offset's ``bincount((floor - offset) %
-    # n_shifts)``.  Where n_shifts is below the support length, an offset
-    # may pass it.
+    # n_shifts)``.
     rows = np.zeros((table.family.support_length, n_shifts))
     for start, cell, offset, vals in _stencil(table, kind, level, xa):
         np.multiply(w[start:start + vals.size], vals, out=vals)
         np.add.at(rows[offset], cell, vals)
     acc = np.zeros(n_shifts)
     for offset, row in enumerate(rows):
-        cut = offset % n_shifts
-        acc[:n_shifts - cut] += row[cut:]
-        acc[n_shifts - cut:] += row[:cut]
+        acc += row.take(np.arange(offset, offset + n_shifts), mode="wrap")
     return acc * 2.0 ** (level / 2.0)
 
 
@@ -500,7 +504,7 @@ def _analysis_step(family: WaveletFamily, fine: np.ndarray):
     smooth = np.zeros(fine.size // 2)
     detail = np.zeros(fine.size // 2)
     for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
-        src = np.roll(fine, -l)[::2]
+        src = fine.take(np.arange(l, l + fine.size, 2), mode="wrap")
         smooth += h * src
         detail += g * src
     return smooth, detail
@@ -514,10 +518,9 @@ def _synthesis_step(family: WaveletFamily, smooth: np.ndarray,
         raise ValueError(f"level with {smooth.size} scaling coefficients "
                          f"expects as many detail coefficients, got {detail.size}")
     fine = np.zeros(2 * smooth.size)
-    term = np.zeros(fine.size)
     for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
-        term[::2] = h * smooth + g * detail
-        fine += np.roll(term, l)
+        fine[l % 2::2] += (h * smooth + g * detail).take(
+            np.arange(-(l // 2), smooth.size - l // 2), mode="wrap")
     return fine
 
 
@@ -555,7 +558,7 @@ def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
         raise ValueError(f"level {level} expects {n_shifts} coefficients")
     # rolled[off][cell] is scale * coeffs[(cell - off) % n_shifts].
     scaled = 2.0 ** (level / 2.0) * coeffs
-    rolled = [np.roll(scaled, off)
+    rolled = [scaled.take(np.arange(-off, n_shifts - off), mode="wrap")
               for off in range(table.family.support_length)]
     for start, cell, off, vals in _stencil(table, "scaling", level, flat_x):
         g = gathered[:vals.size]

@@ -378,6 +378,15 @@ def test_dataset_rejects_non_finite_responses():
         y[5] = bad
         with pytest.raises(ValueError, match="responses must be finite"):
             Dataset(y=y, x=data.x, density=data.density)
+    # Finite responses whose sums overflow used to fit to an infinite mean
+    # and NaN coefficients: all at 1e308, or +-1e308 in two halves, whose
+    # pairwise mean overflows before it cancels.
+    for y in (np.full(16, 1e308), np.repeat([1e308, -1e308], 8),
+              np.full(16, -1.1e120)):
+        with pytest.raises(ValueError, match="responses must be finite and "
+                                             "at most 1e\\+120"):
+            Dataset(y=y, x=data.x, density=data.density)
+    Dataset(y=np.full(16, -1e120), x=data.x, density=data.density)
 
 
 def test_analysis_and_synthesis_reject_bad_points():
@@ -520,6 +529,46 @@ def test_estimate_json_refuses_a_mistyped_field_by_name(text, message):
     # Each of these used to die with a TypeError that named no field.
     with pytest.raises(ValueError, match=re.escape(message)):
         ComponentEstimate.from_json(text)
+
+
+def _swap_levels(payload):
+    levels = payload["levels"]
+    levels[0], levels[1] = levels[1], levels[0]
+
+
+def _set_k(level, pos, k):
+    def edit(payload):
+        payload["levels"][level]["coeffs"][pos]["k"] = k
+    return edit
+
+
+# Edits to a fit at tau 2 and j1 4 that break the shapes tau and j1 imply.
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.update(a_hat=p["a_hat"][:3]),
+     "field 'a_hat' must hold 2**tau values at tau 2, got 3"),
+    (lambda p: p.update(tau=30),
+     "field 'a_hat' must hold 2**tau values at tau 30, got 4"),
+    (lambda p: p.update(j1=5),
+     "field 'levels' must hold j1 - tau + 1 = 4 levels, got 3"),
+    (lambda p: p["levels"].pop(),
+     "field 'levels' must hold j1 - tau + 1 = 3 levels, got 2"),
+    (_swap_levels, "field 'j' must be 2 at levels entry 0, got 3"),
+    (lambda p: p["levels"][2].pop("j"), "lacks the field 'j'"),
+    (_set_k(1, 1, 0), "field 'k' must run over 0..7 once each at level 3"),
+    (_set_k(1, 7, 8), "field 'k' must run over 0..7 once each at level 3"),
+    (lambda p: p["levels"][0]["coeffs"].pop(),
+     "field 'k' must run over 0..3 once each at level 2")],
+    ids=["a_hat", "tau", "j1", "levels", "j", "j-missing", "k-repeated",
+         "k-past", "k-missing"])
+def test_estimate_json_refuses_a_shape_off_tau_and_j1(edit, message):
+    # Each of these used to load, and eval_estimate then failed with a
+    # text that named no field, or not at all.
+    fit = fit_component(_uniform_data(2 ** 14, seed=8), RHO, DB2)
+    payload = json.loads(fit.to_json())
+    assert (payload["tau"], payload["j1"]) == (2, 4)
+    edit(payload)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ComponentEstimate.from_json(json.dumps(payload))
 
 
 def test_ise_zero_against_own_evaluation_and_offset_shift():

@@ -31,6 +31,13 @@ def test_direction_coords_enumeration():
         direction_coords(2, 4)
     with pytest.raises(ValueError):
         direction_coords(5, 1)
+    # A count that is not an integer is refused by name: 2.5 as a dim
+    # used to give (1,), and as a direction a TypeError from a list index.
+    for dim, direction, name in ((2.5, 1, "dim"), (True, 0, "dim"),
+                                 (0, 0, "dim"), (2, 2.5, "direction"),
+                                 (2, -1, "direction"), (2, True, "direction")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            direction_coords(dim, direction)
 
 
 def test_tensor_index_validation():
@@ -39,6 +46,21 @@ def test_tensor_index_validation():
         TensorIndex(level=2, shifts=(1, 4), direction=1)
     with pytest.raises(ValueError):
         TensorIndex(level=2, shifts=(1, 3), direction=4)
+    with pytest.raises(ValueError, match="direction must be an integer"):
+        TensorIndex(level=2, shifts=(0, 1), direction=2.5)
+
+
+def test_tensor_coeff_refuses_a_bad_index_by_name():
+    grid = np.zeros((256, 256))
+    # A string level used to fail with a TypeError from ``2 ** (level + 4)``.
+    for kind, level, shift, message in (
+            ("wavelet", "2", 1, "level must be an integer"),
+            ("wavelet", 2.0, 1, "level must be an integer"),
+            ("wavelet", 2, 1.5, "shift must be in 0..3"),
+            ("wavelet", 2, 4, "shift must be in 0..3"),
+            ("ripple", 2, 1, "kind must be 'scaling' or 'wavelet'")):
+        with pytest.raises(ValueError, match=message):
+            tensor_coeff(DB2, grid, kind, level, shift, 1)
 
 
 def test_haar_tensor_frozen_point():
@@ -101,6 +123,9 @@ def test_additive_function_centering_guard():
     with pytest.raises(ValueError):
         AdditiveFunction(offset=0.0,
                          components=(catalog_fn("sine")(mids) + 0.05,))
+    # A NaN mean used to pass, since ``abs(nan) > 1e-8`` is false.
+    with pytest.raises(ValueError, match="grid mean nan, not centered"):
+        AdditiveFunction(offset=0.0, components=(np.array([math.nan, 0.0]),))
 
 
 def test_additive_function_tabulate():

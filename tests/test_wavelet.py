@@ -129,8 +129,8 @@ def test_weighted_level_sums_needs_one_weight_per_point():
 @pytest.mark.parametrize("r", [4, 10])
 def test_offset_rows_fold_as_rolled_rows(r):
     # At levels 0 to 2 the support offsets run past 2**level; the fold
-    # must wrap them as ``np.roll`` does, adding the same rows in the same
-    # order, so the sums match a rolled fold bit for bit.
+    # and the gather must wrap them as ``np.roll`` does, adding the same
+    # terms in the same order, so both match rolled references bit for bit.
     table = {4: TABLES[4], 10: DB10}[r]
     rng = np.random.default_rng(r)
     x = rng.uniform(-0.5, 1.5, 500)
@@ -148,6 +148,67 @@ def test_offset_rows_fold_as_rolled_rows(r):
             assert np.array_equal(
                 weighted_level_sums(table, kind, level, x, w),
                 acc * 2.0 ** (level / 2.0)), (kind, level)
+    for level in (0, 1, 2):
+        coeffs = rng.normal(size=2 ** level)
+        scaled = 2.0 ** (level / 2.0) * coeffs
+        rolled = [np.roll(scaled, offset)
+                  for offset in range(table.family.support_length)]
+        gathered = np.full(x.size, 0.25)
+        for start, cell, offset, vals in wavelet._stencil(table, "scaling",
+                                                          level, x):
+            gathered[start:start + vals.size] += rolled[offset][cell] * vals
+        assert np.array_equal(
+            evaluate_series(table, level, coeffs, x, offset=0.25),
+            gathered), level
+
+
+def _rolled_analysis(family, fine):
+    smooth, detail = np.zeros(fine.size // 2), np.zeros(fine.size // 2)
+    for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
+        src = np.roll(fine, -l)[::2]
+        smooth += h * src
+        detail += g * src
+    return smooth, detail
+
+
+def _rolled_synthesis(family, smooth, detail):
+    fine, term = np.zeros(2 * smooth.size), np.zeros(2 * smooth.size)
+    for l, (h, g) in enumerate(zip(family.low_pass, family.high_pass)):
+        term[::2] = h * smooth + g * detail
+        fine += np.roll(term, l)
+    return fine
+
+
+def _with_signed_zeros(values):
+    values[::3] = 0.0
+    values[1::3] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 10])
+def test_filter_bank_matches_rolled_references(r):
+    # Both steps shift by one wrapped read instead of np.roll copies; the
+    # synthesis also skips the +0.0 the rolled form adds at the other
+    # parity.  Neither may move a bit, nor the sign of a zero.
+    family = make_family(r)
+    rng = np.random.default_rng(r)
+
+    def same(got, want):
+        return (np.array_equal(got, want)
+                and np.array_equal(np.signbit(got), np.signbit(want)))
+
+    for size in 2 ** np.arange(family.coarsest_level,
+                               family.coarsest_level + 4):
+        for a, b in ((rng.normal(size=size), rng.normal(size=size)),
+                     (np.full(size, -0.0), np.full(size, -0.0)),
+                     (np.full(size, 0.0), np.full(size, -0.0))):
+            a, b = _with_signed_zeros(a), _with_signed_zeros(b[::-1].copy())
+            fine = np.concatenate([a, b])
+            assert all(same(got, want) for got, want in zip(
+                _analysis_step(family, fine),
+                _rolled_analysis(family, fine))), size
+            assert same(_synthesis_step(family, a, b),
+                        _rolled_synthesis(family, a, b)), size
 
 
 def test_level_coeffs_against_direct_dot():

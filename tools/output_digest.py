@@ -40,6 +40,10 @@ of 2.5, and of ``ise``, ``rate_fit``, ``replicate_coeffs`` and
 count or ``n`` that is not an integer (``basis/index``); the filters
 ``make_family(r).low_pass`` for r = 1..10 (``wavelet/taps``), which
 shows how far the filters moved and not only what was built from them;
+both filter-bank steps, ``_analysis_step`` and ``_synthesis_step``, on
+fixed inputs with signed zeros at the coarsest level and three above it
+for R in {1, 2, 4, 10} (``wavelet/bank``), so a change to the bank shows
+there and not only through fit JSON;
 ``weighted_level_sums`` and the one-level gather of ``evaluate_series``
 (of a series of levels 3 to 6 carried by the filter bank to level 7, and
 of a level-7 one) for R in {1, 2, 4, 10}; the same two at points off
@@ -54,10 +58,8 @@ files and stdout of the ``simulate`` and ``estimate`` commands, with the
 temporary directory's name removed.  Arrays are hashed by dtype, shape
 and bytes, reports as sorted JSON.  A run takes a few seconds.
 
-A tree's ``gen_designs`` may return the ``(reps, d, n)`` batch array or
-a list of its ``(n, d)`` designs together with their density;
-``_designs`` reads either form, so the two trees of ``--against`` are
-asked for the same values.
+``_designs`` reads ``gen_designs``' ``(reps, d, n)`` batch array as a
+list of ``(n, d)`` designs, the form ``simulate_dataset`` stores.
 """
 
 from __future__ import annotations
@@ -126,11 +128,8 @@ class Digest:
 
 def _designs(aw, process, n, rep_start, reps):
     """The ``(n, d)`` designs of replications ``rep_start`` on, drawn as
-    one batch, from either form of ``gen_designs``."""
-    batch = aw.simulate.gen_designs(process, n, rep_start, reps)
-    if isinstance(batch, tuple):
-        return batch[0]
-    return [x.T for x in batch]
+    one batch."""
+    return [x.T for x in aw.simulate.gen_designs(process, n, rep_start, reps)]
 
 
 def _strip_runtimes(value):
@@ -355,6 +354,24 @@ def filters(dig, aw):
         dig.array("wavelet/taps", aw.make_family(r).low_pass)
 
 
+def filter_bank(dig, aw):
+    """Both filter-bank steps on fixed inputs holding +0.0 and -0.0, among
+    them all-zero ones, whose outputs' signs of zero the digest sees."""
+    rng = np.random.default_rng(15)
+    for r in (1, 2, 4, 10):
+        family = aw.make_family(r)
+        for level in range(family.coarsest_level, family.coarsest_level + 4):
+            size = 2 ** level
+            for a, b in (rng.standard_normal((2, size)),
+                         np.full((2, size), -0.0),
+                         np.stack([np.zeros(size), np.full(size, -0.0)])):
+                a[::3], b[1::3] = -0.0, 0.0
+                for out in (aw.wavelet._synthesis_step(family, a, b),
+                            *aw.wavelet._analysis_step(
+                                family, np.concatenate([a, b]))):
+                    dig.array("wavelet/bank", out)
+
+
 def _level_sums(dig, name, aw, table, x, w, levels):
     """``weighted_level_sums`` of both kinds at each of ``levels``."""
     for kind in ("scaling", "wavelet"):
@@ -564,8 +581,8 @@ def collect(src: Path, sink=None) -> Digest:
 
     dig = Digest(sink)
     for step in (simulated, normal_cdf, specs, batches, basis_index,
-                 filters, wavelet_sums_and_series, off_unit, fits,
-                 replications):
+                 filters, filter_bank, wavelet_sums_and_series, off_unit,
+                 fits, replications):
         step(dig, aw)
     experiment_configs(dig, cli)
     experiments(dig, cli)
