@@ -31,6 +31,9 @@ ESTIMATE_FORMAT_VERSION = "1"
 # responses stay finite past it, and a calibration pilot's noise reaches
 # about 3.5e100.
 _MAX_RESPONSE = 1e120
+# The smallest density floor: a weight, a response over the density, is
+# then at most 1e220 in magnitude, and the sums over it stay finite.
+_MIN_FLOOR = 1e-100
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +41,9 @@ class DesignDensity:
     """Known joint density of the design on the unit cube.
 
     The evaluator maps an (n, d) array of points to the n density values.
-    ``floor`` is the declared lower bound; reciprocal weighting refuses
-    to run if an observed value undercuts it.
+    ``floor`` is the declared lower bound, at least ``_MIN_FLOOR``;
+    reciprocal weighting refuses to run if an observed value undercuts it
+    by more than a relative 1e-12.
     """
 
     dim: int
@@ -48,9 +52,9 @@ class DesignDensity:
 
     def __post_init__(self):
         # Each check is written so that a NaN fails it.
-        if not self.floor > 0:
-            raise ValueError(f"density floor must be positive, "
-                             f"got {self.floor}")
+        if not self.floor >= _MIN_FLOOR:
+            raise ValueError(f"density floor must be positive, at least "
+                             f"{_MIN_FLOOR:g}, got {self.floor}")
         _check_count("dim", self.dim, 1)
         if self.dim > 4:
             raise ValueError(f"dim must be in 1..4, got {self.dim}")
@@ -274,7 +278,7 @@ def _weights(data: Dataset, rho) -> np.ndarray:
     for start in range(0, data.n, _CHUNK):
         stop = start + _CHUNK
         dens = data.density(data.x[start:stop])
-        if float(np.min(dens)) < data.density.floor - 1e-12:
+        if not float(np.min(dens)) >= data.density.floor * (1 - 1e-12):
             raise ValueError(
                 "design density evaluates below its declared floor")
         np.divide(vals[start:stop], dens, out=w[start:stop])

@@ -115,7 +115,11 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
     _charge_budget(reps, n, budget, allow_over)
     rho = scenario.rho_spec()
     groups: dict[tuple, list[tuple[int, int]]] = {}
-    for col, (kind, level, shift, coord) in enumerate(targets):
+    for col, target in enumerate(targets):
+        if not isinstance(target, (tuple, list)) or len(target) != 4:
+            raise ValueError(f"target must be a (kind, level, shift, coord) "
+                             f"tuple, got {target!r}")
+        kind, level, shift, coord = target
         _check_kind(kind)
         _check_index(level, shift)
         _check_coord(coord, process.dim)

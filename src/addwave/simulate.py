@@ -281,9 +281,9 @@ _ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
            9.60896809063285878198E0, 3.36907645100081516050E0)
 _MAXLOG = 7.09782712893383996732E2
 _SQRT1_2 = sqrt(0.5)
-# Rows of ``_ndtr``'s scratch: six of floats or positions, and two that
-# hold complex values.
-_NDTR_ROWS = 8
+# Rows of ``_ndtr``'s scratch: five of floats, and two that hold complex
+# values.
+_NDTR_ROWS = 7
 
 
 def _horner(t, coefs, out, monic=False):
@@ -313,14 +313,11 @@ def _ndtr(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     sqrt(1/2) <= |x| < 1, ``1 - |erf x|`` is exact (Sterbenz) and halving
     is exact, so the reflected form is the same double as ``0.5 + 0.5
     erf(x)``: every |x| < 1 takes that formula.  Only the values with |x|
-    >= 1, about 16% of standard normal values, need erfc; they are held,
-    with their positions, until ``c`` of them have gathered, so that the
-    erfc steps run on as many values at once as the erf steps.  No finite
+    >= 1, about 16% of standard normal values, need erfc; a chunk's run
+    in that chunk, once its erf values are in ``out``.  No finite
     input raises a floating-point warning, and NaN gives NaN.
     """
     c = scratch.shape[1]
-    held, where = scratch[4], scratch[5].view(np.intp)
-    count = 0
     for s in range(0, a.size, c):
         k = min(c, a.size - s)
         x, t, num, den = (row[:k] for row in scratch[:4])
@@ -335,21 +332,15 @@ def _ndtr(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         np.divide(num, den, out=num)
         np.multiply(num, 0.5, out=num)
         np.add(num, 0.5, out=out[s:s + k])
-        if count + tail.size > c:
-            _ndtr_tail(held[:count], where[:count], out, scratch)
-            count = 0
-        end = count + tail.size
-        np.take(x, tail, out=held[count:end])
-        np.add(tail, s, out=where[count:end])
-        count = end
-    if count:
-        _ndtr_tail(held[:count], where[:count], out, scratch)
+        if tail.size:
+            xt = np.take(x, tail, out=scratch[4, :tail.size])
+            _ndtr_tail(xt, np.add(tail, s, out=tail), out, scratch)
 
 
-def _ndtr_tail(xt, where, out, scratch) -> None:
+def _ndtr_tail(xt, at, out, scratch) -> None:
     """``0.5 erfc(|x|)``, reflected for x > 0, for the values ``xt`` of x,
-    all with |x| >= 1, into ``out`` at ``where``; overwrites ``xt`` and
-    scratch rows 1 to 3, 6 and 7.
+    all with |x| >= 1, into ``out`` at the positions ``at``; overwrites
+    ``xt`` and scratch rows 1 to 3, 5 and 6.
 
     ``exp(-x^2)`` is taken in complex128: numpy's float64 ``exp`` is its
     own SIMD kernel and differs from the C library's ``exp`` in the last
@@ -368,7 +359,7 @@ def _ndtr_tail(xt, where, out, scratch) -> None:
         np.minimum(w, 8.0, out=w)
     _horner(w, _ERFC_P, p)
     _horner(w, _ERFC_Q, q, monic=True)
-    e = scratch[6:8].reshape(-1).view(np.complex128)[:k]
+    e = scratch[5:7].reshape(-1).view(np.complex128)[:k]
     np.square(w, out=e.real)
     np.negative(e.real, out=e.real)
     e.imag = 0.0
@@ -383,7 +374,7 @@ def _ndtr_tail(xt, where, out, scratch) -> None:
     np.copysign(p, xt, out=p)
     np.greater(xt, 0.0, out=xt)
     np.subtract(xt, p, out=p)
-    out[where] = p
+    out[at] = p
 
 
 def _erfc_far(z: float) -> float:
@@ -548,12 +539,18 @@ def gen_responses(x: np.ndarray, scenario: ScenarioSpec, seed: int,
 
     Each point's response is the offset plus each coordinate's component
     plus its noise draw, added in that order; the points are taken in
-    chunks of ``_CHUNK`` so that no temporary spans all of them.
+    chunks of ``_CHUNK`` so that no temporary spans all of them.  The
+    points must be finite, and ``seed`` and ``rep`` counts.
     """
+    _check_count("seed", seed, 0)
+    _check_count("rep", rep, 0)
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != scenario.dim:
         raise ValueError(
             f"design must be (n, {scenario.dim}), got {pts.shape}")
+    # Written so that a NaN fails it: min and max propagate NaN.
+    if pts.size and not (-math.inf < pts.min() and pts.max() < math.inf):
+        raise ValueError("design points must be finite")
     n = pts.shape[0]
     components = [scenario.component(c) for c in range(1, scenario.dim + 1)]
     half = scenario.noise_halfwidth
@@ -685,8 +682,16 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
     process = process_from_config(
         {k: v for k, v in proc.items() if k not in ("dim", "seed")},
         proc["dim"], seed=0)
-    data = Dataset(y=np.asarray(payload["y"], dtype=float),
-                   x=np.asarray(payload["x"], dtype=float),
-                   density=process.density)
+    arrays = {}
+    for field, form in (("y", "a list of numbers"),
+                        ("x", "a list of equal-length rows of numbers")):
+        try:
+            value = np.asarray(payload[field])
+        except ValueError:  # ragged rows
+            value = np.array(None)
+        if value.dtype.kind not in "iuf":
+            raise ValueError(f"dataset field {field!r} must be {form}")
+        arrays[field] = value
+    data = Dataset(**arrays, density=process.density)
     meta = {k: payload[k] for k in payload if k not in ("y", "x")}
     return data, meta

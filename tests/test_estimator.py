@@ -342,6 +342,31 @@ def test_weights_by_chunk_match_whole_array():
         _weights(Dataset(y=rng.random(n), x=x, density=dips), RHO)
 
 
+def test_density_floor_is_enforced_however_small():
+    # A floor of 1e-300 was never enforced against an absolute slack of
+    # 1e-12: a point at 1e-310 gave an infinite weight.  Such a floor is
+    # now refused by name, and the slack is relative.
+    def ramp(p):
+        return 2.0 * p[:, 0]
+
+    with pytest.raises(ValueError, match="floor must be positive, at least "
+                                         "1e-100, got 1e-300"):
+        DesignDensity(1, ramp, 1e-300)
+    lowest = DesignDensity(1, ramp, 1e-100)
+    for point in (1e-310, 1e-200, 0.5e-100 * (1 - 1e-11)):
+        data = Dataset(y=np.ones(2), x=np.array([[0.5], [point]]),
+                       density=lowest)
+        with pytest.raises(ValueError, match="below its declared floor"):
+            _weights(data, RHO)
+    # At the floor, the largest response's weight is finite, and so is
+    # the fit.
+    data = Dataset(y=np.full(64, 1e120), x=np.full((64, 1), 0.5e-100),
+                   density=lowest)
+    assert np.array_equal(_weights(data, RHO), np.full(64, 1e120 / 1e-100))
+    fit = fit_component(data, RHO, DB2)
+    assert np.isfinite(fit.a_hat).all() and np.isfinite(fit.mu_hat)
+
+
 def test_fit_zero_responses_is_exactly_zero():
     data = _uniform_data(1024, y=np.zeros(1024))
     fit = fit_component(data, RHO, DB2)

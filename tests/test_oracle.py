@@ -234,7 +234,21 @@ _REFUSED = (
         **{"true_value": 0.0, "mean_hat": 0.0, "var_hat": 1.0,
            "m4_hat": 3.0, name: bad}))
       for name in ("true_value", "mean_hat", "var_hat", "m4_hat")
-      for bad in (math.nan, math.inf, True)))
+      for bad in (math.nan, math.inf, True)),
+    # Draws are keyed by counts, and responses need finite points.
+    (_COUNT % ("seed", 0), lambda: gen_responses(_DATA.x, NOISY, -1)),
+    (_COUNT % ("rep", 0), lambda: gen_responses(_DATA.x, NOISY, 0, rep=0.5)),
+    ("design points must be", lambda: gen_responses(
+        np.array([[0.5, np.nan]]), NOISY, 0)),
+    ("design points must be", lambda: gen_responses(
+        np.array([[np.inf, 0.5]]), QUIET, 0)),
+    # A target is a (kind, level, shift, coord) tuple, refused whole.
+    ("target", lambda: replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 0)],
+                                        n=64, reps=2)),
+    ("target", lambda: replicate_coeffs(IID, NOISY, DB2,
+                                        [("wavelet", 2, 0, 1), 3],
+                                        n=64, reps=2)),
+)
 
 
 @pytest.fixture

@@ -360,7 +360,7 @@ def test_ndtr_matches_scipy_bit_for_bit():
         assert not column.flags.contiguous
         inplace = a.copy()
         assert np.array_equal(_ndtr_bits(inplace, inplace), expect)
-    # Short chunks: the erfc values held across chunks are flushed often.
+    # Short chunks: many chunks, each finishing its own erfc tail.
     a = draws[0][:2 ** 16]
     assert np.array_equal(_ndtr_bits(a, np.empty_like(a), chunk=777),
                           ndtr(a).view(np.int64))
@@ -368,6 +368,26 @@ def test_ndtr_matches_scipy_bit_for_bit():
     simulate._ndtr(np.array([np.nan, 1.0, -np.nan]), out,
                    np.empty((simulate._NDTR_ROWS, 3)))
     assert np.isnan(out[[0, 2]]).all() and out[1] == ndtr(1.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 777, _CHUNK])
+def test_ndtr_tail_runs_in_the_chunk_that_found_it(chunk):
+    # Chunk by chunk: every value in the erfc tail (|a| >= sqrt 2), none,
+    # then tail values at a chunk's first and last index only.  Each chunk
+    # finishes its own tail, into contiguous, strided and in-place out.
+    rng = np.random.default_rng(30)
+    sign = np.where(rng.random(chunk) < 0.5, -1.0, 1.0)
+    tail = sign * rng.uniform(math.sqrt(2.0), 9.0, chunk)
+    body = rng.uniform(-1.4, 1.4, chunk)
+    edges = body.copy()
+    edges[[0, -1]] = [-3.5, 12.0] if chunk > 1 else [2.5]
+    a = np.concatenate([tail, body, edges, body[:chunk // 2 + 1]])
+    expect = ndtr(a).view(np.int64)
+    assert np.array_equal(_ndtr_bits(a, np.empty_like(a), chunk), expect)
+    column = np.zeros((a.size, 2))[:, 1]
+    assert np.array_equal(_ndtr_bits(a, column, chunk), expect)
+    inplace = a.copy()
+    assert np.array_equal(_ndtr_bits(inplace, inplace, chunk), expect)
 
 
 README_SWEEP = {"scenario": {"components": ["sine", "bump"], "mu": 0.3,
@@ -527,4 +547,19 @@ def test_read_dataset_json_names_missing_fields(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"y": [0.0], "x": [[0.5]]}))
     with pytest.raises(ValueError, match="'process'"):
+        read_dataset_json(path)
+
+
+@pytest.mark.parametrize("y, x, field", [
+    ([0.0, 1.0], [[0.5], [0.25, 0.75]], "'x' must be a list of equal-length"),
+    ([0.0, "abc"], [[0.5], [0.25]], "'y' must be a list of numbers"),
+    ([0.0, "1.5"], [[0.5], [0.25]], "'y' must be a list of numbers"),
+    ([0.0, None], [[0.5], [0.25]], "'y' must be a list of numbers"),
+    ([0.0, 1.0], [[0.5], ["0.25"]], "'x' must be a list of equal-length")],
+    ids=["x-ragged", "y-str", "y-numeric-str", "y-null", "x-str"])
+def test_read_dataset_json_names_malformed_arrays(tmp_path, y, x, field):
+    # Each used to fail in numpy's words, or to read a string as a number.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"process": {"dim": 1}, "y": y, "x": x}))
+    with pytest.raises(ValueError, match=f"^dataset field {field}"):
         read_dataset_json(path)

@@ -23,8 +23,10 @@ the sum of the points' values, so a move of a few 1e-16 is rounding.
 The parts: simulated datasets (i.i.d., AR and AR + FGM processes, dims 1
 to 4, sizes on both sides of the simulator's and the stencil's chunk
 edges, with and without noise); the normal CDF on edge values and 2^16
-fixed draws (``simulate/ndtr``), so that a numpy whose complex ``exp``
-moves shows there first; the stored fields of directly built process and
+fixed draws, and on a chunk of erfc-tail values only followed by a chunk
+with none, at chunks of ``_CHUNK`` and of 777 values (``simulate/ndtr``),
+so that a numpy whose complex ``exp`` moves, or a change to the tail,
+shows there first; the stored fields of directly built process and
 scenario specs and the error text of refused ones, some with two faults
 so that the order of the checks shows, and the errors of draws asked for
 with a size or replication that is not an integer (``simulate/specs``);
@@ -156,14 +158,23 @@ def simulated(dig, aw):
 
 
 def normal_cdf(dig, aw):
-    """The simulator's normal CDF on edge values and 2^16 fixed draws."""
+    """The simulator's normal CDF on edge values and 2^16 fixed draws, then
+    on a chunk of erfc-tail values only (|a| >= sqrt 2) followed by a chunk
+    with none, at chunks of ``_CHUNK`` and of 777 values."""
     edges = [0.0, 1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), 38.0, 40.0, np.inf]
-    a = np.concatenate([edges, np.negative(edges),
-                        np.random.default_rng(14).standard_normal(2 ** 16)])
+    rng = np.random.default_rng(14)
     sim = aw.simulate
-    out = np.empty_like(a)
-    sim._ndtr(a, out, np.empty((sim._NDTR_ROWS, sim._CHUNK)))
-    dig.array("simulate/ndtr", out)
+    inputs = [(np.concatenate([edges, np.negative(edges),
+                               rng.standard_normal(2 ** 16)]), sim._CHUNK)]
+    for chunk in (sim._CHUNK, 777):
+        sign = np.where(rng.random(chunk) < 0.5, -1.0, 1.0)
+        inputs.append((np.concatenate([
+            sign * rng.uniform(np.sqrt(2.0), 12.0, chunk),
+            rng.uniform(-1.4, 1.4, chunk)]), chunk))
+    for a, chunk in inputs:
+        out = np.empty_like(a)
+        sim._ndtr(a, out, np.empty((sim._NDTR_ROWS, chunk)))
+        dig.array("simulate/ndtr", out)
 
 
 NAN, INF = float("nan"), float("inf")
