@@ -313,8 +313,8 @@ def _ndtr(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     sqrt(1/2) <= |x| < 1, ``1 - |erf x|`` is exact (Sterbenz) and halving
     is exact, so the reflected form is the same double as ``0.5 + 0.5
     erf(x)``: every |x| < 1 takes that formula.  Only the values with |x|
-    >= 1, about 16% of standard normal values, need erfc; a chunk's run
-    in that chunk, once its erf values are in ``out``.  No finite
+    >= 1, about 16% of standard normal values, need erfc; each chunk's
+    tail runs in that chunk, once its erf values are in ``out``.  No finite
     input raises a floating-point warning, and NaN gives NaN.
     """
     c = scratch.shape[1]
