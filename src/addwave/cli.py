@@ -21,22 +21,25 @@ import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
+from ._rules import (_check_choice, _check_count, _check_number,
+                     _check_span, _check_type, _is_integer, _json_object,
+                     _optional, _shown, check_fields)
 from .estimator import (EstimatorConfig, eval_estimate, fit_component,
                         identity_rho, ise, max_detail_level, threshold_scale)
 from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
                      calibrate_threshold, rate_fit)
-from .simulate import (dataset_meta, process_from_config, read_dataset_json,
+from .simulate import (_PROCESS_KEYS, _SCENARIO_FIELDS, dataset_meta,
+                       process_from_config, read_dataset_json,
                        scenario_from_config, simulate_dataset,
                        simulate_datasets, write_dataset_csv,
                        write_dataset_json)
-from .wavelet import (_check_depth, _config_number, _is_integer,
-                      _json_object, _shown, basis_diagnostics, cascade_table,
-                      make_family)
+from .wavelet import (_check_depth, _check_family, basis_diagnostics,
+                      cascade_table, make_family)
 
 REPORT_FORMAT_VERSION = "1"
 WORKERS_ENV = "ADDWAVE_WORKERS"
@@ -46,6 +49,19 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_INTERRUPTED = 130
+
+
+def _n_grid(name: str, value) -> tuple:
+    """Sample sizes: a non-empty list of integers >= 2, strictly
+    increasing, as a tuple of ints."""
+    if (not isinstance(value, (list, tuple)) or not value
+            or not all(_is_integer(n) and n >= 2 for n in value)):
+        raise ValueError(f"{name} must be a list of integers >= 2, "
+                         f"got {_shown(value)}")
+    if any(b <= a for a, b in zip(value, value[1:])):
+        raise ValueError(f"{name} must be strictly increasing, "
+                         f"got {_shown(value)}")
+    return tuple(map(int, value))
 
 
 @dataclass(frozen=True)
@@ -74,62 +90,30 @@ class ExperimentConfig:
     allow_over_budget: bool = False
     self_test_exponent: float | None = None
 
+    _FIELD_RULES = (
+        ("n_grid", _n_grid), ("reps", partial(_check_count, low=1)),
+        ("kappa_mode", partial(_check_choice,
+                               choices=("fixed", "calibrated"))),
+        ("aggregate", partial(_check_choice, choices=("mean", "median"))),
+        ("master_seed", _check_count),
+        ("scenario", partial(_json_object, keys=tuple(_SCENARIO_FIELDS))),
+        ("process", partial(_json_object, keys=_PROCESS_KEYS)),
+        ("family_r", _check_family),
+        ("depth", _check_depth), ("coord", partial(_check_count, low=1)),
+        ("budget", _check_count),
+        (("kappa", "kappa_value"), partial(_check_number, low=0.0)),
+        # A rate: a negative one overflows the planted series.
+        ("self_test_exponent", _optional(partial(_check_number, low=0.0))),
+        ("allow_over_budget", partial(_check_type, kind=bool)),
+        ("output_dir", _optional(partial(_check_type, kind=str))))
+
     def __post_init__(self):
         # Every field is checked here, before any cell runs, for parsed,
         # direct and ``replace``d configs (command-line overrides) alike;
-        # the bounds of the family, table and scenario are reused.
-        n_grid = self.n_grid
-        if (not isinstance(n_grid, (list, tuple)) or not n_grid
-                or not all(_is_integer(n) and n >= 2 for n in n_grid)):
-            raise ValueError(
-                "experiment field 'n_grid' must be a list of integers >= 2")
-        if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-            raise ValueError(
-                "experiment field 'n_grid' must be strictly increasing")
-        object.__setattr__(self, "n_grid", tuple(map(int, n_grid)))
-        if not _is_integer(self.reps) or self.reps < 1:
-            raise ValueError("experiment field 'reps' must be an integer >= 1")
-        if self.kappa_mode not in ("fixed", "calibrated"):
-            raise ValueError("experiment field 'kappa_mode' must be 'fixed' "
-                             "or 'calibrated'")
-        if self.aggregate not in ("mean", "median"):
-            raise ValueError(
-                "experiment field 'aggregate' must be 'mean' or 'median'")
-        for name in ("reps", "master_seed", "family_r", "depth", "coord",
-                     "budget"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"experiment field {name!r} must be an "
-                                 f"integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.master_seed < 0:
-            raise ValueError(f"experiment field 'master_seed' must be >= 0, "
-                             f"got {self.master_seed}")
+        # the specs then check the scenario and process blocks' values.
+        check_fields(self, "experiment", self._FIELD_RULES)
         scenario, _ = self.specs
-        for name, check in (("family_r", make_family),
-                            ("depth", _check_depth),
-                            ("coord", scenario.component)):
-            try:
-                check(getattr(self, name))
-            except ValueError as exc:
-                raise ValueError(f"experiment field {name!r}: {exc}") from None
-        # Normalised to floats here, so a ``--kappa`` override is checked
-        # as a config value is.
-        object.__setattr__(self, "kappa_value", _config_number(
-            self.kappa_value, "experiment field 'kappa'", low=0.0))
-        if self.self_test_exponent is not None:
-            # A rate: a negative one overflows the planted series.
-            object.__setattr__(self, "self_test_exponent", _config_number(
-                self.self_test_exponent,
-                "experiment field 'self_test_exponent'", low=0.0))
-        if not isinstance(self.allow_over_budget, bool):
-            raise ValueError(f"experiment field 'allow_over_budget' must be "
-                             f"true or false, got "
-                             f"{_shown(self.allow_over_budget)}")
-        if self.output_dir is not None and not isinstance(self.output_dir,
-                                                          str):
-            raise ValueError(f"experiment field 'output_dir' must be a "
-                             f"string, got {_shown(self.output_dir)}")
+        _check_span("experiment field 'coord'", self.coord, 1, scenario.dim)
 
     @cached_property
     def specs(self) -> tuple:
@@ -158,9 +142,7 @@ _CONFIG_FIELDS = {("kappa" if f.name == "kappa_value" else f.name): f
 def parse_experiment_config(payload: dict) -> ExperimentConfig:
     """Validate a declarative config, naming each offending field: the keys
     here, every value and default in ``ExperimentConfig``."""
-    if not isinstance(payload, dict):
-        raise ValueError("experiment config must be a JSON object")
-    _json_object(payload, "experiment config", tuple(_CONFIG_FIELDS))
+    _json_object("experiment config", payload, tuple(_CONFIG_FIELDS))
     for key, field in _CONFIG_FIELDS.items():
         if field.default is MISSING and key not in payload:
             raise ValueError(f"experiment config is missing field {key!r}")

@@ -21,10 +21,11 @@ from functools import partial
 
 import numpy as np
 
+from ._rules import (_check_callable, _check_count, _check_dim,
+                     _check_number, _check_span, _check_type, _json_object,
+                     check_fields)
 from .wavelet import (_CHUNK, _MAX_LEVEL, BasisTable, _analysis_step,
-                      _check_coord, _check_count, _config_number,
-                      _json_object, _shown, _synthesis_step, evaluate_series,
-                      weighted_level_sums)
+                      _synthesis_step, evaluate_series, weighted_level_sums)
 
 ESTIMATE_FORMAT_VERSION = "1"
 # The largest response magnitude a dataset may hold: sums and squares of
@@ -50,14 +51,11 @@ class DesignDensity:
     evaluator: object
     floor: float
 
+    _FIELD_RULES = (("floor", partial(_check_number, low=_MIN_FLOOR)),
+                    ("dim", _check_dim), ("evaluator", _check_callable))
+
     def __post_init__(self):
-        # Each check is written so that a NaN fails it.
-        if not self.floor >= _MIN_FLOOR:
-            raise ValueError(f"density floor must be positive, at least "
-                             f"{_MIN_FLOOR:g}, got {self.floor}")
-        _check_count("dim", self.dim, 1)
-        if self.dim > 4:
-            raise ValueError(f"dim must be in 1..4, got {self.dim}")
+        check_fields(self, "DesignDensity", self._FIELD_RULES)
         # One midpoint grid of 4096 points: a side of 4096, 64, 16 or 8.
         side = round(4096 ** (1 / self.dim))
         axes = np.meshgrid(*[(np.arange(side) + 0.5) / side] * self.dim,
@@ -118,7 +116,7 @@ class Dataset:
 
     def column(self, coord: int) -> np.ndarray:
         """Design values of the 1-based coordinate ``coord``."""
-        _check_coord(coord, self.dim)
+        _check_span("coord", coord, 1, self.dim)
         return self.x[:, coord - 1]
 
 
@@ -129,10 +127,17 @@ class EstimatorConfig:
     coord: int = 1
     threshold_const: float = 1.0
 
+    _FIELD_RULES = (("coord", partial(_check_count, low=1)),
+                    ("threshold_const", partial(_check_number, low=0.0)))
+
     def __post_init__(self):
-        _check_count("coord", self.coord, 1)
-        object.__setattr__(self, "threshold_const", _config_number(
-            self.threshold_const, "threshold_const", low=0.0))
+        check_fields(self, "EstimatorConfig", self._FIELD_RULES)
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """A JSON list of numbers, each by the number rule, as an array."""
+    return np.array([_check_number(name, v)
+                     for v in _check_type(name, value, list)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +158,13 @@ class ComponentEstimate:
     a_hat: np.ndarray
     detail_values: list = field(default_factory=list)
     detail_kept: list = field(default_factory=list)
+
+    # The fields ``from_json`` reads after ``levels``, which holds the
+    # detail values and flags.
+    _FIELD_RULES = (("mu_hat", _check_number), ("tau", _check_count),
+                    ("j1", _check_count), ("lambda_n", _check_number),
+                    ("kappa", _check_number), ("a_hat", _numbers))
+    _CROSS_FIELDS = ("detail_values", "detail_kept")
 
     def levels(self) -> range:
         return range(self.tau, self.j1 + 1)
@@ -184,31 +196,23 @@ class ComponentEstimate:
         """The estimate ``to_json`` wrote; JSON that is not an object, a
         missing or mistyped field, and a field whose length or index does
         not match ``tau`` and ``j1``, raise ``ValueError`` naming it."""
-        payload = _json_object(json.loads(text), "estimate")
+        payload = _json_object("estimate", json.loads(text))
         values, kept, levels = [], [], []
-        for entry in _estimate_field(payload, "levels", list):
-            entry = _json_object(entry, "levels entry")
-            coeffs = [_json_object(c, "coeffs entry")
-                      for c in _estimate_field(entry, "coeffs", list)]
-            coeffs.sort(key=lambda c: _estimate_field(c, "k", int))
-            values.append(np.array([_estimate_field(c, "value", float)
+        for entry in _estimate_field(payload, "levels", _LIST):
+            entry = _json_object("estimate field 'levels entry'", entry)
+            coeffs = [_json_object("estimate field 'coeffs entry'", c)
+                      for c in _estimate_field(entry, "coeffs", _LIST)]
+            coeffs.sort(key=lambda c: _estimate_field(c, "k", _check_count))
+            values.append(np.array([_estimate_field(c, "value", _check_number)
                                     for c in coeffs]))
-            kept.append(np.array([_estimate_field(c, "kept", bool)
+            kept.append(np.array([_estimate_field(c, "kept", _BOOL)
                                   for c in coeffs]))
-            levels.append((_estimate_field(entry, "j", int),
+            levels.append((_estimate_field(entry, "j", _check_count),
                            [c["k"] for c in coeffs]))
         estimate = ComponentEstimate(
-            mu_hat=_estimate_field(payload, "mu_hat", float),
-            tau=_estimate_field(payload, "tau", int),
-            j1=_estimate_field(payload, "j1", int),
-            lambda_n=_estimate_field(payload, "lambda_n", float),
-            kappa=_estimate_field(payload, "kappa", float),
-            a_hat=np.array([_config_number(v, "estimate field 'a_hat'")
-                            for v in _estimate_field(payload, "a_hat",
-                                                     list)]),
-            detail_values=values,
-            detail_kept=kept,
-        )
+            detail_values=values, detail_kept=kept,
+            **{key: _estimate_field(payload, key, rule)
+               for key, rule in ComponentEstimate._FIELD_RULES})
         tau, size = estimate.tau, estimate.a_hat.size
         if tau > _MAX_LEVEL or size != 2 ** tau:
             raise ValueError(f"estimate field 'a_hat' must hold 2**tau "
@@ -227,21 +231,16 @@ class ComponentEstimate:
         return estimate
 
 
-def _estimate_field(obj: dict, key: str, kind: type):
-    """``obj[key]`` of an estimate's JSON as ``kind``: a ``float`` by the
-    number rule, an ``int`` by the count rule from 0, else a value of that
-    type; a ``ValueError`` naming ``key`` if it is missing or mistyped."""
+_LIST = partial(_check_type, kind=list)
+_BOOL = partial(_check_type, kind=bool)
+
+
+def _estimate_field(obj: dict, key: str, rule):
+    """``obj[key]`` of an estimate's JSON as ``rule`` stores it, or a
+    ``ValueError`` naming ``key`` if it is missing."""
     if key not in obj:
         raise ValueError(f"estimate JSON lacks the field {key!r}")
-    value, name = obj[key], f"estimate field {key!r}"
-    if kind is float:
-        return _config_number(value, name)
-    if kind is int:
-        _check_count(name, value, 0)
-    elif not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, "
-                         f"got {_shown(value)}")
-    return value
+    return rule(f"estimate field {key!r}", obj[key])
 
 
 def threshold_scale(n: int) -> float:
@@ -262,6 +261,7 @@ def max_detail_level(n: int, coarsest: int) -> int:
 
 def estimate_mean(data: Dataset, rho) -> float:
     """Average of the transformed responses."""
+    _check_callable("rho", rho)
     if data.n == 0:
         raise ValueError("empty dataset")
     vals = rho(data.y)
@@ -273,7 +273,7 @@ def estimate_mean(data: Dataset, rho) -> float:
 def _weights(data: Dataset, rho) -> np.ndarray:
     """``rho(y) / density(x)``, with the density evaluated ``_CHUNK``
     points at a time so that the result is the one array of length n."""
-    vals = rho(data.y)
+    vals = _check_callable("rho", rho)(data.y)
     w = np.empty(data.n)
     for start in range(0, data.n, _CHUNK):
         stop = start + _CHUNK
@@ -314,6 +314,7 @@ def fit_component(data: Dataset, rho, table: BasisTable,
     coefficient of levels ``tau..j1`` follows from those by the periodic
     filter bank.
     """
+    _check_type("config", config, EstimatorConfig)
     if data.n < 2:
         raise ValueError("need at least two observations")
     x = data.column(config.coord)
@@ -353,7 +354,10 @@ def ise(est: ComponentEstimate, table: BasisTable, truth, grid_size: int = 1024)
     """Integrated squared error against a truth given on the midpoint grid.
 
     ``truth`` may be a callable or an array of length ``grid_size``, an
-    integer of at least 1024.
+    integer of at least 1024.  A fit the package admits reaches about
+    1e220 where responses near 1e120 meet a density near its least floor,
+    and its squared error then overflows: an ISE that is not finite
+    raises ``ValueError``.
     """
     _check_count("grid_size", grid_size, 1024)
     mids = (np.arange(grid_size) + 0.5) / grid_size
@@ -361,4 +365,9 @@ def ise(est: ComponentEstimate, table: BasisTable, truth, grid_size: int = 1024)
     if target.shape != mids.shape:
         raise ValueError("truth grid does not match grid_size")
     fitted = eval_estimate(est, table, mids)
-    return float(np.mean((fitted - target) ** 2))
+    with np.errstate(over="ignore"):
+        err = float(np.mean((fitted - target) ** 2))
+    if not math.isfinite(err):
+        raise ValueError(f"ise must be finite, got {err}: the squared errors "
+                         f"overflow, or the truth is not finite")
+    return err

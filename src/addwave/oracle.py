@@ -13,14 +13,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
+from ._rules import (_check_choice, _check_count, _check_number,
+                     _check_span, _is_integer, check_fields)
 from .estimator import _weights, max_detail_level, threshold_scale
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
-from .wavelet import (BasisTable, _check_coord, _check_count, _check_index,
-                      _check_kind, _config_number, _is_integer, level_coeffs,
-                      weighted_level_sums)
+from .wavelet import (_KINDS, BasisTable, _check_index, _check_kind,
+                      level_coeffs, weighted_level_sums)
 
 DEFAULT_BUDGET = 1_000_000_000
 
@@ -122,7 +124,7 @@ def replicate_coeffs(process: MixingProcessSpec, scenario: ScenarioSpec,
         kind, level, shift, coord = target
         _check_kind(kind)
         _check_index(level, shift)
-        _check_coord(coord, process.dim)
+        _check_span("coord", coord, 1, process.dim)
         groups.setdefault((kind, level, coord), []).append((col, shift))
     out = np.empty((reps, len(targets)))
     datasets = simulate_datasets(process, scenario, n, rep_start, reps)
@@ -155,17 +157,24 @@ class MomentReport:
     var_hat: float
     m4_hat: float
 
+    _FIELD_RULES = (("reps", partial(_check_count, low=1000)),
+                    ("true_value", _check_number), ("mean_hat", _check_number),
+                    ("var_hat", _check_number), ("m4_hat", _check_number),
+                    ("kind", partial(_check_choice, choices=_KINDS)),
+                    ("coord", partial(_check_count, low=1)),
+                    ("n", partial(_check_count, low=2)))
+    _CROSS_FIELDS = ("level", "shift")
+
     def __post_init__(self):
-        _check_count("reps", self.reps, 1000)
-        for name in ("true_value", "mean_hat", "var_hat", "m4_hat"):
-            object.__setattr__(self, name,
-                               _config_number(getattr(self, name), name))
+        check_fields(self, "MomentReport", self._FIELD_RULES)
+        _check_index(self.level, self.shift)
         if self.var_hat < 0:
-            raise ValueError(f"var_hat must be a variance, not negative, "
-                             f"got {self.var_hat}")
+            raise ValueError(f"MomentReport field 'var_hat' must be a "
+                             f"variance, not negative, got {self.var_hat}")
         if self.m4_hat < self.var_hat ** 2 - 1e-15:
-            raise ValueError(f"m4_hat must be a fourth moment, not below "
-                             f"var_hat**2, got {self.m4_hat}")
+            raise ValueError(f"MomentReport field 'm4_hat' must be a fourth "
+                             f"moment, not below var_hat**2, got "
+                             f"{self.m4_hat}")
 
     def std_error(self) -> float:
         return math.sqrt(self.var_hat / self.reps)
@@ -205,7 +214,7 @@ def tail_frequency(process: MixingProcessSpec, scenario: ScenarioSpec,
     the fit at this n.
     """
     # threshold_scale checks n before the level bound takes its log.
-    cut = _config_number(kappa, "kappa", low=0.0) * threshold_scale(n) / 2.0
+    cut = _check_number("kappa", kappa, low=0.0) * threshold_scale(n) / 2.0
     if 2 ** level > n / math.log(n) ** 3:
         raise ValueError(
             f"level {level} violates 2**level <= n/log(n)**3 at n={n}; "

@@ -37,14 +37,17 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from math import sqrt
 
 import numpy as np
 
+from ._rules import (_check_count, _check_dim, _check_finite,
+                     _check_number, _check_span, _json_object, _shown,
+                     check_fields)
 from .estimator import Dataset, DesignDensity, identity_rho
-from .wavelet import (_CHUNK, _check_coord, _check_count, _config_number,
-                      _is_integer, _json_object, _shown)
+from .wavelet import _CHUNK
 
 _DESIGN_CHANNEL = 0
 _NOISE_CHANNEL = 1
@@ -61,26 +64,18 @@ class MixingProcessSpec:
     copula_theta: float = 0.0
     seed: int = 0
 
+    _FIELD_RULES = (("seed", _check_count), ("dim", _check_dim),
+                    ("ar_coeff", _check_number),
+                    ("copula_theta", _check_number))
+
     def __post_init__(self):
-        # Readers' checks, numbers before ranges; stored as int and float.
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
-        if not _is_integer(self.dim):
-            raise ValueError(
-                f"process has 'dim' {_shown(self.dim)}, not an integer")
-        for name in ("ar_coeff", "copula_theta"):
-            object.__setattr__(self, name, _config_number(
-                getattr(self, name), f"process field {name!r}"))
-        for name in ("seed", "dim"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not 1 <= self.dim <= 4:
-            raise ValueError(f"dim must be in 1..4, got {self.dim}")
+        check_fields(self, "process", self._FIELD_RULES)
         if not 0.0 <= self.ar_coeff < 1.0:
-            raise ValueError(f"ar_coeff must be in [0, 1), got {self.ar_coeff}")
+            raise ValueError(f"process field 'ar_coeff' must be in [0, 1), "
+                             f"got {self.ar_coeff}")
         if not abs(self.copula_theta) < 1.0:
-            raise ValueError(
-                f"copula_theta must be in (-1, 1), got {self.copula_theta}")
+            raise ValueError(f"process field 'copula_theta' must be in "
+                             f"(-1, 1), got {self.copula_theta}")
         if self.copula_theta != 0.0 and self.dim != 2:
             raise ValueError(f"copula dependence (copula_theta "
                              f"{self.copula_theta}) is defined for dim == 2 "
@@ -137,6 +132,16 @@ def test_function(name: str) -> TestFunction:
     return _CATALOG[name]
 
 
+def _components(name: str, value) -> tuple:
+    """A non-empty list of catalog names, as a tuple; the catalog is
+    looked up after every other field of the scenario."""
+    if (not isinstance(value, (list, tuple)) or not value
+            or not all(isinstance(c, str) for c in value)):
+        raise ValueError(f"{name} must be a list of names, "
+                         f"got {_shown(value)}")
+    return tuple(value)
+
+
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Response model: one catalog component per coordinate, offset, noise."""
@@ -145,18 +150,12 @@ class ScenarioSpec:
     offset: float = 0.0
     noise_halfwidth: float = 0.0
 
+    _FIELD_RULES = (("components", _components),
+                    (("mu", "offset"), _check_number),
+                    ("noise_halfwidth", partial(_check_number, low=0.0)))
+
     def __post_init__(self):
-        # Every check of a config's scenario, named by its keys.
-        names = self.components
-        if (not isinstance(names, (list, tuple)) or not names
-                or not all(isinstance(c, str) for c in names)):
-            raise ValueError(
-                "scenario field 'components' must be a list of names")
-        object.__setattr__(self, "components", tuple(names))
-        object.__setattr__(self, "offset", _config_number(
-            self.offset, "scenario field 'mu'"))
-        object.__setattr__(self, "noise_halfwidth", _config_number(
-            self.noise_halfwidth, "scenario field 'noise_halfwidth'", low=0.0))
+        check_fields(self, "scenario", self._FIELD_RULES)
         for name in self.components:
             test_function(name)
 
@@ -165,7 +164,7 @@ class ScenarioSpec:
         return len(self.components)
 
     def component(self, coord: int) -> TestFunction:
-        _check_coord(coord, self.dim)
+        _check_span("coord", coord, 1, self.dim)
         return test_function(self.components[coord - 1])
 
     def response_bound(self) -> float:
@@ -548,9 +547,7 @@ def gen_responses(x: np.ndarray, scenario: ScenarioSpec, seed: int,
     if pts.ndim != 2 or pts.shape[1] != scenario.dim:
         raise ValueError(
             f"design must be (n, {scenario.dim}), got {pts.shape}")
-    # Written so that a NaN fails it: min and max propagate NaN.
-    if pts.size and not (-math.inf < pts.min() and pts.max() < math.inf):
-        raise ValueError("design points must be finite")
+    _check_finite("design points", pts)
     n = pts.shape[0]
     components = [scenario.component(c) for c in range(1, scenario.dim + 1)]
     half = scenario.noise_halfwidth
@@ -610,12 +607,13 @@ def simulate_datasets(process: MixingProcessSpec, scenario: ScenarioSpec,
 _RESPONSE_BOUND = 1e100
 _SCENARIO_FIELDS = {"components": "components", "mu": "offset",
                     "noise_halfwidth": "noise_halfwidth"}
+_PROCESS_KEYS = ("ar_coeff", "copula_theta")
 
 
 def scenario_from_config(cfg: dict) -> ScenarioSpec:
     """Build a scenario from declarative keys, naming any missing or
     malformed field; ``ScenarioSpec`` checks the values."""
-    if "components" not in _json_object(cfg, "scenario",
+    if "components" not in _json_object("scenario", cfg,
                                         tuple(_SCENARIO_FIELDS)):
         raise ValueError("scenario config is missing field 'components'")
     scenario = ScenarioSpec(**{_SCENARIO_FIELDS[key]: value
@@ -632,7 +630,7 @@ def process_from_config(cfg: dict, dim: int, seed: int) -> MixingProcessSpec:
     """Build a design process from declarative keys; the spec checks them."""
     return MixingProcessSpec(
         dim=dim, seed=seed,
-        **_json_object(cfg, "process", ("ar_coeff", "copula_theta")))
+        **_json_object("process", cfg, _PROCESS_KEYS))
 
 
 def dataset_meta(process: MixingProcessSpec, scenario: ScenarioSpec,
@@ -675,7 +673,9 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
     for field in ("process", "y", "x"):
         if field not in payload:
             raise ValueError(f"dataset file is missing field {field!r}")
-    proc = _json_object(payload["process"], "process")
+    proc = _json_object("dataset field 'process'", payload["process"])
+    if "scenario" in payload:
+        _json_object("dataset field 'scenario'", payload["scenario"])
     if "dim" not in proc:
         raise ValueError("dataset field 'process' is missing 'dim'")
     # The block also records the seed the data came from.
@@ -689,7 +689,13 @@ def read_dataset_json(path) -> tuple[Dataset, dict]:
             value = np.asarray(payload[field])
         except ValueError:  # ragged rows
             value = np.array(None)
-        if value.dtype.kind not in "iuf":
+        # numpy reads a bool among numbers as one, so each entry's type is
+        # looked at.
+        entries = payload[field]
+        for _ in range(value.ndim - 1):
+            entries = chain.from_iterable(entries)
+        if value.dtype.kind not in "iuf" or (value.ndim
+                                             and bool in map(type, entries)):
             raise ValueError(f"dataset field {field!r} must be {form}")
         arrays[field] = value
     data = Dataset(**arrays, density=process.density)

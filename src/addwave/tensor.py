@@ -15,10 +15,9 @@ from itertools import product
 
 import numpy as np
 
-from .wavelet import (BasisTable, _check_coord, _check_count, _check_index,
-                      _check_kind, eval_periodized)
+from ._rules import _MAX_DIM, _check_dim, _check_span
+from .wavelet import BasisTable, _check_index, _check_kind, eval_periodized
 
-_MAX_DIM = 4
 _MAX_LITERAL_TERMS = 2 ** 20
 
 
@@ -30,12 +29,8 @@ def direction_coords(dim: int, direction: int) -> tuple[int, ...]:
     subsets of two or more coordinates, ordered by their binary mask
     (bit v-1 set means coordinate v is included).
     """
-    _check_count("dim", dim, 1)
-    if dim > _MAX_DIM:
-        raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
-    _check_count("direction", direction, 0)
-    if direction >= 2 ** dim:
-        raise ValueError(f"direction must be in 0..{2 ** dim - 1}, got {direction}")
+    _check_dim("dim", dim)
+    _check_span("direction", direction, 0, 2 ** dim - 1)
     if direction == 0:
         return ()
     if direction <= dim:
@@ -134,10 +129,8 @@ def collapsed_sum(table: BasisTable, kind: str, level: int, shift: int,
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 1
     pts = xa[None, :] if scalar else xa
-    dim = pts.shape[-1]
-    if not 1 <= dim <= _MAX_DIM:
-        raise ValueError(f"dim must be in 1..{_MAX_DIM}, got {dim}")
-    _check_coord(coord, dim)
+    dim = _check_dim("dim", pts.shape[-1])
+    _check_span("coord", coord, 1, dim)
     _check_kind(kind)
     _check_index(level, shift)
     if literal:
@@ -169,7 +162,7 @@ def tensor_coeff(table: BasisTable, values: np.ndarray, kind: str, level: int,
     _check_index(level, shift)
     g = np.asarray(values, dtype=float)
     dim = g.ndim
-    _check_coord(coord, dim)
+    _check_span("coord", coord, 1, dim)
     m = g.shape[coord - 1]
     if m < 2 ** (level + 4):
         raise ValueError(

@@ -46,12 +46,13 @@ read from its offset on, with wrap-around, and added into the shifts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil, comb, isfinite, log2
+from math import ceil, comb, log2
 
 import numpy as np
+
+from ._rules import _check_choice, _check_finite, _check_span, _check_type
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -70,57 +71,7 @@ _MAX_LEVEL = 24
 # analysis plus synthesis at n = 2**20 and for simulation at n = 2**16.
 _CHUNK = 2 ** 14
 
-_INTEGER_TYPES = (int, np.integer)
-
-
-def _is_integer(value) -> bool:
-    """An ``int`` or numpy integer, not a bool: the package's integer rule."""
-    return isinstance(value, _INTEGER_TYPES) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value, low: int) -> None:
-    """The package's count rule: ``value`` is an integer >= ``low``."""
-    if not (_is_integer(value) and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _config_number(value, name: str, low: float | None = None) -> float:
-    """The package's number rule: ``value`` as a float if it is a finite
-    real number (Python or numpy), not a bool, of at least ``low``; else a
-    ``ValueError`` that starts with ``name``."""
-    number = float("nan")
-    if (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool)):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not isfinite(number):
-        raise ValueError(f"{name} must be a finite number, "
-                         f"got {_shown(value)}")
-    if low is not None and number < low:
-        raise ValueError(f"{name} must be >= {low}, got {number}")
-    return number
-
-
-def _shown(value) -> str:
-    """``value`` in an error message: as JSON, cut to 40 characters; a
-    value JSON has no form for (a numpy scalar) as its quoted ``repr``."""
-    return json.dumps(value, default=repr)[:40]
-
-
-def _json_object(value, field: str, keys: tuple | None = None) -> dict:
-    """``value`` if it is a JSON object with no key outside ``keys``
-    (when given), else a ``ValueError`` that names ``field`` or the first
-    unknown key."""
-    if not isinstance(value, dict):
-        raise ValueError(f"field {field!r} must be a JSON object, "
-                         f"got {_shown(value)}")
-    unknown = [key for key in value if keys is not None and key not in keys]
-    if unknown:
-        raise ValueError(f"{field} has unknown key {unknown[0]!r}; known "
-                         f"keys: {', '.join(keys)}")
-    return value
+_KINDS = ("scaling", "wavelet")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,12 +147,7 @@ def make_family(vanishing_moments: int) -> WaveletFamily:
     minimum-phase branch, which reproduces the standard published
     coefficients.  Every filter is orthonormal to a few 1e-15.
     """
-    if not _is_integer(vanishing_moments):
-        raise ValueError(f"vanishing_moments must be an integer, "
-                         f"got {vanishing_moments!r}")
-    r = int(vanishing_moments)
-    if not 1 <= r <= 10:
-        raise ValueError(f"vanishing_moments must be in 1..10, got {r}")
+    r = _check_family("vanishing_moments", vanishing_moments)
     taps = _daubechies_taps(r)
     # sum_l h[l] h[l + 2s] for s = 0, 1, ...: one at s = 0, else zero.
     shifted = np.correlate(taps, taps, "full")[taps.size - 1::2]
@@ -209,6 +155,11 @@ def make_family(vanishing_moments: int) -> WaveletFamily:
     if abs(taps.sum() - SQRT2) > 1e-13 or np.max(np.abs(shifted)) > 1e-13:
         raise RuntimeError("filter construction failed its defining identities")
     return WaveletFamily(vanishing_moments=r, low_pass=taps)
+
+
+def _check_family(name: str, value) -> int:
+    """The family rule: vanishing moments in 1..10."""
+    return _check_span(name, value, 1, 10)
 
 
 def _daubechies_taps(r: int) -> np.ndarray:
@@ -233,7 +184,8 @@ def _daubechies_taps(r: int) -> np.ndarray:
 
 def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
     """Tabulate the scaling function and wavelet at grid step ``2**-depth``."""
-    _check_depth(depth)
+    _check_type("family", family, WaveletFamily)
+    _check_depth("depth", depth)
     phi = _scaling_samples(family.low_pass, depth)
     psi = _two_scale(family.high_pass, phi, 2 * np.arange(phi.size),
                      2 ** depth)
@@ -248,9 +200,9 @@ def cascade_table(family: WaveletFamily, depth: int = 12) -> BasisTable:
     return table
 
 
-def _check_depth(depth: int) -> None:
-    if not (_is_integer(depth) and _MIN_DEPTH <= depth <= _MAX_DEPTH):
-        raise ValueError(f"depth must be in {_MIN_DEPTH}..{_MAX_DEPTH}, got {depth}")
+def _check_depth(name: str, value) -> int:
+    """The depth rule: a table depth in 6..16."""
+    return _check_span(name, value, _MIN_DEPTH, _MAX_DEPTH)
 
 
 def _scaling_samples(taps: np.ndarray, depth: int) -> np.ndarray:
@@ -413,8 +365,7 @@ def eval_periodized(table: BasisTable, kind: str, level: int, shift: int, x):
     _check_kind(kind)
     _check_index(level, shift)
     xa = np.asarray(x, dtype=float)
-    if not np.isfinite(xa).all():
-        raise ValueError("points must be finite")
+    _check_finite("points", xa)
     scalar = xa.ndim == 0
     period = 2 ** level
     u = np.mod(2.0 ** level * xa - shift, period)
@@ -429,25 +380,15 @@ def eval_periodized(table: BasisTable, kind: str, level: int, shift: int, x):
 
 
 def _check_kind(kind: str) -> None:
-    if kind not in ("scaling", "wavelet"):
-        raise ValueError(f"kind must be 'scaling' or 'wavelet', got {kind!r}")
+    _check_choice("kind", kind, _KINDS)
 
 
 def _check_index(level: int, shift: int) -> None:
-    """The package's index rule: integers 0 <= level <= ``_MAX_LEVEL``,
-    0 <= shift < 2**level."""
-    _check_count("level", level, 0)
-    if level > _MAX_LEVEL:
-        raise ValueError(f"level must be <= {_MAX_LEVEL}, got {level}")
-    if not (_is_integer(shift) and 0 <= shift < 2 ** level):
-        raise ValueError(f"shift must be in 0..{2 ** level - 1}, got {shift}")
-
-
-def _check_coord(coord: int, dim: int) -> None:
-    """The package's coord rule: an integer in 1..dim."""
-    if not (_is_integer(coord) and 1 <= coord <= dim):
-        raise ValueError(f"coord {coord} is out of range for a "
-                         f"{dim}-dimensional design")
+    """The index rule: integers 0 <= level <= ``_MAX_LEVEL``, checked
+    before any array of ``2**level`` shifts is made, and 0 <= shift <
+    2**level."""
+    _check_span("level", level, 0, _MAX_LEVEL)
+    _check_span("shift", shift, 0, 2 ** level - 1)
 
 
 def _check_cells(floors: np.ndarray, level: int, depth: int) -> None:
@@ -473,7 +414,9 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
     scattered into one row of cells per support offset, and each row,
     read from its offset on with wrap-around, is then added into the
     shifts, offset by offset.  A point that is not finite, or whose table
-    position overflows int64, raises ``ValueError``.
+    position overflows int64, and a weight that is not finite raise
+    ``ValueError``; each chunk's weights are checked at its first offset,
+    while they are in L2.
     """
     _check_kind(kind)
     _check_index(level, 0)
@@ -489,6 +432,8 @@ def weighted_level_sums(table: BasisTable, kind: str, level: int,
     # n_shifts)``.
     rows = np.zeros((table.family.support_length, n_shifts))
     for start, cell, offset, vals in _stencil(table, kind, level, xa):
+        if not offset:
+            _check_finite("weights", w[start:start + vals.size])
         np.multiply(w[start:start + vals.size], vals, out=vals)
         np.add.at(rows[offset], cell, vals)
     acc = np.zeros(n_shifts)
@@ -528,14 +473,15 @@ def level_coeffs(table: BasisTable, kind: str, level: int,
                  values: np.ndarray) -> np.ndarray:
     """All coefficients of one level against midpoint samples of a function.
 
-    ``values[i]`` holds the function at ``(i + 0.5) / len(values)``; the
-    coefficient is the midpoint-rule integral of the function against each
-    basis element.
+    ``values[i]`` holds the function at ``(i + 0.5) / len(values)``, at
+    least one finite sample; the coefficient is the midpoint-rule integral
+    of the function against each basis element.
     """
     v = np.asarray(values, dtype=float)
     m = v.size
     if m == 0:
         raise ValueError("values must hold at least one sample")
+    _check_finite("values", v)
     mids = (np.arange(m) + 0.5) / m
     return weighted_level_sums(table, kind, level, mids, v) / m
 
@@ -545,7 +491,8 @@ def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
     """``offset`` plus the scaling series ``sum_k coeffs[k] *
     phi_(level, k)`` at points ``x``, of any shape or a scalar: the gather
     twin of ``weighted_level_sums``.  A point that is not finite, or
-    whose table position overflows int64, raises ``ValueError``.
+    whose table position overflows int64, and a coefficient that is not
+    finite raise ``ValueError``.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xa.shape, float(offset))
@@ -556,6 +503,7 @@ def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
     n_shifts = 2 ** level
     if coeffs.size != n_shifts:
         raise ValueError(f"level {level} expects {n_shifts} coefficients")
+    _check_finite("coefficients", coeffs)
     # rolled[off][cell] is scale * coeffs[(cell - off) % n_shifts].
     scaled = 2.0 ** (level / 2.0) * coeffs
     rolled = [scaled.take(np.arange(-off, n_shifts - off), mode="wrap")

@@ -464,7 +464,7 @@ def test_estimate_command_outputs(tmp_path, capsys):
 
     assert main(["estimate", "--dataset", str(ds_path), "--coord", "3",
                  "--output", str(out_dir)]) == EXIT_USAGE
-    assert "out of range" in capsys.readouterr().err
+    assert "coord must be an integer in 1..2, got 3" in capsys.readouterr().err
 
 
 def test_estimate_huge_threshold_keeps_nothing(tmp_path, capsys):
@@ -503,13 +503,14 @@ def test_estimate_names_dataset_without_dim(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("dim", 2.9, "'dim' 2.9, not an integer"),
-    ("dim", True, "'dim' true, not an integer"),
-    ("dim", "2", "'dim' \"2\", not an integer"),
+    ("dim", 2.9, "process field 'dim' must be an integer in 1..4, got 2.9"),
+    ("dim", True, "process field 'dim' must be an integer in 1..4, got True"),
+    ("dim", "2", "process field 'dim' must be an integer in 1..4, got '2'"),
     ("dim", 1, "(copula_theta 0.5) is defined for dim == 2 only, got dim 1"),
     ("copula_theta", float("nan"), "'copula_theta' must be a finite number"),
     ("copula_theta", "abc", "'copula_theta' must be a finite number"),
-    ("copula_theta", 1.5, "copula_theta must be in (-1, 1), got 1.5")])
+    ("copula_theta", 1.5,
+     "process field 'copula_theta' must be in (-1, 1), got 1.5")])
 def test_estimate_names_bad_process_field(tmp_path, capsys, field, value,
                                           message):
     # A two-coordinate FGM dataset whose declared process is edited.
@@ -527,8 +528,8 @@ def test_estimate_names_block_that_is_not_an_object(tmp_path, capsys,
     path = _edited_dataset(tmp_path, lambda p: p.update({field: value}))
     assert main(["estimate", "--dataset", path,
                  "--output", str(tmp_path / "fit")]) == EXIT_USAGE
-    assert (f"error: field {field!r} must be a JSON object, got {value}"
-            in capsys.readouterr().err)
+    assert (f"error: dataset field {field!r} must be a JSON object, "
+            f"got {value}" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("field, value", [("process", 3), ("scenario", 5)])
@@ -538,8 +539,8 @@ def test_mc_rate_names_block_that_is_not_an_object(tmp_path, capsys,
     assert main(["mc-rate", "--config", path]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"error: field {field!r} must be a JSON object, got {value}"
-            in captured.err)
+    assert (f"error: experiment field {field!r} must be a JSON object, "
+            f"got {value}" in captured.err)
 
 
 def test_module_entry_point_smoke():

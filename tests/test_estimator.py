@@ -83,7 +83,8 @@ def test_density_floor_checked_at_construction():
 
     with pytest.raises(ValueError, match="declared floor"):
         DesignDensity(dim=1, evaluator=wavy, floor=0.5)
-    with pytest.raises(ValueError, match="floor must be positive"):
+    with pytest.raises(ValueError,
+                       match="DesignDensity field 'floor' must be a finite"):
         DesignDensity(dim=1, evaluator=wavy, floor=math.nan)
 
 
@@ -108,12 +109,15 @@ def test_density_unit_mass_checked_at_construction():
         with pytest.raises(ValueError, match="integrates to 2.00000"):
             DesignDensity(dim=dim, evaluator=twice, floor=0.5)
     assert sizes == [4096] * 4
-    for dim, text in ((0, "dim must be an integer >= 1, got 0"),
-                      (5, "dim must be in 1..4, got 5"),
-                      (2.0, "dim must be an integer >= 1, got 2.0")):
+    for dim, text in (
+            (0, "DesignDensity field 'dim' must be an integer in 1..4, got 0"),
+            (5, "DesignDensity field 'dim' must be an integer in 1..4, got 5"),
+            (2.0, "DesignDensity field 'dim' must be an integer in 1..4, "
+                  "got 2.0")):
         with pytest.raises(ValueError, match=text):
             DesignDensity(dim=dim, evaluator=twice, floor=0.5)
-    with pytest.raises(ValueError, match="^dim must be an integer"):
+    with pytest.raises(ValueError,
+                       match="^DesignDensity field 'dim' must be an integer"):
         uniform_density(0)
 
 
@@ -349,8 +353,8 @@ def test_density_floor_is_enforced_however_small():
     def ramp(p):
         return 2.0 * p[:, 0]
 
-    with pytest.raises(ValueError, match="floor must be positive, at least "
-                                         "1e-100, got 1e-300"):
+    with pytest.raises(ValueError, match="DesignDensity field 'floor' must "
+                                         "be >= 1e-100, got 1e-300"):
         DesignDensity(1, ramp, 1e-300)
     lowest = DesignDensity(1, ramp, 1e-100)
     for point in (1e-310, 1e-200, 0.5e-100 * (1 - 1e-11)):
@@ -457,7 +461,8 @@ def test_analysis_and_synthesis_reject_bad_points():
 
 def test_config_rejects_non_finite_threshold():
     for bad in (math.nan, math.inf, -1.0, True, "1", None):
-        with pytest.raises(ValueError, match="^threshold_const "):
+        with pytest.raises(ValueError,
+                           match="^EstimatorConfig field 'threshold_const' "):
             EstimatorConfig(threshold_const=bad)
     # Stored as a Python float, as the specs store their numbers.
     for good in (1, np.int64(2), np.float32(0.5)):
@@ -474,11 +479,12 @@ def test_config_rejects_non_integer_coord():
 
 def test_fit_rejects_coord_beyond_dim():
     data = _uniform_data(128, dim=2)
-    for coord, text in ((0, "coord must be an integer >= 1"),
-                        (3, "out of range")):
+    for coord, text in ((0, "EstimatorConfig field 'coord' must be an "
+                            "integer >= 1"),
+                        (3, "coord must be an integer in 1..2")):
         with pytest.raises(ValueError, match=text):
             fit_component(data, RHO, DB2, EstimatorConfig(coord=coord))
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="coord must be an integer in"):
             data.column(coord)
     assert np.array_equal(data.column(2), data.x[:, 1])
 
@@ -530,7 +536,7 @@ def test_estimate_json_refuses_a_missing_field_by_name():
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[]", "field 'estimate' must be a JSON object, got []"),
+    ("[]", "estimate must be a JSON object, got []"),
     ('{"levels": 3}', "field 'levels' must be a list, got 3"),
     ('{"levels": [3]}', "field 'levels entry' must be a JSON object"),
     ('{"levels": [{"coeffs": {}}]}', "field 'coeffs' must be a list"),

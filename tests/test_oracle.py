@@ -12,6 +12,7 @@ from addwave import (
     AdditiveFunction,
     BudgetError,
     Dataset,
+    DesignDensity,
     EstimatorConfig,
     MixingProcessSpec,
     MomentReport,
@@ -44,7 +45,7 @@ from addwave import (
 )
 from addwave.oracle import reference_shape
 from addwave.simulate import gen_designs, gen_responses, simulate_datasets
-from addwave.wavelet import level_coeffs
+from addwave.wavelet import _CHUNK, level_coeffs
 
 HAAR = cascade_table(make_family(1), depth=12)
 DB2 = cascade_table(make_family(2), depth=12)
@@ -95,7 +96,22 @@ _X = np.linspace(0.0, 1.0, 9)
 _DATA = simulate_dataset(IID, NOISY, 64)
 _FIT = fit_component(_DATA, NOISY.rho_spec(), DB2)
 _COUNT = "%s must be an integer >= %d, got"
-_DEEP = "level must be <= 24, got"
+_LATE_NAN = np.where(np.arange(_CHUNK + 5) == _CHUNK + 2, np.nan, 1.0)
+_LATE_INF = np.where(np.arange(_CHUNK + 5) == _CHUNK + 4, np.inf, 1.0)
+_DEEP = "level must be an integer in 0..24, got"
+
+
+def _overflowing_ise():
+    """The ISE of a fit to responses at their bound, 1e120, where the
+    density sits at its least floor, 1e-100: the fit reaches about 4e220,
+    and its squared error overflows."""
+    density = DesignDensity(1, lambda p: 2.0 * p[:, 0], 1e-100)
+    data = Dataset(y=np.full(4096, 1e120), x=np.full((4096, 1), 0.5e-100),
+                   density=density)
+    return ise(fit_component(data, NOISY.rho_spec(), DB2), DB2,
+               NOISY.component(1), grid_size=2048)
+
+
 # (start of the error text, up to a space, call): each index is not an
 # integer, out of range, or of an unknown kind; so is each size, count and
 # threshold constant at the end, or not finite.  A count's text states the
@@ -175,12 +191,16 @@ _REFUSED = (
      lambda: simulate_datasets(IID, NOISY, 64, True, 2)),
     (_COUNT % ("grid_size", 1024),
      lambda: ise(_FIT, DB2, NOISY.component(1), grid_size=True)),
-    (_COUNT % ("coord", 1), lambda: EstimatorConfig(coord=1.5)),
-    (_COUNT % ("coord", 1), lambda: EstimatorConfig(coord=True)),
+    (_COUNT % ("EstimatorConfig field 'coord'", 1),
+     lambda: EstimatorConfig(coord=1.5)),
+    (_COUNT % ("EstimatorConfig field 'coord'", 1),
+     lambda: EstimatorConfig(coord=True)),
     # A threshold constant follows the number rule: a bool or a string is
     # not a number.
-    ("threshold_const", lambda: EstimatorConfig(threshold_const=True)),
-    ("threshold_const", lambda: EstimatorConfig(threshold_const="1")),
+    ("EstimatorConfig field 'threshold_const'",
+     lambda: EstimatorConfig(threshold_const=True)),
+    ("EstimatorConfig field 'threshold_const'",
+     lambda: EstimatorConfig(threshold_const="1")),
     ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1, kappa=True,
                                      n=4096, reps=50)),
     ("kappa", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1, kappa="1",
@@ -214,7 +234,8 @@ _REFUSED = (
     ("scenario", lambda: simulate_datasets(IID, ScenarioSpec(("sine",)), 64,
                                            0, 2)),
     ("level", lambda: evaluate_series(DB2, 2, np.ones(3), _X)),
-    ("threshold_const", lambda: EstimatorConfig(threshold_const=10 ** 400)),
+    ("EstimatorConfig field 'threshold_const'",
+     lambda: EstimatorConfig(threshold_const=10 ** 400)),
     ("need", lambda: AdditiveFunction(0.0, ())),
     ("components", lambda: AdditiveFunction(0.0, (np.zeros(4),
                                                   np.zeros(8)))),
@@ -229,7 +250,7 @@ _REFUSED = (
     ("axis", lambda: tensor_coeff(DB2, np.zeros((64, 64)), "wavelet", 3, 0,
                                   1)),
     # Each moment of a report follows the number rule.
-    *((name, lambda name=name: MomentReport(
+    *((f"MomentReport field '{name}'", lambda name=name: MomentReport(
         kind="wavelet", level=2, shift=1, coord=1, n=256, reps=1000,
         **{"true_value": 0.0, "mean_hat": 0.0, "var_hat": 1.0,
            "m4_hat": 3.0, name: bad}))
@@ -248,6 +269,26 @@ _REFUSED = (
     ("target", lambda: replicate_coeffs(IID, NOISY, DB2,
                                         [("wavelet", 2, 0, 1), 3],
                                         n=64, reps=2)),
+    # A mistyped argument is refused before any work.
+    ("DesignDensity field 'evaluator'", lambda: DesignDensity(2, None, 1.0)),
+    ("family", lambda: cascade_table(None, 12)),
+    ("config", lambda: fit_component(_DATA, NOISY.rho_spec(), DB2,
+                                     config=None)),
+    ("rho", lambda: estimate_mean(_DATA, None)),
+    ("rho", lambda: empirical_coeff(_DATA, None, DB2, "wavelet", 2, 0, 1)),
+    # Weights, samples and coefficients must be finite, a weight in any
+    # chunk of the points.
+    ("weights", lambda: weighted_level_sums(DB2, "wavelet", 2, _X,
+                                            np.full(9, np.nan))),
+    ("weights", lambda: weighted_level_sums(
+        DB2, "scaling", 3, np.linspace(0.0, 1.0, _CHUNK + 5), _LATE_NAN)),
+    ("weights", lambda: weighted_level_sums(
+        DB2, "scaling", 3, np.linspace(0.0, 1.0, _CHUNK + 5), -_LATE_INF)),
+    ("values", lambda: level_coeffs(DB2, "wavelet", 2,
+                                    np.array([0.5, np.nan]))),
+    ("coefficients", lambda: evaluate_series(
+        DB2, 2, np.array([0.0, np.inf, 0.0, 0.0]), _X)),
+    ("ise", lambda: _overflowing_ise()),
 )
 
 
@@ -262,7 +303,8 @@ def no_draws(monkeypatch):
 
 @pytest.mark.parametrize(
     "text, call", _REFUSED,
-    ids=[f"{i}-{t.split(' must')[0]}" for i, (t, _) in enumerate(_REFUSED)])
+    ids=[f"{i}-{t.split(' must')[0].split(' field ')[-1].strip(chr(39))}"
+         for i, (t, _) in enumerate(_REFUSED)])
 def test_bad_basis_indices_and_coords_are_refused_by_name(text, call,
                                                          no_draws):
     # Replications are checked before the first one is drawn.
@@ -292,7 +334,7 @@ def test_replicate_coeffs_shape_and_grouping():
         replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 4, 1)],
                          n=256, reps=3)
     for coord in (0, IID.dim + 1):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="coord must be an integer in"):
             replicate_coeffs(IID, NOISY, DB2, [("wavelet", 2, 1, coord)],
                              n=256, reps=3)
 
@@ -339,11 +381,11 @@ def test_moment_report_validation():
     with pytest.raises(ValueError, match="negative"):
         MomentReport(reps=1000, var_hat=-1.0, m4_hat=3.0, **kwargs)
     # NaN fails the number rule, by its field's name.
-    with pytest.raises(ValueError, match="^var_hat must"):
+    with pytest.raises(ValueError, match="^MomentReport field 'var_hat' must"):
         MomentReport(reps=1000, var_hat=math.nan, m4_hat=math.nan, **kwargs)
-    with pytest.raises(ValueError, match="^var_hat must"):
+    with pytest.raises(ValueError, match="^MomentReport field 'var_hat' must"):
         MomentReport(reps=1000, var_hat=math.nan, m4_hat=3.0, **kwargs)
-    with pytest.raises(ValueError, match="^m4_hat must"):
+    with pytest.raises(ValueError, match="^MomentReport field 'm4_hat' must"):
         MomentReport(reps=1000, var_hat=1.0, m4_hat=math.nan, **kwargs)
     rep = MomentReport(reps=1000, var_hat=0.04, m4_hat=0.01, **kwargs)
     assert rep.std_error() == pytest.approx(math.sqrt(0.04 / 1000))
@@ -446,7 +488,7 @@ def test_calibrated_threshold_lands_in_expected_band():
     proc = MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=7)
     kappa = calibrate_threshold(proc, NOISY, DB2, n=4096, reps=500)
     assert 2.0 < kappa < 3.0
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="coord must be an integer in 1..2"):
         calibrate_threshold(proc, NOISY, DB2, n=4096, coord=0, reps=500)
 
 

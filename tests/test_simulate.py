@@ -68,7 +68,8 @@ def test_process_spec_validation():
     # The seed keys the streams; numpy would refuse -1 only at the first
     # draw, without naming it, and takes True as 1.
     for seed in (-1, 1.5, True, "3", None):
-        with pytest.raises(ValueError, match="seed must be a non-negative"):
+        with pytest.raises(ValueError, match="process field 'seed' must "
+                                             "be an integer >= 0"):
             MixingProcessSpec(dim=1, seed=seed)
     assert MixingProcessSpec(dim=1, seed=np.int64(3)).seed == 3
 
@@ -555,10 +556,16 @@ def test_read_dataset_json_names_missing_fields(tmp_path):
     ([0.0, "abc"], [[0.5], [0.25]], "'y' must be a list of numbers"),
     ([0.0, "1.5"], [[0.5], [0.25]], "'y' must be a list of numbers"),
     ([0.0, None], [[0.5], [0.25]], "'y' must be a list of numbers"),
-    ([0.0, 1.0], [[0.5], ["0.25"]], "'x' must be a list of equal-length")],
-    ids=["x-ragged", "y-str", "y-numeric-str", "y-null", "x-str"])
+    ([0.0, 1.0], [[0.5], ["0.25"]], "'x' must be a list of equal-length"),
+    ([0.0, True], [[0.5], [0.25]], "'y' must be a list of numbers"),
+    ([0.0, 1.0], [[0.5], [True]], "'x' must be a list of equal-length"),
+    ([0.0, 1.0], [[0.5, 0.5], [0.25, False]],
+     "'x' must be a list of equal-length")],
+    ids=["x-ragged", "y-str", "y-numeric-str", "y-null", "x-str", "y-bool",
+         "x-bool", "x-bool-last"])
 def test_read_dataset_json_names_malformed_arrays(tmp_path, y, x, field):
-    # Each used to fail in numpy's words, or to read a string as a number.
+    # Each used to fail in numpy's words, or to read a string or a bool
+    # as a number.
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"process": {"dim": 1}, "y": y, "x": x}))
     with pytest.raises(ValueError, match=f"^dataset field {field}"):

@@ -56,8 +56,8 @@ def test_tensor_coeff_refuses_a_bad_index_by_name():
     for kind, level, shift, message in (
             ("wavelet", "2", 1, "level must be an integer"),
             ("wavelet", 2.0, 1, "level must be an integer"),
-            ("wavelet", 2, 1.5, "shift must be in 0..3"),
-            ("wavelet", 2, 4, "shift must be in 0..3"),
+            ("wavelet", 2, 1.5, "shift must be an integer in 0..3"),
+            ("wavelet", 2, 4, "shift must be an integer in 0..3"),
             ("ripple", 2, 1, "kind must be 'scaling' or 'wavelet'")):
         with pytest.raises(ValueError, match=message):
             tensor_coeff(DB2, grid, kind, level, shift, 1)

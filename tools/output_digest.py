@@ -28,8 +28,10 @@ with none, at chunks of ``_CHUNK`` and of 777 values (``simulate/ndtr``),
 so that a numpy whose complex ``exp`` moves, or a change to the tail,
 shows there first; the stored fields of directly built process and
 scenario specs and the error text of refused ones, some with two faults
-so that the order of the checks shows, and the errors of draws asked for
-with a size or replication that is not an integer (``simulate/specs``);
+so that the order of the checks shows, the error text of refused design
+densities (no evaluator, a NaN floor, a dim out of range), and the errors
+of draws asked for with a size or replication that is not an integer
+(``simulate/specs``);
 batches of designs whose chains share passes of the recursion shorter
 than n (``simulate/batches``); the values or error text of basis calls
 with an index or coord that is not an integer, out of range or of an
@@ -39,9 +41,13 @@ for ``True`` of them, of ``tail_frequency`` given a NaN or infinite
 ``kappa`` or an ``n`` of 1 or 0, of ``threshold_scale`` given an ``n``
 of 2.5, and of ``ise``, ``rate_fit``, ``replicate_coeffs`` and
 ``calibrate_threshold`` given a grid size, sample size, replication
-count or ``n`` that is not an integer (``basis/index``); the filters
-``make_family(r).low_pass`` for r = 1..10 (``wavelet/taps``), which
-shows how far the filters moved and not only what was built from them;
+count or ``n`` that is not an integer, and of calls given ``None`` for
+a table's family, a fit's config or a response transform, a NaN weight
+(in the first chunk of points and in a later one), sample or
+coefficient, or a fit whose squared error overflows (``basis/index``);
+the filters ``make_family(r).low_pass`` for r = 1..10 (``wavelet/taps``),
+which shows how far the filters moved and not only what was built from
+them;
 both filter-bank steps, ``_analysis_step`` and ``_synthesis_step``, on
 fixed inputs with signed zeros at the coarsest level and three above it
 for R in {1, 2, 4, 10} (``wavelet/bank``), so a change to the bank shows
@@ -57,8 +63,10 @@ command-line options, and the error text of refused ones, some with two
 faults so that the order of the checks shows (``cli/config``);
 ``run_experiment`` reports with every ``runtime_ms`` removed; and the
 files and stdout of the ``simulate`` and ``estimate`` commands, with the
-temporary directory's name removed.  Arrays are hashed by dtype, shape
-and bytes, reports as sorted JSON.  A run takes a few seconds.
+temporary directory's name removed, and the exit code, stderr and stdout
+of ``estimate`` on a dataset file whose design holds a bool.  Arrays are
+hashed by dtype, shape and bytes, reports as sorted JSON.  A run takes a
+few seconds.
 
 ``_designs`` reads ``gen_designs``' ``(reps, d, n)`` batch array as a
 list of ``(n, d)`` designs, the form ``simulate_dataset`` stores.
@@ -224,7 +232,10 @@ SPECS = (
     ("scenario", {"components": ("wiggle",), "offset": NAN}),
     ("scenario", {"components": ("sine",), "offset": NAN,
                   "noise_halfwidth": -1.0}),
-    ("scenario", {"components": ("wiggle",), "noise_halfwidth": -1.0}))
+    ("scenario", {"components": ("wiggle",), "noise_halfwidth": -1.0}),
+    ("density", {"dim": 2, "evaluator": None, "floor": 1.0}),
+    ("density", {"dim": 5, "evaluator": None, "floor": NAN}),
+    ("density", {"dim": 2.0, "evaluator": None, "floor": 1.0}))
 
 
 def _stored(value):
@@ -254,7 +265,8 @@ def specs(dig, aw):
                      for f in dataclasses.fields(value)}
         dig.json("simulate/specs", value)
 
-    types = {"process": aw.MixingProcessSpec, "scenario": aw.ScenarioSpec}
+    types = {"process": aw.MixingProcessSpec, "scenario": aw.ScenarioSpec,
+             "density": aw.DesignDensity}
     for kind, kwargs in SPECS:
         record(lambda: types[kind](**kwargs))
     proc = aw.MixingProcessSpec(dim=1, ar_coeff=0.5, seed=2)
@@ -283,8 +295,10 @@ def basis_index(dig, aw):
     ``True`` of them, of ``tail_frequency`` given a NaN or infinite
     ``kappa`` or an ``n`` of 1 or 0, and of calls given a grid size,
     sample size, count of replications or ``n`` that is not an integer,
-    ``threshold_scale`` among them; a tree that returns a value or fails
-    deep inside shows it."""
+    ``threshold_scale`` among them, or ``None`` for a family, a config or
+    a response transform, or a weight, sample or coefficient that is not
+    finite, and of an ISE that overflows; a tree that returns a value or
+    fails deep inside shows it."""
     def record(call):
         try:
             value = np.asarray(call(), dtype=float).tolist()
@@ -298,7 +312,7 @@ def basis_index(dig, aw):
     scen = aw.ScenarioSpec(components=("sine", "bump"))
     data = aw.simulate_dataset(proc, scen, 64)
     x, grid = np.linspace(0.0, 1.0, 9), np.zeros((256, 256))
-    ones = np.ones(8)
+    ones, late = np.ones(8), np.linspace(0.0, 1.0, 2 ** 14 + 5)
     calls = (
         lambda: aw.eval_periodized(table, "wavelet", 2.5, 0, x),
         lambda: aw.eval_periodized(table, "wavelet", 2, 1.5, x),
@@ -355,9 +369,32 @@ def basis_index(dig, aw):
                                   n=0, reps=20),
         lambda: aw.mc_moments(proc, scen, table, "wavelet", 2, 0, 1, 64,
                               True).mean_hat,
-        lambda: aw.threshold_scale(2.5))
+        lambda: aw.threshold_scale(2.5),
+        lambda: aw.cascade_table(None, 12),
+        lambda: aw.fit_component(data, scen.rho_spec(), table, config=None),
+        lambda: aw.estimate_mean(data, None),
+        lambda: aw.empirical_coeff(data, None, table, "wavelet", 2, 0, 1),
+        lambda: aw.weighted_level_sums(table, "wavelet", 2, x,
+                                       np.where(x > 0.5, NAN, 1.0)),
+        lambda: aw.weighted_level_sums(table, "scaling", 3, late,
+                                       np.where(late == 1.0, NAN, 1.0)),
+        lambda: aw.level_coeffs(table, "wavelet", 2, np.array([0.5, NAN])),
+        lambda: aw.evaluate_series(table, 2, np.array([0.0, INF, 0.0, 0.0]),
+                                   x),
+        lambda: _overflowing_ise(aw))
     for call in calls:
         record(call)
+
+
+def _overflowing_ise(aw):
+    """The ISE of an R = 10 fit to 4096 responses of 1e120 at x = 0.5e-100,
+    where the density 2x sits at its least floor, 1e-100."""
+    table = aw.cascade_table(aw.make_family(10), 12)
+    density = aw.DesignDensity(1, lambda p: 2.0 * p[:, 0], 1e-100)
+    data = aw.Dataset(y=np.full(4096, 1e120), x=np.full((4096, 1), 0.5e-100),
+                      density=density)
+    est = aw.fit_component(data, aw.identity_rho(), table)
+    return aw.ise(est, table, aw.test_function("sine"), 2048)
 
 
 def filters(dig, aw):
@@ -495,7 +532,9 @@ REFUSED = (
     {"coord": 5, "kappa": -1.0},
     {"kappa": float("nan"), "self_test_exponent": -1.0},
     {"self_test_exponent": "x", "allow_over_budget": "no"},
-    {"allow_over_budget": 0, "output_dir": 3}, {"output_dir": 3})
+    {"allow_over_budget": 0, "output_dir": 3}, {"output_dir": 3},
+    {"process": 3, "family_r": 0}, {"scenario": [], "master_seed": -1},
+    {"coord": 5, "self_test_exponent": "x"})
 
 
 def experiment_configs(dig, cli):
@@ -582,6 +621,18 @@ def commands(dig, cli):
             dig.text("cli/commands", str(path.relative_to(base)))
             dig.text("cli/commands", path.read_bytes().decode(),
                      path.suffix[1:])
+        # A bool in the design, which numpy would read as 1.0.
+        dataset = base / "data" / "dataset_n64_rep0.json"
+        payload = json.loads(dataset.read_text())
+        payload["x"][1][0] = True
+        spoiled = base / "bool.json"
+        spoiled.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["estimate", "--dataset", str(spoiled),
+                             "--output", str(base / "bool-fit")])
+        dig.text("cli/commands", f"exit {code}\n{err.getvalue()}"
+                 f"{out.getvalue()}".replace(tmp, "<tmp>"))
 
 
 def collect(src: Path, sink=None) -> Digest:
