@@ -24,35 +24,36 @@ shifted coefficients all read this way.
 
 Evaluation between grid nodes interpolates linearly.  The two-tap family's
 samples form a step function, which ``_sample`` looks up piecewise
-constantly and the stencil reads from pairs that repeat each sample, so
-its jumps stay exact.
+constantly and the stencil reads with both ends at the same node, so its
+jumps stay exact.
 
 Analysis (``weighted_level_sums``, a scatter onto the shifts) and synthesis
 (``evaluate_series``, a gather of one scaling level at the points; a
 series of several levels is first carried to one by ``_synthesis_step``)
 share one stencil, ``_stencil``.  It walks the points in chunks of
-``_CHUNK`` through seven buffers, views of one allocation per call
+``_CHUNK`` through six buffers, views of one allocation per call
 refilled with ufunc ``out=``, so the cost per point does not grow once
 the points outrun the L2 cache.  Each point's table position is one
 integer, ``floor(x * 2**(level + depth))``, whose high bits are its cell
 and low bits its node; it is found once and read at every support
-offset, which interpolates at the exact argument.  At each offset one
-unchecked gather from a table of neighbouring sample pairs reads both
-ends of the interpolation.  The scatter keeps one row per offset and
-adds each chunk into it point by point, so every shift sums its points
-in the order one ``bincount`` over all of them would; each row is then
-read from its offset on, with wrap-around, and added into the shifts.
+offset, which interpolates at the exact argument.  At each offset two
+unchecked gathers read the ends of the interpolation from two views of
+the samples, the second one node to the right of the first.  The scatter
+keeps one row per offset and adds each chunk into it point by point, so
+every shift sums its points in the order one ``bincount`` over all of
+them would; each row is then read from its offset on, with wrap-around,
+and added into the shifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import ceil, comb, log2
 
 import numpy as np
 
-from ._rules import _check_choice, _check_finite, _check_span, _check_type
+from ._rules import (_check_choice, _check_finite, _check_number, _check_span,
+                     _check_type)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -62,13 +63,12 @@ _MAX_DEPTH = 16
 # and a fit of up to 2**32 points scatters at level 19 at most.
 _MAX_LEVEL = 24
 # Points per pass of the stencil, the simulator and the density weights.
-# Their buffers of this length (six 8-byte ones and one 16-byte one for
-# the stencil plus one that synthesis gathers into, 1.125 MiB; three for
-# the design's FGM step, 384 KiB) stay inside a 2 MiB L2, with the 64 KiB of
-# pairs one support offset of the DB2 depth-12 table reads (1 MiB at depth
-# 16: past L2, yet no slower at R = 10 than two checked gathers of the
-# samples).  On one core with a 2 MiB L2, 2**14 beat 2**13 and 2**15 for
-# analysis plus synthesis at n = 2**20 and for simulation at n = 2**16.
+# Their buffers of this length (six 8-byte ones for the stencil plus one
+# that synthesis gathers into, 896 KiB; three for the design's FGM step,
+# 384 KiB) stay inside a 2 MiB L2, with the 32 KiB of samples one support
+# offset of the DB2 depth-12 table reads (512 KiB at depth 16).  On one
+# core with a 2 MiB L2, 2**14 beat 2**13 and 2**15 for analysis plus
+# synthesis at n = 2**20 and for simulation at n = 2**16.
 _CHUNK = 2 ** 14
 
 _KINDS = ("scaling", "wavelet")
@@ -110,33 +110,12 @@ class BasisTable:
         ``i * 2**-depth`` for ``i = 0 .. support_length * 2**depth``.
     phi_samples, psi_samples : ndarray
         Values of the scaling function and wavelet on that grid.
-    phi_pairs, psi_pairs : ndarray
-        Each node's sample and its right neighbour's (the node's own for
-        the two-tap family), as one complex number, for every node but
-        the last; built on first use, for the stencil's interpolation.
     """
 
     family: WaveletFamily
     depth: int
     phi_samples: np.ndarray
     psi_samples: np.ndarray
-
-    @cached_property
-    def phi_pairs(self) -> np.ndarray:
-        return _pair_table(self.family, self.phi_samples)
-
-    @cached_property
-    def psi_pairs(self) -> np.ndarray:
-        return _pair_table(self.family, self.psi_samples)
-
-
-def _pair_table(family: WaveletFamily, samples: np.ndarray) -> np.ndarray:
-    """``samples[i] + 1j * samples[i + 1]`` for each node ``i`` but the
-    last, so one gather reads a node and its right neighbour; for the
-    two-tap family ``samples[i]`` twice, whose interpolation ``(1 - t) * s
-    + t * s`` is exactly ``s``, as its samples are -1, 0 and 1."""
-    right = samples[:-1] if family.vanishing_moments == 1 else samples[1:]
-    return np.stack([samples[:-1], right], axis=1).view(np.complex128).ravel()
 
 
 def make_family(vanishing_moments: int) -> WaveletFamily:
@@ -295,7 +274,7 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
 
     ``cell`` is each point's ``floor(2**level * x) & (2**level - 1)`` and
     ``vals`` the unscaled values there of the element of shift ``cell -
-    offset`` (mod ``2**level``).  Both are views of seven buffers carved
+    offset`` (mod ``2**level``).  Both are views of six buffers carved
     from one allocation per call and refilled in place, so a chunk's
     working set stays in L2 however many points there are; the caller may
     overwrite ``vals``.
@@ -306,36 +285,36 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
     except for a point in ``(-2**-(level + depth), 0)``, whose ``t = 1 +
     x * 2**(level + depth)`` may round, to at most 1, so that its read is
     within rounding of the exact value.  The node and ``t`` serve every
-    offset ``o``: one gather at the node from the table's pairs ``(s[i],
-    s[i+1])`` from ``o * 2**depth`` on, then ``(1 - t) * s[i] + t *
-    s[i+1]``, is ``_sample``'s interpolation at the exact ``frac + o``,
-    ``frac`` the point's offset in its cell, not at their rounded sum.
-    The pairs are built once per table and kind, 16 bytes per sample (192
-    KiB for DB2 at depth 12, 19 MiB for R = 10 at depth 16).  The two-tap
-    family's pairs hold each node's sample twice, so it reads its step
-    value.
+    offset ``o``: a gather at the node from the samples ``s`` from ``o *
+    2**depth`` on reads ``s[i]``, one from the same view shifted by a node
+    reads ``s[i+1]``, and ``(1 - t) * s[i] + t * s[i+1]`` is then
+    ``_sample``'s interpolation at the exact ``frac + o``, ``frac`` the
+    point's offset in its cell, not at their rounded sum.  For the
+    two-tap family the second view is not shifted, so both ends are
+    ``s[i]``, and ``(1 - t) * s + t * s`` is exactly its step value ``s``,
+    as its samples are -1, 0 and 1.
 
     The gathers use ``mode='clip'``, which never changes an index here, in
     place of a bounds check per element: ``cell`` is masked into ``[0,
     2**level - 1]`` and the node into ``[0, 2**depth - 1]``, and each
-    offset's slice holds ``2**depth`` pairs.  A chunk with a point that is
+    offset's views hold ``2**depth`` samples.  A chunk with a point that is
     not finite, or whose position overflows int64, raises ``ValueError``
     before it yields.
     """
     step = 2 ** table.depth
-    source = table.phi_pairs if kind == "scaling" else table.psi_pairs
+    samples = table.phi_samples if kind == "scaling" else table.psi_samples
+    right = 0 if table.family.vanishing_moments == 1 else 1
     size = min(x.size, _CHUNK)
-    # One allocation per call: glibc hands seven separate buffers of 128
+    # One allocation per call: glibc hands six separate buffers of 128
     # KiB or more back to the system on return, and the next call faults
     # them in again.
-    buffers = np.empty(size * 8)
-    frac, pos, low, vals, cell, node = buffers[:6 * size].reshape(6, size)
+    buffers = np.empty(size * 6)
+    frac, pos, low, vals, cell, node = buffers.reshape(6, size)
     cell, node = cell.view(np.int64), node.view(np.int64)
-    both = buffers[6 * size:].view(np.complex128)
     for start in range(0, x.size, _CHUNK):
         m = min(x.size - start, _CHUNK)
-        f, p, lo, v, c, k, b = (a[:m] for a in (frac, pos, low, vals, cell,
-                                                node, both))
+        f, p, lo, v, c, k = (a[:m] for a in (frac, pos, low, vals, cell,
+                                             node))
         np.multiply(x[start:start + m], 2.0 ** (level + table.depth), out=f)
         np.floor(f, out=p)
         _check_cells(p, level, table.depth)
@@ -347,10 +326,11 @@ def _stencil(table: BasisTable, kind: str, level: int, x: np.ndarray):
         np.subtract(f, p, out=f)
         np.subtract(1.0, f, out=p)
         for offset in range(table.family.support_length):
-            np.take(source[offset * step:(offset + 1) * step], k, out=b,
-                    mode="clip")
-            np.multiply(f, b.imag, out=lo)
-            np.multiply(p, b.real, out=v)
+            view = samples[offset * step:]
+            np.take(view[right:right + step], k, out=lo, mode="clip")
+            np.multiply(f, lo, out=lo)
+            np.take(view[:step], k, out=v, mode="clip")
+            np.multiply(p, v, out=v)
             np.add(v, lo, out=v)
             yield start, c, offset, v
 
@@ -491,11 +471,11 @@ def evaluate_series(table: BasisTable, level: int, coeffs: np.ndarray, x,
     """``offset`` plus the scaling series ``sum_k coeffs[k] *
     phi_(level, k)`` at points ``x``, of any shape or a scalar: the gather
     twin of ``weighted_level_sums``.  A point that is not finite, or
-    whose table position overflows int64, and a coefficient that is not
-    finite raise ``ValueError``.
+    whose table position overflows int64, and a coefficient or an
+    ``offset`` that is not finite raise ``ValueError``.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(xa.shape, float(offset))
+    out = np.full(xa.shape, _check_number("offset", offset))
     flat_x, flat_out = xa.reshape(-1), out.reshape(-1)
     gathered = np.empty(min(flat_x.size, _CHUNK))
     coeffs = np.asarray(coeffs, dtype=float)

@@ -510,7 +510,9 @@ def test_estimate_names_dataset_without_dim(tmp_path, capsys):
     ("copula_theta", float("nan"), "'copula_theta' must be a finite number"),
     ("copula_theta", "abc", "'copula_theta' must be a finite number"),
     ("copula_theta", 1.5,
-     "process field 'copula_theta' must be in (-1, 1), got 1.5")])
+     "process field 'copula_theta' must be in (-1, 1), got 1.5")],
+    ids=["dim-float", "dim-bool", "dim-str", "dim-fgm", "theta-nan",
+         "theta-str", "theta-range"])
 def test_estimate_names_bad_process_field(tmp_path, capsys, field, value,
                                           message):
     # A two-coordinate FGM dataset whose declared process is edited.

@@ -67,6 +67,10 @@ def test_max_detail_level_frozen_values():
     assert max_detail_level(64, 3) == 3
     levels = [max_detail_level(n, 1) for n in range(16, 5000)]
     assert all(b >= a for a, b in zip(levels, levels[1:]))
+    # The budget n / log(n)^3 is cut to its integer part: it passes 8 at
+    # n = 4913 (8.001) and not at n = 4912 (7.99996).
+    assert max_detail_level(4912, 0) == 2
+    assert max_detail_level(4913, 0) == 3
 
 
 def test_estimate_mean_basics():
@@ -86,6 +90,18 @@ def test_density_floor_checked_at_construction():
     with pytest.raises(ValueError,
                        match="DesignDensity field 'floor' must be a finite"):
         DesignDensity(dim=1, evaluator=wavy, floor=math.nan)
+
+
+def test_density_a_hair_below_its_floor_is_refused():
+    # The construction check allows 1e-9 of slack below the floor, and
+    # no more: a uniform density declaring a floor 1e-6 above its value
+    # is refused, one declaring 1e-10 above it is not.
+    def flat(p):
+        return np.ones(len(p))
+
+    with pytest.raises(ValueError, match="dips below its declared floor"):
+        DesignDensity(dim=1, evaluator=flat, floor=1.0 + 1e-6)
+    DesignDensity(dim=1, evaluator=flat, floor=1.0 + 1e-10)
 
 
 def test_density_unit_mass_checked_at_construction():
@@ -389,6 +405,22 @@ def test_fit_levels_and_threshold_flags():
     cut = fit.kappa * fit.lambda_n
     for values, kept in zip(fit.detail_values, fit.detail_kept):
         assert np.array_equal(kept, np.abs(values) >= cut)
+
+
+def test_detail_coefficient_on_the_cut_is_kept():
+    # A threshold constant whose cut, fl(kappa * lambda_n), equals one
+    # detail coefficient's magnitude exactly: that tie is kept.
+    data = _uniform_data(1024, seed=3)
+    lam = threshold_scale(1024)
+    values = fit_component(data, RHO, DB2).detail_values
+    ties = [(level, i) for level, b in enumerate(values)
+            for i in range(b.size) if abs(b[i]) / lam * lam == abs(b[i])]
+    assert ties
+    level, i = ties[0]
+    kappa = abs(values[level][i]) / lam
+    fit = fit_component(data, RHO, DB2, EstimatorConfig(threshold_const=kappa))
+    assert abs(fit.detail_values[level][i]) == fit.kappa * fit.lambda_n
+    assert fit.detail_kept[level][i]
 
 
 def test_dataset_rejects_non_finite_design():

@@ -1,5 +1,6 @@
 """Reference oracles: closed forms, replication moments, rate fits."""
 
+import dataclasses
 import json
 import math
 
@@ -23,6 +24,7 @@ from addwave import (
     collapsed_sum,
     empirical_coeff,
     estimate_mean,
+    eval_estimate,
     eval_periodized,
     eval_tensor,
     evaluate_series,
@@ -289,6 +291,14 @@ _REFUSED = (
     ("coefficients", lambda: evaluate_series(
         DB2, 2, np.array([0.0, np.inf, 0.0, 0.0]), _X)),
     ("ise", lambda: _overflowing_ise()),
+    # A fit's mean that is not finite is refused as its series' offset,
+    # not spread over every point as NaN.
+    ("offset", lambda: eval_estimate(dataclasses.replace(_FIT, mu_hat=np.nan),
+                                     DB2, _X)),
+    ("offset", lambda: ise(dataclasses.replace(_FIT, mu_hat=np.inf), DB2,
+                           NOISY.component(1))),
+    ("offset", lambda: evaluate_series(DB2, 2, np.ones(4), _X,
+                                       offset=-np.inf)),
 )
 
 

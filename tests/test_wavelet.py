@@ -281,23 +281,6 @@ def test_stencil_across_chunk_boundaries(table):
     assert np.array_equal(whole, np.concatenate(parts))
 
 
-@pytest.mark.parametrize("table", [HAAR, DB2, DB10],
-                         ids=["R1", "R2", "R10"])
-def test_pair_tables_hold_neighbouring_samples(table):
-    # One pair per node but the last; the two-tap family's pairs hold each
-    # node's sample twice, so the stencil's interpolation reads its step
-    # value.
-    for samples, attr in ((table.phi_samples, "phi_pairs"),
-                          (table.psi_samples, "psi_pairs")):
-        pairs = getattr(table, attr)
-        assert pairs.dtype == np.complex128 and pairs.flags.c_contiguous
-        assert pairs.size == samples.size - 1
-        assert np.array_equal(pairs.real, samples[:-1])
-        right = samples[:-1] if table is HAAR else samples[1:]
-        assert np.array_equal(pairs.imag, right)
-        assert getattr(table, attr) is pairs
-
-
 def _stencil_reads(table, kind, level, x):
     """Each element's value at each point as the stencil reads it, one
     ``(points, shifts)`` array per path: the scatter of a unit weight at
@@ -372,10 +355,11 @@ def test_stencil_edge_points(level):
     # points pin why every index is in range.  A point's position is K =
     # floor(x * 2**(level + depth)); the cell K >> depth is masked into
     # [0, 2**level - 1] and the node K & (2**depth - 1) lies in [0,
-    # 2**depth - 1], inside each offset's slice of 2**depth pairs.  At x =
-    # 1 - 2**-53, frac + 2 would round up to the table's last node 3.0;
-    # at x = -2**-60, frac = 1 - 2**-60 * 2**level would round up to 1,
-    # where Haar's phi reads 0 and not the exact 1.
+    # 2**depth - 1], inside each offset's two views of 2**depth samples,
+    # the second one node to the right of the first.  At x = 1 - 2**-53,
+    # frac + 2 would round up to the table's last node 3.0; at x =
+    # -2**-60, frac = 1 - 2**-60 * 2**level would round up to 1, where
+    # Haar's phi reads 0 and not the exact 1.
     x = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60])
     for table in (HAAR, DB2, DB10):
         for kind in ("scaling", "wavelet"):

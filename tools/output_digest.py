@@ -56,7 +56,12 @@ there and not only through fit JSON;
 (of a series of levels 3 to 6 carried by the filter bank to level 7, and
 of a level-7 one) for R in {1, 2, 4, 10}; the same two at points off
 the unit interval, each class alone: negative, tiny positive and beyond
-1 (``wavelet/offunit``); ``fit_component`` JSON and
+1 (``wavelet/offunit``); the stencil's raw yields (each chunk's start,
+cells, offset and values) for R in {1, 2, 4, 10}, both kinds, at levels
+0, 5 and 20, at edge points (0, 1, 1 - 2^-53, +-2^-60, -5e-324) in two
+chunks with random points between them (``wavelet/stencil``), so a
+change to how the stencil reads its table shows before it shows in the
+sums; ``fit_component`` JSON and
 ``eval_estimate``; ``replicate_coeffs`` and ``calibrate_threshold``; the
 parsed fields and ``echo()`` of experiment configs, alone and under
 command-line options, and the error text of refused ones, some with two
@@ -471,6 +476,31 @@ def off_unit(dig, aw):
                                              coeffs[:2 ** level], x))
 
 
+# The stencil's edge points: the ends of the unit interval, the largest
+# point below 1, and points at and just below 0.
+STENCIL_EDGES = np.array([0.0, 1.0, 1.0 - 2.0 ** -53, 2.0 ** -60, -2.0 ** -60,
+                          -5e-324])
+
+
+def stencil(dig, aw):
+    """``_stencil``'s raw yields, ``(start, cell, offset, vals)``, at the
+    edge points in a first chunk and a second one, with random points
+    between them, so a change to how the stencil reads its table shows
+    here before it shows in the sums."""
+    chunk = aw.wavelet._CHUNK
+    rng = np.random.default_rng(17)
+    x = np.concatenate([STENCIL_EDGES, rng.random(chunk + 64), STENCIL_EDGES])
+    for r in (1, 2, 4, 10):
+        table = aw.cascade_table(aw.make_family(r), 12)
+        for kind in ("scaling", "wavelet"):
+            for level in (0, 5, 20):
+                for start, cell, offset, vals in aw.wavelet._stencil(
+                        table, kind, level, x):
+                    dig.array("wavelet/stencil", np.array([start, offset]))
+                    dig.array("wavelet/stencil", cell)
+                    dig.array("wavelet/stencil", vals)
+
+
 def fits(dig, aw):
     proc = aw.MixingProcessSpec(dim=2, ar_coeff=0.6, copula_theta=0.5, seed=11)
     scen = aw.ScenarioSpec(components=("sine", "step"), offset=0.3,
@@ -644,7 +674,7 @@ def collect(src: Path, sink=None) -> Digest:
     dig = Digest(sink)
     for step in (simulated, normal_cdf, specs, batches, basis_index,
                  filters, filter_bank, wavelet_sums_and_series, off_unit,
-                 fits, replications):
+                 stencil, fits, replications):
         step(dig, aw)
     experiment_configs(dig, cli)
     experiments(dig, cli)
