@@ -24,6 +24,9 @@ import numpy as np
 # The largest design dimension: the density's check grid, the simulator's
 # process and the tensor module all stop here.
 _MAX_DIM = 4
+# The largest sample size: no array holds more points, and a larger int
+# overflows the float that log(n) / n is taken in.
+_MAX_SIZE = 2 ** 63 - 1
 _INTEGER_TYPES = (int, np.integer)
 
 
@@ -48,6 +51,15 @@ def _check_count(name: str, value, low: int = 0) -> int:
     if not (_is_integer(value) and value >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _check_size(name: str, value, low: int = 2) -> int:
+    """The size rule: the count rule, then at most ``_MAX_SIZE``."""
+    size = _check_count(name, value, low)
+    if size > _MAX_SIZE:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got a "
+                         f"{size.bit_length()}-bit integer")
+    return size
 
 
 def _check_span(name: str, value, low: int, high: int) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from ._rules import (_check_choice, _check_count, _check_number,
                      _check_span, _check_type, _is_integer, _json_object,
                      _optional, _shown, check_fields)
 from .estimator import (EstimatorConfig, eval_estimate, fit_component,
-                        identity_rho, ise, max_detail_level, threshold_scale)
+                        identity_rho, ise)
 from .oracle import (BudgetError, DEFAULT_BUDGET, _charge_budget,
                      calibrate_threshold, rate_fit)
 from .simulate import (_PROCESS_KEYS, _SCENARIO_FIELDS, dataset_meta,
@@ -88,7 +87,6 @@ class ExperimentConfig:
     output_dir: str | None = None
     budget: int = DEFAULT_BUDGET
     allow_over_budget: bool = False
-    self_test_exponent: float | None = None
 
     _FIELD_RULES = (
         ("n_grid", _n_grid), ("reps", partial(_check_count, low=1)),
@@ -102,8 +100,6 @@ class ExperimentConfig:
         ("depth", _check_depth), ("coord", partial(_check_count, low=1)),
         ("budget", _check_count),
         (("kappa", "kappa_value"), partial(_check_number, low=0.0)),
-        # A rate: a negative one overflows the planted series.
-        ("self_test_exponent", _optional(partial(_check_number, low=0.0))),
         ("allow_over_budget", partial(_check_type, kind=bool)),
         ("output_dir", _optional(partial(_check_type, kind=str))))
 
@@ -182,18 +178,6 @@ def _run_cell(args) -> tuple:
     return n_index, rep, cell
 
 
-def _synthetic_cells(config: ExperimentConfig) -> list:
-    tau = make_family(config.family_r).coarsest_level
-    cells = []
-    for n in config.n_grid:
-        err = (math.log(n) / n) ** config.self_test_exponent
-        for rep in range(config.reps):
-            cells.append({"n": n, "rep": rep, "ise": err, "kept": 0,
-                          "j1": max_detail_level(n, tau),
-                          "lambda_n": threshold_scale(n), "runtime_ms": 0.0})
-    return cells
-
-
 def _aggregate_report(config: ExperimentConfig, cells: list,
                       kappa: float, interrupted: bool) -> dict:
     per_n = []
@@ -249,11 +233,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, bool]:
     workers = _workers()
     _charge_budget(config.reps, sum(config.n_grid), config.budget,
                    config.allow_over_budget)
-    if config.self_test_exponent is not None:
-        report = _aggregate_report(config, _synthetic_cells(config),
-                                   kappa=config.kappa_value,
-                                   interrupted=False)
-        return report, False
     scenario, process = config.specs
     table = _cached_table(config.family_r, config.depth)
     if config.kappa_mode == "calibrated":

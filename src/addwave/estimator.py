@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from ._rules import (_check_callable, _check_count, _check_dim,
-                     _check_number, _check_span, _check_type, _json_object,
-                     check_fields)
+                     _check_number, _check_size, _check_span, _check_type,
+                     _json_object, check_fields)
 from .wavelet import (_CHUNK, _MAX_LEVEL, BasisTable, _analysis_step,
                       _synthesis_step, evaluate_series, weighted_level_sums)
 
@@ -245,14 +245,14 @@ def _estimate_field(obj: dict, key: str, rule):
 
 def threshold_scale(n: int) -> float:
     """The level sqrt(log(n) / n) that detail coefficients are held to."""
-    _check_count("n", n, 2)
+    _check_size("n", n)
     return math.sqrt(math.log(n) / n)
 
 
 def max_detail_level(n: int, coarsest: int) -> int:
     """Finest detail level: 2**j1 is the integer part of n / log(n)**3,
     never below the coarsest level."""
-    _check_count("n", n, 2)
+    _check_size("n", n)
     _check_count("coarsest", coarsest, 0)
     budget = int(n / math.log(n) ** 3)
     raw = int(math.log2(budget)) if budget >= 1 else 0

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from ._rules import (_check_choice, _check_count, _check_number,
-                     _check_span, _is_integer, check_fields)
+                     _check_size, _check_span, _is_integer, check_fields)
 from .estimator import _weights, max_detail_level, threshold_scale
 from .simulate import MixingProcessSpec, ScenarioSpec, simulate_datasets
 from .wavelet import (_KINDS, BasisTable, _check_index, _check_kind,
@@ -254,6 +254,8 @@ def rate_fit(points) -> RateFit:
     pts = [(n, float(v)) for n, v in points]
     if not all(_is_integer(n) for n, _ in pts):
         raise ValueError(f"sample sizes must be integers, got {pts}")
+    for n, _ in pts:
+        _check_size("sample size", n)
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points, got {len(pts)}")
     ns = np.array([p[0] for p in pts], dtype=float)

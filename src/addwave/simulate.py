@@ -44,8 +44,8 @@ from math import sqrt
 import numpy as np
 
 from ._rules import (_check_count, _check_dim, _check_finite,
-                     _check_number, _check_span, _json_object, _shown,
-                     check_fields)
+                     _check_number, _check_size, _check_span, _check_type,
+                     _json_object, _shown, check_fields)
 from .estimator import Dataset, DesignDensity, identity_rho
 from .wavelet import _CHUNK
 
@@ -126,7 +126,7 @@ _CATALOG = {f.name: f for f in (
 
 def test_function(name: str) -> TestFunction:
     """Look up a catalog function; each integrates to zero over [0, 1]."""
-    if name not in _CATALOG:
+    if _check_type("name", name, str) not in _CATALOG:
         known = ", ".join(sorted(_CATALOG))
         raise ValueError(f"unknown test function {name!r}; catalog: {known}")
     return _CATALOG[name]
@@ -177,8 +177,13 @@ class ScenarioSpec:
         return identity_rho()
 
 
-@lru_cache(maxsize=16)
 def uniform_density(dim: int) -> DesignDensity:
+    # ``dim`` is checked before the cache hashes it.
+    return _uniform_density(_check_dim("DesignDensity field 'dim'", dim))
+
+
+@lru_cache(maxsize=16)
+def _uniform_density(dim: int) -> DesignDensity:
     return DesignDensity(
         dim=dim,
         evaluator=lambda pts: np.ones(np.asarray(pts).shape[0]),
@@ -248,7 +253,7 @@ def gen_designs(spec: MixingProcessSpec, n: int, rep_start: int,
 
 
 def _check_range(n: int, rep_start: int, reps: int) -> None:
-    _check_count("n", n, 1)
+    _check_size("n", n, 1)
     _check_count("rep_start", rep_start, 0)
     _check_count("reps", reps, 0)
 

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from ._rules import _MAX_DIM, _check_dim, _check_span
+from ._rules import _MAX_DIM, _check_dim, _check_span, _check_type
 from .wavelet import BasisTable, _check_index, _check_kind, eval_periodized
 
 _MAX_LITERAL_TERMS = 2 ** 20
@@ -49,6 +49,7 @@ class TensorIndex:
     direction: int
 
     def __post_init__(self):
+        _check_type("shifts", self.shifts, tuple)
         direction_coords(self.dim, self.direction)
         for k in self.shifts:
             _check_index(self.level, k)
@@ -99,11 +100,19 @@ class AdditiveFunction:
         return out
 
 
+def _points(x) -> tuple[np.ndarray, bool]:
+    """``x`` as an (N, d) array, and whether it was one point of shape
+    (d,); any other shape is refused by name."""
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim not in (1, 2):
+        raise ValueError(f"x must be of shape (d,) or (N, d), got shape "
+                         f"{xa.shape}")
+    return (xa[None, :], True) if xa.ndim == 1 else (xa, False)
+
+
 def eval_tensor(table: BasisTable, index: TensorIndex, x) -> np.ndarray:
     """Evaluate one tensor element at points ``x`` of shape (d,) or (N, d)."""
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 1
-    pts = xa[None, :] if scalar else xa
+    pts, scalar = _points(x)
     if pts.shape[-1] != index.dim:
         raise ValueError(
             f"points have {pts.shape[-1]} coordinates, index has {index.dim}")
@@ -126,9 +135,7 @@ def collapsed_sum(table: BasisTable, kind: str, level: int, shift: int,
     evaluation by 2**(level*(d-1)/2); ``literal=True`` instead adds up
     every off-coordinate shift combination.
     """
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 1
-    pts = xa[None, :] if scalar else xa
+    pts, scalar = _points(x)
     dim = _check_dim("dim", pts.shape[-1])
     _check_span("coord", coord, 1, dim)
     _check_kind(kind)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,8 +144,6 @@ def _no_cell(job):
 
 @pytest.mark.parametrize("field, value", [
     ("kappa", -1.0), ("kappa", "abc"), ("kappa", float("nan")),
-    ("self_test_exponent", "x"), ("self_test_exponent", float("inf")),
-    ("self_test_exponent", -1000),
     ("allow_over_budget", "false"), ("allow_over_budget", 0),
     ("output_dir", 3)])
 def test_mc_rate_names_number_and_flag_fields(tmp_path, capsys, monkeypatch,
@@ -177,7 +176,7 @@ def test_mc_rate_names_scenario_and_process_numbers(tmp_path, capsys,
 
 @pytest.mark.parametrize("block, key", [
     (None, "kapa"), ("scenario", "noise"), ("process", "copula_thetta"),
-    ("process", "seed"), ("process", "dim")])
+    ("process", "seed"), ("process", "dim"), (None, "self_test_exponent")])
 def test_mc_rate_names_unknown_keys(tmp_path, capsys, monkeypatch, block,
                                     key):
     # A misspelt key would otherwise run with the default in its place.
@@ -204,11 +203,8 @@ def test_mc_rate_checks_the_kappa_override(tmp_path, capsys, monkeypatch,
 
 def test_parse_config_keeps_valid_numbers_and_flags():
     config = parse_experiment_config(_base_config(
-        kappa=2, self_test_exponent=1, allow_over_budget=True,
-        output_dir="out"))
-    assert (config.kappa_value, config.self_test_exponent) == (2.0, 1.0)
-    assert type(config.kappa_value) is type(config.self_test_exponent) \
-        is float
+        kappa=2, allow_over_budget=True, output_dir="out"))
+    assert config.kappa_value == 2.0 and type(config.kappa_value) is float
     assert config.allow_over_budget is True
 
 
@@ -251,13 +247,12 @@ def test_parse_config_echo_round_trip():
         _base_config(kappa_mode="calibrated", aggregate="median"))
     echo = calibrated.echo()
     assert "kappa" not in echo and echo["aggregate"] == "median"
-    assert "output_dir" not in echo and "self_test_exponent" not in echo
+    assert "output_dir" not in echo
     assert parse_experiment_config({**_base_config(), **echo}).echo() == echo
     full = parse_experiment_config(_base_config(
-        output_dir="out", self_test_exponent=0.5, budget=10 ** 6,
-        allow_over_budget=True))
+        output_dir="out", budget=10 ** 6, allow_over_budget=True))
     echo = full.echo()
-    assert echo["output_dir"] == "out" and echo["self_test_exponent"] == 0.5
+    assert echo["output_dir"] == "out"
     assert "budget" not in echo and "allow_over_budget" not in echo
     assert parse_experiment_config({**_base_config(), **echo}).echo() == echo
 
@@ -388,14 +383,22 @@ def test_workers_env_must_be_a_positive_integer(tmp_path, monkeypatch,
     assert widths == []
 
 
-def test_self_test_mode_recovers_planted_slope(tmp_path):
-    cfg = _write_config(tmp_path, self_test_exponent=0.8)
-    out = tmp_path / "self.json"
-    assert main(["mc-rate", "--config", cfg, "--output", str(out)]) == EXIT_OK
-    report = json.loads(out.read_text())
+def test_sweep_recovers_a_planted_slope(monkeypatch):
+    # Every cell's error is set to exactly (log n / n)^0.8, so the sweep's
+    # aggregation and rate fit must return that exponent.
+    run_cell = cli._run_cell
+
+    def planted(job):
+        n_index, rep, cell = run_cell(job)
+        n = cell["n"]
+        return n_index, rep, dict(cell, ise=(math.log(n) / n) ** 0.8)
+
+    monkeypatch.setattr(cli, "_run_cell", planted)
+    report, interrupted = run_experiment(
+        parse_experiment_config(_base_config()))
+    assert not interrupted and len(report["cells"]) == 8
     assert report["fit"]["slope"] == pytest.approx(0.8, abs=1e-10)
     assert report["fit"]["r_squared"] == pytest.approx(1.0, abs=1e-12)
-    assert all(cell["kept"] == 0 for cell in report["cells"])
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -45,6 +45,7 @@ from addwave import (
     uniform_density,
     weighted_level_sums,
 )
+from addwave import test_function as catalog_fn
 from addwave.oracle import reference_shape
 from addwave.simulate import gen_designs, gen_responses, simulate_datasets
 from addwave.wavelet import _CHUNK, level_coeffs
@@ -101,6 +102,7 @@ _COUNT = "%s must be an integer >= %d, got"
 _LATE_NAN = np.where(np.arange(_CHUNK + 5) == _CHUNK + 2, np.nan, 1.0)
 _LATE_INF = np.where(np.arange(_CHUNK + 5) == _CHUNK + 4, np.inf, 1.0)
 _DEEP = "level must be an integer in 0..24, got"
+_HUGE = r"%s must be at most 2\*\*63 - 1, got a"
 
 
 def _overflowing_ise():
@@ -299,6 +301,28 @@ _REFUSED = (
                            NOISY.component(1))),
     ("offset", lambda: evaluate_series(DB2, 2, np.ones(4), _X,
                                        offset=-np.inf)),
+    # A sample size no float holds is refused under the one stated bound,
+    # before log(n) / n overflows or an array is sized.
+    (_HUGE % "n", lambda: max_detail_level(10 ** 400, 0)),
+    (_HUGE % "n", lambda: threshold_scale(2 ** 1030)),
+    (_HUGE % "n", lambda: tail_frequency(IID, NOISY, DB2, 2, 1, 1,
+                                         kappa=1.0, n=10 ** 400, reps=50)),
+    (_HUGE % "n", lambda: calibrate_threshold(IID, NOISY, DB2, 10 ** 400,
+                                              allow_over=True)),
+    (_HUGE % "sample size", lambda: rate_fit([(256, 0.1), (512, 0.05),
+                                              (1024, 0.03),
+                                              (10 ** 400, 0.02)])),
+    (_HUGE % "n", lambda: simulate_datasets(IID, NOISY, 10 ** 400, 0, 2)),
+    # A sample size below 2 has no rate: log(log(n) / n) is not finite.
+    (_COUNT % ("sample size", 2), lambda: rate_fit([(1, 0.1), (2, 0.05),
+                                                   (4, 0.03), (8, 0.02)])),
+    # An argument of the wrong type or shape is refused by name, not as a
+    # TypeError of a cache or an IndexError of a shape.
+    ("name", lambda: catalog_fn([])),
+    ("DesignDensity field 'dim'", lambda: uniform_density([1])),
+    ("x", lambda: collapsed_sum(DB2, "wavelet", 2, 0, 1, 0.5)),
+    ("x", lambda: eval_tensor(DB2, TensorIndex(2, (0, 0), 1), 0.5)),
+    ("shifts", lambda: TensorIndex(2, 3, 0)),
 )
 
 

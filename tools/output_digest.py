@@ -560,11 +560,11 @@ REFUSED = (
     {"process": {"copula_thetta": 0.5}, "family_r": 0},
     {"family_r": 0, "depth": 40}, {"depth": 40, "coord": 5},
     {"coord": 5, "kappa": -1.0},
-    {"kappa": float("nan"), "self_test_exponent": -1.0},
+    {"kappa": float("nan"), "allow_over_budget": "no"},
     {"self_test_exponent": "x", "allow_over_budget": "no"},
     {"allow_over_budget": 0, "output_dir": 3}, {"output_dir": 3},
     {"process": 3, "family_r": 0}, {"scenario": [], "master_seed": -1},
-    {"coord": 5, "self_test_exponent": "x"})
+    {"coord": 5, "allow_over_budget": "no"})
 
 
 def experiment_configs(dig, cli):
@@ -588,7 +588,7 @@ def experiment_configs(dig, cli):
     for extra in ({}, {"kappa_mode": "calibrated", "aggregate": "median",
                        "family_r": 4, "depth": 10, "coord": 2},
                   {"kappa": 2, "output_dir": "out", "budget": 10 ** 6,
-                   "allow_over_budget": True, "self_test_exponent": 0.8}):
+                   "allow_over_budget": True}):
         for argv in ([], ["--seed", "9"], ["--kappa", "0.5"],
                      ["--family-r", "3", "--depth", "11"]):
             record(True, {**README_CONFIG, **extra}, *argv)
