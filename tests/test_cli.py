@@ -142,8 +142,11 @@ def _no_cell(job):
     raise AssertionError(f"a cell ran: {job}")
 
 
+# self_test_exponent is a retired key: it is refused by name whatever it holds.
 @pytest.mark.parametrize("field, value", [
     ("kappa", -1.0), ("kappa", "abc"), ("kappa", float("nan")),
+    ("self_test_exponent", "x"), ("self_test_exponent", float("inf")),
+    ("self_test_exponent", -1000),
     ("allow_over_budget", "false"), ("allow_over_budget", 0),
     ("output_dir", 3)])
 def test_mc_rate_names_number_and_flag_fields(tmp_path, capsys, monkeypatch,
